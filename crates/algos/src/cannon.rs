@@ -36,11 +36,20 @@ use mmsim::{Checkpoint, Machine, Proc};
 
 use crate::common::{check_square_operands, exact_sqrt, AlgoError, SimOutcome};
 
-/// A `q × q` row-major sub-mesh view used by Cannon phases (also reused
-/// by Berntsen's per-subcube Cannon).
+/// How a [`MeshView`]'s coordinates map to machine ranks.
+enum MeshLayout {
+    /// Row-major over ranks `base..base + q²`.
+    Contiguous { base: usize },
+    /// The dilation-1 Gray-code embedding over ranks `0..q²`.
+    Gray,
+}
+
+/// A `q × q` sub-mesh view used by Cannon phases (also reused by
+/// Berntsen's per-subcube Cannon).  Ranks are computed from the
+/// coordinates, never tabulated: every rank of a run holds a view, so a
+/// `q²`-entry table per view would cost O(p²) host memory per run.
 pub(crate) struct MeshView {
-    /// Row-major rank list, `ranks[r*q + c]`.
-    pub ranks: Vec<usize>,
+    layout: MeshLayout,
     /// Mesh side.
     pub q: usize,
     /// Calling processor's mesh row.
@@ -52,10 +61,9 @@ pub(crate) struct MeshView {
 impl MeshView {
     /// Mesh spanning ranks `base..base + q²` in row-major order.
     pub(crate) fn contiguous(proc: &Proc, base: usize, q: usize) -> Self {
-        let ranks: Vec<usize> = (base..base + q * q).collect();
         let local = proc.rank() - base;
         Self {
-            ranks,
+            layout: MeshLayout::Contiguous { base },
             q,
             my_row: local / q,
             my_col: local % q,
@@ -67,15 +75,9 @@ impl MeshView {
     /// neighbours, so shifts stay single-hop even under
     /// store-and-forward routing.
     pub(crate) fn gray_embedded(proc: &Proc, q: usize) -> Self {
-        let mut ranks = vec![0usize; q * q];
-        for r in 0..q {
-            for c in 0..q {
-                ranks[r * q + c] = mmsim::topology::gray_mesh_rank(r, c, q);
-            }
-        }
         let (my_row, my_col) = mmsim::topology::gray_mesh_coords(proc.rank(), q);
         Self {
-            ranks,
+            layout: MeshLayout::Gray,
             q,
             my_row,
             my_col,
@@ -87,7 +89,10 @@ impl MeshView {
         let q = self.q as isize;
         let r = row.rem_euclid(q) as usize;
         let c = col.rem_euclid(q) as usize;
-        self.ranks[r * self.q + c]
+        match self.layout {
+            MeshLayout::Contiguous { base } => base + r * self.q + c,
+            MeshLayout::Gray => mmsim::topology::gray_mesh_rank(r, c, self.q),
+        }
     }
 }
 
@@ -368,6 +373,60 @@ mod tests {
             out.c.max_abs_diff(&reference)
         );
         out
+    }
+
+    #[test]
+    fn mesh_view_ranks_match_the_tabulated_layouts() {
+        // `rank_at` against the row-major tables it replaced, over
+        // every wrapped coordinate within two mesh sides of the origin.
+        fn check(mesh: &MeshView, table: &[usize]) {
+            let q = mesh.q as isize;
+            for row in -2 * q..=2 * q {
+                for col in -2 * q..=2 * q {
+                    let (r, c) = (row.rem_euclid(q) as usize, col.rem_euclid(q) as usize);
+                    assert_eq!(
+                        mesh.rank_at(row, col),
+                        table[r * mesh.q + c],
+                        "({row}, {col})"
+                    );
+                }
+            }
+        }
+        for (base, q) in [
+            (0usize, 1usize),
+            (5, 1),
+            (0, 2),
+            (4, 2),
+            (0, 3),
+            (9, 3),
+            (0, 8),
+            (64, 8),
+        ] {
+            let table: Vec<usize> = (base..base + q * q).collect();
+            let machine = Machine::new(Topology::fully_connected(base + q * q), CostModel::unit());
+            machine.run(|proc| {
+                if proc.rank() >= base {
+                    check(&MeshView::contiguous(proc, base, q), &table);
+                }
+            });
+        }
+        for q in [2usize, 4, 8] {
+            let mut table = vec![0usize; q * q];
+            for r in 0..q {
+                for c in 0..q {
+                    table[r * q + c] = mmsim::topology::gray_mesh_rank(r, c, q);
+                }
+            }
+            let machine = Machine::new(Topology::hypercube_for(q * q), CostModel::unit());
+            machine.run(|proc| {
+                let mesh = MeshView::gray_embedded(proc, q);
+                check(&mesh, &table);
+                assert_eq!(
+                    mesh.rank_at(mesh.my_row as isize, mesh.my_col as isize),
+                    proc.rank()
+                );
+            });
+        }
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! cargo run --release -p bench --bin engine_perf -- --enforce # assert speedup
 //! ```
 //!
-//! Four slices exercise the paths the headline artefacts spend their
-//! time in:
+//! Five slices exercise the paths the headline artefacts spend their
+//! time in.  `cm5_64`, `cm5_512` and `workload` pin
+//! `EngineKind::Threaded`: their baselines were recorded on that
+//! engine, and they guard its pooled fast path whichever engine is the
+//! default.
 //!
 //! * `regions`  — repeated Figure 1–3 region-map grids (pure model
 //!   evaluation; the memoised `T_p(n, p)` oracle's territory).
@@ -35,7 +38,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use bench::workload_common::{run_workload_sweep, WorkloadSweep};
+use bench::workload_common::{run_workload_sweep_on, WorkloadSweep};
 use dense::gen;
 use mmsim::{CostModel, EngineKind, Machine, ProcStats, Topology};
 use model::regions::RegionMap;
@@ -165,8 +168,8 @@ const RANK_HEADER: &str = "run,rank,clock_bits,compute_bits,comm_bits,idle_bits,
                            msgs_sent,words_sent,msgs_received,hops,unreceived\n";
 
 /// The CM-5 slices: simulate each admissible (algo, p, n) point on the
-/// fully connected CM-5 cost model, exactly as the Figure 4/5 binaries
-/// do, and reduce to run + per-rank golden rows.
+/// fully connected CM-5 cost model — the Figure 4/5 binaries' points,
+/// on the threaded engine — and reduce to run + per-rank golden rows.
 #[allow(clippy::type_complexity)]
 fn run_cm5_slice(
     slice: &'static str,
@@ -180,7 +183,8 @@ fn run_cm5_slice(
     let mut runs = 0;
     for &(algo, p, n) in points {
         let (a, b) = gen::random_pair(n, n as u64);
-        let machine = Machine::new(Topology::fully_connected(p), cost);
+        let machine =
+            Machine::new(Topology::fully_connected(p), cost).with_engine(EngineKind::Threaded);
         let out = match algo {
             "cannon" => algos::cannon(&machine, &a, &b),
             "gk" => algos::gk(&machine, &a, &b),
@@ -263,11 +267,12 @@ fn run_event4k_slice(points: &[(usize, usize)], runs_csv: &mut String) -> SliceR
 }
 
 /// The gemmd slice: one deterministic service sweep (scheduler +
-/// partitioned engine runs); the golden is the full metrics table.
+/// partitioned runs on the threaded engine); the golden is the full
+/// metrics table.
 fn run_workload_slice(csv: &mut String) -> SliceResult {
     let sweep = WorkloadSweep::smoke(0xE6E);
     let start = Instant::now();
-    let table = run_workload_sweep(&sweep);
+    let table = run_workload_sweep_on(&sweep, EngineKind::Threaded);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     csv.push_str(&table.to_csv());
     SliceResult {

@@ -9,7 +9,7 @@
 //! right-sizer's aggregate throughput wins on the mixed-size stream.
 
 use gemmd::{Config, Fifo, Policy, PriorityFirst, Scheduler, ShortestPredictedTime, SizingMode};
-use mmsim::{CostModel, Machine, Topology};
+use mmsim::{CostModel, EngineKind, Machine, Topology};
 
 use crate::ResultTable;
 
@@ -84,7 +84,19 @@ fn variants() -> Vec<(&'static str, SizingMode, Box<dyn Policy>)> {
 /// a bug, not a measurement.
 #[must_use]
 pub fn run_workload_sweep(sweep: &WorkloadSweep) -> ResultTable {
-    let machine = Machine::new(Topology::hypercube(sweep.dim), CostModel::ncube2());
+    run_workload_sweep_on(sweep, EngineKind::default())
+}
+
+/// [`run_workload_sweep`] on a named engine (the table is virtual-time
+/// only, so it is the same on either; `engine_perf` times the threaded
+/// one).
+///
+/// # Panics
+/// As [`run_workload_sweep`].
+#[must_use]
+pub fn run_workload_sweep_on(sweep: &WorkloadSweep, engine: EngineKind) -> ResultTable {
+    let machine =
+        Machine::new(Topology::hypercube(sweep.dim), CostModel::ncube2()).with_engine(engine);
     let mut table = ResultTable::new(
         format!(
             "gemmd service sweep (p = {}, {} jobs/run, t_s = 150, t_w = 3, seed {})",

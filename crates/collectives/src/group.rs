@@ -24,16 +24,31 @@ impl Group {
     #[must_use]
     pub fn new(proc: &Proc, ranks: Vec<usize>) -> Self {
         assert!(!ranks.is_empty(), "a group needs at least one member");
-        for (i, &r) in ranks.iter().enumerate() {
-            assert!(
-                r < proc.p(),
-                "group rank {r} out of range (p = {})",
-                proc.p()
-            );
-            assert!(
-                !ranks[..i].contains(&r),
-                "group contains duplicate rank {r}"
-            );
+        // Every rank of a run validates its own copy of every group it
+        // joins, so the check is one ordered pass for the usual
+        // ascending list and a sort otherwise; the quadratic scan runs
+        // only to name the offender in the panic it is about to raise.
+        let distinct_in_range = |ascending: &[usize]| {
+            ascending.windows(2).all(|w| w[0] < w[1]) && ascending[ascending.len() - 1] < proc.p()
+        };
+        let valid = distinct_in_range(&ranks) || {
+            let mut sorted = ranks.clone();
+            sorted.sort_unstable();
+            distinct_in_range(&sorted)
+        };
+        if !valid {
+            for (i, &r) in ranks.iter().enumerate() {
+                assert!(
+                    r < proc.p(),
+                    "group rank {r} out of range (p = {})",
+                    proc.p()
+                );
+                assert!(
+                    !ranks[..i].contains(&r),
+                    "group contains duplicate rank {r}"
+                );
+            }
+            unreachable!("an invalid group has an offending rank");
         }
         let my_idx = ranks
             .iter()
@@ -146,6 +161,38 @@ mod tests {
             assert!(!Group::new(proc, vec![0, 4, 5]).is_power_of_two());
             assert!(Group::new(proc, vec![0]).is_power_of_two());
         });
+    }
+
+    #[test]
+    fn validation_is_not_quadratic_in_group_size() {
+        // Every rank of a p = 4096 machine validates two 4096-member
+        // groups, one ascending and one not: ~10¹¹ comparisons (tens
+        // of seconds) under a pairwise duplicate scan.
+        let p = 4096;
+        let machine = Machine::new(Topology::fully_connected(p), CostModel::unit());
+        machine.run(|proc| {
+            assert_eq!(Group::world(proc).my_idx(), proc.rank());
+            let reversed = Group::new(proc, (0..p).rev().collect());
+            assert_eq!(reversed.my_idx(), p - 1 - proc.rank());
+        });
+    }
+
+    #[test]
+    fn out_of_range_and_late_duplicates_name_the_first_offender() {
+        let message = |ranks: Vec<usize>| {
+            let machine = Machine::new(Topology::fully_connected(4), CostModel::unit());
+            let err = machine
+                .try_run(move |proc| {
+                    if proc.rank() == 0 {
+                        let _ = Group::new(proc, ranks.clone());
+                    }
+                })
+                .unwrap_err();
+            err.to_string()
+        };
+        assert!(message(vec![0, 7, 7]).contains("group rank 7 out of range (p = 4)"));
+        assert!(message(vec![3, 0, 2, 0, 9]).contains("group contains duplicate rank 0"));
+        assert!(message(vec![0, 1, 2, 9]).contains("group rank 9 out of range (p = 4)"));
     }
 
     #[test]

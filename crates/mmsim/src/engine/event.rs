@@ -12,7 +12,8 @@
 //! — a min-heap keyed on `(park-time clock, rank)`.  Sends never block,
 //! so a send delivers straight into the destination's mailbox and, when
 //! the destination is parked on exactly that `(src, tag)`, moves it to
-//! the ready queue.  Park/unpark rendezvous, futexes, and spin-yields
+//! the ready queue.  Mailboxes and scheduler state share one lock, so a
+//! message costs one acquisition to send and one to receive.  Park/unpark rendezvous, futexes, and spin-yields
 //! all disappear; a context switch is ~12 instructions of userspace
 //! register shuffling.
 //!
@@ -54,12 +55,9 @@ use crate::engine::{outcome_from_panic, Machine, ThreadOutcome};
 use crate::recovery::CkptRecord;
 use std::cmp::Reverse;
 
-/// Why a blocked receive cannot park (or was woken): mirrors the
-/// threaded engine's board-condition match in `take_matching`.
+/// Why a blocked receive can never be satisfied: mirrors the threaded
+/// engine's board-condition match in `take_matching`.
 pub(crate) enum Wait {
-    /// Woken (or raced by nothing — single scheduler thread): rescan
-    /// the mailbox and call again if still unmatched.
-    Recheck,
     /// Awaited peer fail-stopped.
     SrcDied,
     /// Awaited peer panicked.
@@ -84,10 +82,14 @@ struct Waiting {
     token: u32,
 }
 
-/// Scheduler bookkeeping, all behind one mutex.  Uncontended on the
-/// hot path — only the scheduler thread and the fiber it is currently
-/// running ever touch it, and never at the same time.
+/// Mailboxes and scheduler bookkeeping, all behind one mutex, so a
+/// send is one acquisition and a receive one (plus one per park).
+/// Uncontended — only the scheduler thread and the fiber it is
+/// currently running ever touch it, and never at the same time.
 struct SchedState {
+    /// Delivered-but-unmatched messages per rank, in delivery order
+    /// (per-sender program order — what send-order matching needs).
+    mailboxes: Vec<VecDeque<Message>>,
     /// Mirrors the threaded `StatusBoard` statuses.
     status: Vec<RankStatus>,
     /// Terminal statuses published so far.
@@ -112,6 +114,7 @@ struct SchedState {
 impl SchedState {
     fn new(p: usize) -> Self {
         Self {
+            mailboxes: (0..p).map(|_| VecDeque::new()).collect(),
             status: vec![RankStatus::Running; p],
             terminated: 0,
             waiting: (0..p).map(|_| None).collect(),
@@ -136,39 +139,22 @@ impl SchedState {
     }
 }
 
-/// The event engine's shared network state: per-rank mailboxes plus
-/// the scheduler bookkeeping.  Lives inside [`NetShared::Event`], so
-/// `Proc`'s send/receive paths dispatch to it without knowing about
-/// fibers at all.
+/// The event engine's shared network state.  Lives inside
+/// [`NetShared::Event`], so `Proc`'s send/receive paths dispatch to it
+/// without knowing about fibers at all.
 pub(crate) struct EventNet {
-    /// Delivered-but-unmatched messages per rank, in delivery order
-    /// (per-sender program order — what send-order matching needs).
-    mailboxes: Vec<Mutex<VecDeque<Message>>>,
     state: Mutex<SchedState>,
 }
 
 impl EventNet {
     pub(crate) fn new(p: usize) -> Self {
         Self {
-            mailboxes: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),
             state: Mutex::new(SchedState::new(p)),
         }
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, SchedState> {
         self.state.lock().expect("event scheduler state poisoned")
-    }
-
-    fn lock_mailbox(&self, rank: usize) -> std::sync::MutexGuard<'_, VecDeque<Message>> {
-        self.mailboxes[rank].lock().expect("event mailbox poisoned")
-    }
-
-    /// First message matching `(src, tag)` in `rank`'s mailbox, if any
-    /// — send order within the pair, like the threaded pending scan.
-    pub(crate) fn pop_matching(&self, rank: usize, src: usize, tag: Tag) -> Option<Message> {
-        let mut mailbox = self.lock_mailbox(rank);
-        let pos = mailbox.iter().position(|m| m.src == src && m.tag == tag)?;
-        mailbox.remove(pos)
     }
 
     /// Deliver a message into its destination's mailbox, waking the
@@ -179,14 +165,11 @@ impl EventNet {
     /// already paid the injection cost and the traffic counters.
     pub(crate) fn deliver(&self, msg: Message) {
         let (src, dst, tag) = (msg.src, msg.dst, msg.tag);
-        {
-            let st = self.lock_state();
-            if st.status[dst] != RankStatus::Running {
-                return;
-            }
-        }
-        self.lock_mailbox(dst).push_back(msg);
         let mut st = self.lock_state();
+        if st.status[dst] != RankStatus::Running {
+            return;
+        }
+        st.mailboxes[dst].push_back(msg);
         let matches = st.waiting[dst]
             .as_ref()
             .is_some_and(|w| w.src == src && w.tag == tag);
@@ -225,22 +208,34 @@ impl EventNet {
         }
     }
 
-    /// Block `rank`'s receive on `(src, tag)`: either return a terminal
-    /// diagnosis immediately (mirroring the threaded board-condition
-    /// match — no deferred drain needed, because nothing runs
-    /// concurrently with a fiber) or park, suspend the fiber, and
-    /// report how it was woken.
-    pub(crate) fn wait_for(&self, rank: usize, src: usize, tag: Tag, clock: f64) -> Wait {
-        {
-            let mut st = self.lock_state();
+    /// `rank`'s blocking receive of `(src, tag)`: the first matching
+    /// message in its mailbox — send order within the pair, like the
+    /// threaded pending scan — or, while there is none, either a
+    /// terminal diagnosis (mirroring the threaded board-condition match
+    /// — no deferred drain needed, because nothing runs concurrently
+    /// with a fiber) or a park: record the wait, suspend the fiber, and
+    /// look again once woken.
+    pub(crate) fn recv(
+        &self,
+        rank: usize,
+        src: usize,
+        tag: Tag,
+        clock: f64,
+    ) -> Result<Message, Wait> {
+        let mut st = self.lock_state();
+        loop {
+            let mailbox = &mut st.mailboxes[rank];
+            if let Some(pos) = mailbox.iter().position(|m| m.src == src && m.tag == tag) {
+                return Ok(mailbox.remove(pos).expect("position is in range"));
+            }
             let p = st.status.len();
             let all_terminated = st.terminated >= p - 1;
             match st.status[src] {
-                RankStatus::Died => return Wait::SrcDied,
-                RankStatus::Poisoned => return Wait::SrcPoisoned,
-                RankStatus::Done if !all_terminated => return Wait::SrcDone,
+                RankStatus::Died => return Err(Wait::SrcDied),
+                RankStatus::Poisoned => return Err(Wait::SrcPoisoned),
+                RankStatus::Done if !all_terminated => return Err(Wait::SrcDone),
                 RankStatus::Running | RankStatus::Done if all_terminated => {
-                    return Wait::AllTerminated
+                    return Err(Wait::AllTerminated)
                 }
                 RankStatus::Running | RankStatus::Done => {}
             }
@@ -253,14 +248,13 @@ impl EventNet {
                 token,
             });
             st.waiters_on[src].push((rank, token));
-        }
-        fiber::suspend();
-        let mut st = self.lock_state();
-        debug_assert!(st.waiting[rank].is_none(), "woken while still parked");
-        if std::mem::take(&mut st.timeout_elected[rank]) {
-            Wait::Timeout
-        } else {
-            Wait::Recheck
+            drop(st);
+            fiber::suspend();
+            st = self.lock_state();
+            debug_assert!(st.waiting[rank].is_none(), "woken while still parked");
+            if std::mem::take(&mut st.timeout_elected[rank]) {
+                return Err(Wait::Timeout);
+            }
         }
     }
 
@@ -276,9 +270,9 @@ impl EventNet {
     /// Count and discard `rank`'s unmatched messages at closure end
     /// (the event-side mirror of the final channel drain).
     pub(crate) fn drain_unreceived(&self, rank: usize) -> u64 {
-        let mut mailbox = self.lock_mailbox(rank);
-        let n = mailbox.len() as u64;
-        mailbox.clear();
+        let mut st = self.lock_state();
+        let n = st.mailboxes[rank].len() as u64;
+        st.mailboxes[rank].clear();
         n
     }
 }
@@ -310,8 +304,7 @@ where
     });
     let outcomes: Vec<Mutex<Option<ThreadOutcome<T>>>> = (0..p).map(|_| Mutex::new(None)).collect();
 
-    let stack_bytes = fiber::stack_bytes();
-    let mut fibers: Vec<fiber::Fiber> = (0..p)
+    let jobs: Vec<Box<dyn FnOnce()>> = (0..p)
         .map(|rank| {
             let shared = Arc::clone(&shared);
             let f_ptr: *const F = f;
@@ -333,9 +326,10 @@ where
             // SAFETY: lifetime erasure only — the completion argument
             // above keeps every borrow alive past the fiber's end.
             let job: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(job) };
-            fiber::Fiber::new(stack_bytes, job)
+            job
         })
         .collect();
+    let mut fibers = fiber::Fiber::spawn_all(fiber::stack_bytes(), jobs);
 
     let net = match &shared.net {
         NetShared::Event(net) => net,
@@ -352,33 +346,29 @@ where
     }
     let mut finished = 0usize;
     while finished < p {
-        let next = {
+        let rank = {
             let mut st = net.lock_state();
             match st.ready.pop() {
                 Some(Reverse((_, rank))) => {
                     st.queued[rank] = false;
-                    Some(rank)
+                    rank
                 }
-                None => None,
-            }
-        };
-        let rank = match next {
-            Some(rank) => rank,
-            None => {
-                // Global no-progress: every unfinished rank is parked
-                // and no pending event can wake one.  Elect the lowest
-                // parked rank to self-diagnose the live deadlock —
-                // deterministic, and exactly what the threaded
-                // engine's recv timeout would eventually conclude.
-                let mut st = net.lock_state();
-                let rank = st
-                    .waiting
-                    .iter()
-                    .position(Option::is_some)
-                    .expect("scheduler stuck with no parked rank (engine bug)");
-                st.waiting[rank] = None;
-                st.timeout_elected[rank] = true;
-                rank
+                None => {
+                    // Global no-progress: every unfinished rank is
+                    // parked and no pending event can wake one.  Elect
+                    // the lowest parked rank to self-diagnose the live
+                    // deadlock — deterministic, and exactly what the
+                    // threaded engine's recv timeout would eventually
+                    // conclude.
+                    let rank = st
+                        .waiting
+                        .iter()
+                        .position(Option::is_some)
+                        .expect("scheduler stuck with no parked rank (engine bug)");
+                    st.waiting[rank] = None;
+                    st.timeout_elected[rank] = true;
+                    rank
+                }
             }
         };
         if fibers[rank].resume() {

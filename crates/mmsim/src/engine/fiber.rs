@@ -28,27 +28,42 @@
 //!
 //! ## Stack reuse
 //!
-//! Stacks come from a process-wide pool ([`STACK_POOL`]), mirroring the
-//! worker pool's thread reuse: a p = 16384 sweep re-leases the same
-//! 16384 stacks run after run instead of re-faulting fresh pages.  The
-//! pool is capped so one huge run does not pin its high-water mark of
-//! memory forever.  Stacks are lazily committed (fresh allocations are
-//! zero pages until touched), so the default 1 MiB reservation costs
-//! only the few KiB a rank actually uses.
+//! Stacks come from a process-wide pool (`STACK_POOL`), mirroring the
+//! worker pool's thread reuse.  A finished fiber's stack is *retained*,
+//! never freed: every run at the same p re-leases the stacks the
+//! previous run touched, so a sweep performs no `mmap`/`munmap`, faults
+//! no fresh pages and grows no RSS after its first run, and a run takes
+//! all its leases under one pool-lock acquisition.  What stays resident
+//! is the high-water mark of pages fibers actually touched — a few KiB
+//! per stack, since reservations are lazily committed (a fresh
+//! allocation is zero pages until used) — not p × the 1 MiB
+//! reservation.
+//!
+//! ## Guard page
+//!
+//! Each reservation is page-aligned and carries one extra page below
+//! the usable stack, `mprotect`ed `PROT_NONE`: a rank closure that
+//! overflows its fiber stack faults (the process dies by `SIGSEGV`)
+//! instead of silently scribbling over the neighbouring allocation.
+//! The guard costs one syscall per stack, once per process, and no
+//! memory.  It also splits the kernel mapping in two, so a process is
+//! limited to roughly `vm.max_map_count / 2` guarded stacks (≈ 32k by
+//! default); when the kernel refuses, the stack runs unguarded rather
+//! than failing the run.
 //!
 //! ## Safety contract
 //!
 //! The scheduler must drive every fiber to completion before dropping
-//! it: dropping a *suspended* fiber frees a stack whose frames still
-//! own live values.  That is memory-safe here (a suspended fiber is
-//! never resumed again, and nothing outside the fiber points into its
-//! stack) but leaks the frames' resources, so [`Fiber::drop`] leaks the
-//! stack allocation too rather than recycling potentially-watched
-//! memory — and debug builds flag it.  The event engine cancels parked
+//! it: dropping a *suspended* fiber abandons a stack whose frames
+//! still own live values.  That is memory-safe here (a suspended fiber
+//! is never resumed again, and nothing outside the fiber points into
+//! its stack) but leaks the frames' resources, so [`Fiber::drop`] leaks
+//! the stack too rather than recycling potentially-watched memory —
+//! and debug builds flag it.  The event engine cancels parked
 //! fibers (resume-with-cancel, unwinding them cleanly) before teardown,
 //! so the leak path is unreachable short of an engine bug.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Parse an `MMSIM_FIBER_STACK_KB` value (`None` = variable unset) into
 /// a fiber stack size in bytes.  Pure, so tests can cover the parsing
@@ -68,7 +83,9 @@ pub(crate) fn parse_stack_bytes(raw: Option<&str>) -> usize {
                 kb >= 64,
                 "MMSIM_FIBER_STACK_KB must be at least 64 KiB, got {kb}"
             );
-            kb << 10
+            kb.checked_mul(1 << 10).unwrap_or_else(|| {
+                panic!("MMSIM_FIBER_STACK_KB of {kb} KiB overflows the address space")
+            })
         }
         // Matches the worker pool's 1 MiB: algorithm closures keep
         // their blocks on the heap, so this is generous.
@@ -83,65 +100,122 @@ pub(crate) fn stack_bytes() -> usize {
     *CACHED.get_or_init(|| parse_stack_bytes(std::env::var("MMSIM_FIBER_STACK_KB").ok().as_deref()))
 }
 
-/// Retired fiber stacks, reused across runs.  Capped: a single huge run
-/// parks at most `STACK_POOL_CAP` stacks here; the rest are freed and
-/// re-allocated (cheaply, as untouched lazy pages) by the next big run.
-static STACK_POOL: Mutex<Vec<Box<[u8]>>> = Mutex::new(Vec::new());
-const STACK_POOL_CAP: usize = 2048;
-
-fn lease_stack(bytes: usize) -> Box<[u8]> {
-    let mut pool = STACK_POOL.lock().expect("fiber stack pool poisoned");
-    // Size-exact reuse; other sizes (tests construct odd ones) stay
-    // parked for their own leases.
-    if let Some(pos) = pool.iter().position(|stack| stack.len() == bytes) {
-        return pool.swap_remove(pos);
-    }
-    drop(pool);
-    // Deliberately uninitialised: zeroing would fault in every page of
-    // the reservation up front (p × 1 MiB is tens of GiB at massive p),
-    // while the allocator's fresh mmap pages are already demand-zeroed
-    // by the kernel and a fiber touches only the few KiB it actually
-    // uses.  The buffer is never read as values — it is machine stack,
-    // accessed exclusively through raw pointers, seeded before the
-    // first switch.
-    #[allow(clippy::uninit_vec)] // the lint guards reads of uninit *values*; none occur
-    {
-        let mut stack = Vec::<u8>::with_capacity(bytes);
-        // SAFETY: `u8` is a plain byte; the contents are only ever used as
-        // raw stack memory (written before read by the running fiber), and
-        // `Vec`/`Box` drop logic never inspects element values.
-        unsafe { stack.set_len(bytes) };
-        stack.into_boxed_slice()
-    }
-}
-
-fn release_stack(stack: Box<[u8]>) {
-    let mut pool = STACK_POOL.lock().expect("fiber stack pool poisoned");
-    if pool.len() < STACK_POOL_CAP {
-        pool.push(stack);
-    }
-}
-
-/// Sizes of the stacks currently parked in the pool (test
-/// observability; x86-64 only — the portable fallback's stacks belong
-/// to its OS threads).
-#[cfg(all(test, target_arch = "x86_64"))]
-fn pooled_stacks() -> Vec<usize> {
-    STACK_POOL
-        .lock()
-        .expect("fiber stack pool poisoned")
-        .iter()
-        .map(|stack| stack.len())
-        .collect()
-}
-
 // =====================================================================
 // x86-64: userspace context switch.
 // =====================================================================
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{lease_stack, release_stack};
+    use std::alloc::{alloc, handle_alloc_error, Layout};
     use std::cell::Cell;
+    use std::ptr::NonNull;
+    use std::sync::Mutex;
+
+    /// The x86-64 base page: allocation alignment and guard size.
+    const PAGE: usize = 4096;
+
+    #[cfg(unix)]
+    extern "C" {
+        /// The kernel's `mprotect(2)` — the one libc symbol this crate
+        /// declares by hand (std links libc on every unix target).
+        fn mprotect(addr: *mut std::ffi::c_void, len: usize, prot: i32) -> i32;
+    }
+
+    /// One fiber stack: `usable` bytes above one guard page.  Never
+    /// freed — a finished fiber parks it in `STACK_POOL` and a
+    /// suspended one leaks it — so the guard never has to be lifted.
+    pub(super) struct Stack {
+        base: NonNull<u8>,
+        usable: usize,
+        /// Whether the kernel accepted the guard (test observability).
+        #[cfg_attr(not(test), allow(dead_code))]
+        guarded: bool,
+    }
+
+    // SAFETY: a `Stack` exclusively owns its allocation, which is plain
+    // bytes with no thread affinity.
+    unsafe impl Send for Stack {}
+
+    impl Stack {
+        fn alloc(usable: usize) -> Self {
+            // Room for the seeded first frame, whatever the caller asks.
+            assert!(usable >= PAGE, "fiber stack of {usable} bytes is too small");
+            let layout = usable
+                .checked_add(PAGE)
+                .and_then(|bytes| Layout::from_size_align(bytes, PAGE).ok())
+                .expect("fiber stack size overflows the address space");
+            // Deliberately uninitialised: zeroing would fault in every
+            // page of the reservation up front (p × 1 MiB is tens of GiB
+            // at massive p), while the allocator's fresh mmap pages are
+            // demand-zeroed by the kernel and a fiber touches only the
+            // few KiB it actually uses.  The memory is never read as
+            // values — it is machine stack, seeded before the first
+            // switch.
+            // SAFETY: the layout has non-zero size.
+            let base = unsafe { alloc(layout) };
+            let Some(base) = NonNull::new(base) else {
+                handle_alloc_error(layout)
+            };
+            // The lowest page becomes the guard.  A refusal (ENOMEM
+            // once the process holds `vm.max_map_count` mappings: each
+            // guard splits one) leaves the stack usable, unguarded.
+            #[cfg(unix)]
+            // SAFETY: `[base, base + PAGE)` is page-aligned and inside
+            // the allocation just made, which nothing else references;
+            // PROT_NONE (0) only revokes access to it.
+            let guarded = unsafe { mprotect(base.as_ptr().cast(), PAGE, 0) == 0 };
+            #[cfg(not(unix))]
+            let guarded = false;
+            Self {
+                base,
+                usable,
+                guarded,
+            }
+        }
+
+        /// One past the highest usable byte, on the ABI's 16-byte
+        /// alignment.
+        fn top(&self) -> usize {
+            (self.base.as_ptr() as usize + PAGE + self.usable) & !15
+        }
+    }
+
+    /// Finished fibers' stacks, keyed by usable size (one size per
+    /// process in practice; tests construct odd ones).
+    static STACK_POOL: Mutex<Vec<(usize, Vec<Stack>)>> = Mutex::new(Vec::new());
+
+    /// `n` stacks of `usable` bytes: parked ones first (one lock
+    /// acquisition for the lot), fresh allocations for the rest.
+    fn lease_stacks(usable: usize, n: usize) -> Vec<Stack> {
+        let mut stacks = {
+            let mut pool = STACK_POOL.lock().expect("fiber stack pool poisoned");
+            match pool.iter_mut().find(|(size, _)| *size == usable) {
+                Some((_, parked)) => parked.split_off(parked.len().saturating_sub(n)),
+                None => Vec::new(),
+            }
+        };
+        stacks.resize_with(n, || Stack::alloc(usable));
+        stacks
+    }
+
+    fn release_stack(stack: Stack) {
+        let mut pool = STACK_POOL.lock().expect("fiber stack pool poisoned");
+        match pool.iter_mut().find(|(size, _)| *size == stack.usable) {
+            Some((_, parked)) => parked.push(stack),
+            None => pool.push((stack.usable, vec![stack])),
+        }
+    }
+
+    /// How many stacks of `usable` bytes are parked, and whether all of
+    /// them are guarded (test observability).
+    #[cfg(test)]
+    pub(super) fn parked(usable: usize) -> (usize, bool) {
+        let pool = STACK_POOL.lock().expect("fiber stack pool poisoned");
+        pool.iter()
+            .find(|(size, _)| *size == usable)
+            .map_or((0, true), |(_, parked)| {
+                (parked.len(), parked.iter().all(|stack| stack.guarded))
+            })
+    }
 
     std::arch::global_asm!(
         // fn mmsim_fiber_switch(save: *mut usize /* rdi */,
@@ -220,7 +294,7 @@ mod imp {
         sched_rsp: usize,
         entry: Option<Box<dyn FnOnce()>>,
         finished: bool,
-        stack: Option<Box<[u8]>>,
+        stack: Option<Stack>,
     }
 
     pub(crate) struct Fiber {
@@ -248,8 +322,16 @@ mod imp {
     }
 
     impl Fiber {
-        pub(crate) fn new(stack_bytes: usize, entry: Box<dyn FnOnce()>) -> Self {
-            let stack = lease_stack(stack_bytes);
+        /// One fiber per entry closure, each on a `stack_bytes` stack.
+        pub(crate) fn spawn_all(stack_bytes: usize, entries: Vec<Box<dyn FnOnce()>>) -> Vec<Self> {
+            lease_stacks(stack_bytes, entries.len())
+                .into_iter()
+                .zip(entries)
+                .map(|(stack, entry)| Self::on_stack(stack, entry))
+                .collect()
+        }
+
+        fn on_stack(stack: Stack, entry: Box<dyn FnOnce()>) -> Self {
             let mut inner = Box::new(Inner {
                 fiber_rsp: 0,
                 sched_rsp: 0,
@@ -266,7 +348,7 @@ mod imp {
             // ABI state (`rsp ≡ 8 (mod 16)` at its first instruction)
             // that compiled code — and the SSE-aligned panic machinery
             // it may invoke — depends on.
-            let top = (stack.as_ptr() as usize + stack.len()) & !15usize;
+            let top = stack.top();
             let arg: *mut Inner = &mut *inner;
             let seed: [usize; 7] = [
                 0,                                       // r15
@@ -278,9 +360,10 @@ mod imp {
                 mmsim_fiber_start as *const () as usize, // switch's `ret` target
             ];
             let base = (top - seed.len() * 8) as *mut usize;
-            // SAFETY: the seed region lies inside the owned stack
-            // allocation ([top-56, top) with top ≤ end), and `arg`
-            // stays valid because `Inner` is boxed and never moved.
+            // SAFETY: the seed region lies inside the owned stack's
+            // usable part ([top-56, top) with top ≤ end, and at least
+            // a page of it by `Stack::alloc`'s check), and `arg` stays
+            // valid because `Inner` is boxed and never moved.
             unsafe { std::ptr::copy_nonoverlapping(seed.as_ptr(), base, seed.len()) };
             inner.fiber_rsp = base as usize;
             inner.stack = Some(stack);
@@ -320,13 +403,12 @@ mod imp {
             if self.inner.finished {
                 release_stack(stack);
             } else {
-                // Suspended frames still own values; freeing the stack
-                // is memory-safe (the fiber can never run again) but
-                // skips their destructors, so the allocation is leaked
-                // rather than recycled.  Unreachable short of an
-                // engine bug — the scheduler cancels parked fibers.
+                // Suspended frames still own values; recycling the
+                // stack would overwrite them under whatever they point
+                // at, so it leaks instead (a `Stack` is never freed).
+                // Unreachable short of an engine bug — the scheduler
+                // cancels parked fibers.
                 debug_assert!(false, "dropped a suspended fiber (engine bug)");
-                std::mem::forget(stack);
             }
         }
     }
@@ -361,7 +443,6 @@ mod imp {
 // =====================================================================
 #[cfg(not(target_arch = "x86_64"))]
 mod imp {
-    use super::lease_stack;
     use std::sync::{Arc, Condvar, Mutex};
 
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -409,10 +490,16 @@ mod imp {
     }
 
     impl Fiber {
-        pub(crate) fn new(stack_bytes: usize, entry: Box<dyn FnOnce()>) -> Self {
-            // Keep the stack pool exercised (and sizes honoured) even
-            // though the real stack belongs to the OS thread.
-            drop(lease_stack(stack_bytes.min(1 << 16)));
+        /// One fiber per entry closure.  The stacks (and their guard
+        /// pages) belong to the OS threads, so there is no pool here.
+        pub(crate) fn spawn_all(stack_bytes: usize, entries: Vec<Box<dyn FnOnce()>>) -> Vec<Self> {
+            entries
+                .into_iter()
+                .map(|entry| Self::new(stack_bytes, entry))
+                .collect()
+        }
+
+        fn new(stack_bytes: usize, entry: Box<dyn FnOnce()>) -> Self {
             let shared = Arc::new(Shared {
                 turn: Mutex::new(Turn::Scheduler),
                 handoff: Condvar::new(),
@@ -467,6 +554,11 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
+    fn new_fiber(stack_bytes: usize, entry: Box<dyn FnOnce()>) -> Fiber {
+        let mut fibers = Fiber::spawn_all(stack_bytes, vec![entry]);
+        fibers.pop().expect("one entry, one fiber")
+    }
+
     #[test]
     fn runs_to_completion_without_suspending() {
         let log = Rc::new(RefCell::new(Vec::new()));
@@ -475,7 +567,7 @@ mod tests {
         // SAFETY: the fiber completes before `log` is dropped — resume
         // below runs it to the end within this scope.
         let entry: Box<dyn FnOnce()> = unsafe { std::mem::transmute(entry) };
-        let mut fiber = Fiber::new(stack_bytes(), entry);
+        let mut fiber = new_fiber(stack_bytes(), entry);
         assert!(!fiber.finished());
         assert!(fiber.resume());
         assert!(fiber.finished());
@@ -495,7 +587,7 @@ mod tests {
         });
         // SAFETY: driven to completion below, within `log`'s lifetime.
         let entry: Box<dyn FnOnce()> = unsafe { std::mem::transmute(entry) };
-        let mut fiber = Fiber::new(stack_bytes(), entry);
+        let mut fiber = new_fiber(stack_bytes(), entry);
         assert!(!fiber.resume());
         log.borrow_mut().push(2);
         assert!(!fiber.resume());
@@ -507,7 +599,7 @@ mod tests {
     #[test]
     fn panicking_entry_is_contained_and_finishes() {
         let entry: Box<dyn FnOnce()> = Box::new(|| panic!("inside fiber"));
-        let mut fiber = Fiber::new(stack_bytes(), entry);
+        let mut fiber = new_fiber(stack_bytes(), entry);
         assert!(fiber.resume(), "a panicked fiber still finishes");
     }
 
@@ -527,7 +619,7 @@ mod tests {
                 });
                 // SAFETY: all fibers are driven to completion below.
                 let entry: Box<dyn FnOnce()> = unsafe { std::mem::transmute(entry) };
-                Fiber::new(stack_bytes(), entry)
+                new_fiber(stack_bytes(), entry)
             })
             .collect();
         for f in &mut fibers {
@@ -560,7 +652,7 @@ mod tests {
         let entry: Box<dyn FnOnce()> = Box::new(move || inner.set(descend(100, 0)));
         // SAFETY: driven to completion below.
         let entry: Box<dyn FnOnce()> = unsafe { std::mem::transmute(entry) };
-        let mut fiber = Fiber::new(stack_bytes(), entry);
+        let mut fiber = new_fiber(stack_bytes(), entry);
         assert!(!fiber.resume());
         assert!(fiber.resume());
         assert_eq!(out.get(), (1..=100u64).sum::<u64>() + 100);
@@ -570,17 +662,80 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     fn finished_stacks_return_to_the_pool() {
         // A size no other test leases, so parallel tests (which share
-        // the process-wide pool) cannot take it out from under us.
+        // the process-wide pool) cannot take them out from under us;
+        // more stacks than the pool's old cap of 2048 ever kept.
         const UNIQUE: usize = 192 << 10;
-        let mut fiber = Fiber::new(UNIQUE, Box::new(|| {}));
+        const N: usize = 3000;
+        let noop = || -> Vec<Box<dyn FnOnce()>> {
+            (0..N)
+                .map(|_| Box::new(|| {}) as Box<dyn FnOnce()>)
+                .collect()
+        };
+        let mut fibers = Fiber::spawn_all(UNIQUE, noop());
+        assert!(fibers.iter_mut().all(Fiber::resume));
+        drop(fibers);
+        assert_eq!(
+            imp::parked(UNIQUE).0,
+            N,
+            "every finished fiber parks its stack"
+        );
+        // The next same-size leases get exactly those back: the pool
+        // empties, and refills to N — not beyond — once they finish.
+        let mut again = Fiber::spawn_all(UNIQUE, noop());
+        assert_eq!(imp::parked(UNIQUE).0, 0);
+        assert!(again.iter_mut().all(Fiber::resume));
+        drop(again);
+        assert_eq!(imp::parked(UNIQUE).0, N, "re-leasing allocated nothing");
+    }
+
+    /// The child half of `overflow_faults_instead_of_scribbling`: a
+    /// rank closure that recurses until its fiber stack runs out.
+    #[test]
+    #[ignore = "overflows its stack by design; run as a child by overflow_faults_instead_of_scribbling"]
+    fn overflowing_rank_closure() {
+        #[inline(never)]
+        fn descend(depth: u64) -> u64 {
+            let frame = std::hint::black_box([depth; 16]);
+            if depth == u64::MAX {
+                return 0;
+            }
+            descend(depth + 1) + frame[0]
+        }
+        let machine = crate::Machine::new(
+            crate::Topology::fully_connected(2),
+            crate::CostModel::unit(),
+        )
+        .with_engine(crate::EngineKind::Event);
+        machine.run(|proc| descend(proc.rank() as u64));
+    }
+
+    #[test]
+    #[cfg(all(unix, target_arch = "x86_64"))]
+    fn overflow_faults_instead_of_scribbling() {
+        use std::os::unix::process::ExitStatusExt;
+        // The kernel accepted the guard (a size no other test leases)…
+        const UNIQUE: usize = 160 << 10;
+        let mut fiber = new_fiber(UNIQUE, Box::new(|| {}));
         assert!(fiber.resume());
         drop(fiber);
-        let parked = pooled_stacks().contains(&UNIQUE);
-        assert!(parked, "finished fiber must park its stack for reuse");
-        // And the next same-size lease gets it back.
-        let mut again = Fiber::new(UNIQUE, Box::new(|| {}));
-        assert!(again.resume());
-        assert!(!pooled_stacks().contains(&UNIQUE));
+        assert_eq!(imp::parked(UNIQUE), (1, true));
+        // …under which a bounded deep stack is fine (`deep_call_stacks_
+        // survive_suspension`) and an unbounded one kills the process,
+        // which is why it runs in a child.
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args([
+                "--exact",
+                "engine::fiber::tests::overflowing_rank_closure",
+                "--ignored",
+            ])
+            .output()
+            .expect("re-executing the test binary");
+        assert!(
+            child.status.signal().is_some(),
+            "overflowing child must die by signal, got {:?}\n{}",
+            child.status,
+            String::from_utf8_lossy(&child.stdout)
+        );
     }
 
     #[test]
@@ -588,7 +743,7 @@ mod tests {
         assert_eq!(parse_stack_bytes(None), 1 << 20);
         assert_eq!(parse_stack_bytes(Some("256")), 256 << 10);
         assert_eq!(parse_stack_bytes(Some(" 64 ")), 64 << 10);
-        for junk in ["abc", "-5", "1.5", "", "0", "63"] {
+        for junk in ["abc", "-5", "1.5", "", "0", "63", "18014398509481984"] {
             let result = std::panic::catch_unwind(|| parse_stack_bytes(Some(junk)));
             assert!(result.is_err(), "{junk:?} must be rejected");
         }

@@ -1,5 +1,6 @@
-//! The simulation engine: leases one pooled host thread per virtual
-//! processor and collects the deterministic virtual-time report.
+//! The simulation engine: runs every virtual processor — as a fiber
+//! under the event scheduler, or on a leased pooled host thread — and
+//! collects the deterministic virtual-time report.
 
 pub mod error;
 pub(crate) mod event;
@@ -31,15 +32,23 @@ type ThreadOutcome<T> = Result<(T, ProcStats, Timeline), Box<dyn std::any::Any +
 /// fates, diagnosis attribution — so their virtual-time reports are
 /// bit-identical; they differ only in host mechanics and in how far p
 /// scales (see `tests/engine_differential.rs` for the proof and
-/// `docs/performance.md` for the architecture).
+/// `docs/performance.md` for the architecture and the measurements
+/// behind the default).
+///
+/// The default is [`EngineKind::Event`] wherever fibers have their
+/// native context switch (x86-64) and [`EngineKind::Threaded`]
+/// elsewhere, where an event-engine fiber would itself be a parked OS
+/// thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// One pooled OS thread per virtual rank (the historical engine):
-    /// real preemptive parallelism, p capped near host thread limits.
-    #[default]
+    /// One pooled OS thread per virtual rank (the historical engine,
+    /// and the differential suites' reference): real preemptive
+    /// parallelism, p capped near host thread limits.
+    #[cfg_attr(not(target_arch = "x86_64"), default)]
     Threaded,
     /// One fiber per virtual rank, multiplexed on the calling thread by
     /// a virtual-time event scheduler: reaches p ≥ 16k ranks.
+    #[cfg_attr(target_arch = "x86_64", default)]
     Event,
 }
 
@@ -241,11 +250,14 @@ impl Machine {
         self
     }
 
-    /// Builder-style: select the execution engine.  Virtual-time
-    /// results are bit-identical across engines (every layer above the
+    /// Builder-style: select the execution engine instead of the
+    /// platform's default (see [`EngineKind`]).  Virtual-time results
+    /// are bit-identical across engines (every layer above the
     /// transport is shared); [`EngineKind::Event`] lifts the
     /// thread-per-rank cap so machines of tens of thousands of ranks
-    /// run on one host thread.  Partition views inherit the choice.
+    /// run on one host thread, [`EngineKind::Threaded`] runs ranks in
+    /// parallel on the host's cores.  Partition views inherit the
+    /// choice.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
@@ -969,8 +981,12 @@ mod tests {
     use crate::engine::message::tag;
     use crate::fault::LinkFaults;
 
+    /// Pinned to the threaded engine: these tests cover its channels,
+    /// `StatusBoard`, spin-before-park and host-timeout diagnosis (and
+    /// are the reference side of the event smoke tests below).
     fn unit_machine(p: usize) -> Machine {
         Machine::new(Topology::fully_connected(p), CostModel::unit())
+            .with_engine(EngineKind::Threaded)
     }
 
     #[test]
@@ -1586,13 +1602,23 @@ mod tests {
 
     #[test]
     fn event_engine_is_a_machine_knob() {
-        assert_eq!(unit_machine(2).engine(), EngineKind::Threaded);
-        assert_eq!(event_machine(2).engine(), EngineKind::Event);
-        // Partition views inherit the knob.
-        assert_eq!(
-            event_machine(4).partition(&[0, 1]).engine(),
+        // The default follows the platform: fibers where they switch
+        // natively, threads elsewhere.
+        let expected = if cfg!(target_arch = "x86_64") {
             EngineKind::Event
-        );
+        } else {
+            EngineKind::Threaded
+        };
+        assert_eq!(EngineKind::default(), expected);
+        let default = Machine::new(Topology::fully_connected(2), CostModel::unit());
+        assert_eq!(default.engine(), expected);
+        // Both kinds stay selectable, and partition views inherit the
+        // choice.
+        for kind in [EngineKind::Threaded, EngineKind::Event] {
+            let machine = unit_machine(4).with_engine(kind);
+            assert_eq!(machine.engine(), kind);
+            assert_eq!(machine.partition(&[0, 1]).engine(), kind);
+        }
     }
 
     #[test]

@@ -655,44 +655,40 @@ impl Proc {
         }
     }
 
-    /// Event-engine blocking receive: scan the shared mailbox, park the
-    /// fiber when nothing matches, and map the scheduler's wake verdict
-    /// onto the same diagnosis panics the threaded path raises — the
-    /// conditions are identical (awaited peer's status + the
-    /// all-terminated flag), only the waiting mechanics differ.  No
+    /// Event-engine blocking receive: the scheduler scans the shared
+    /// mailbox and parks the fiber while nothing matches; its verdict
+    /// on a receive that can never match maps onto the same diagnosis
+    /// panics the threaded path raises — the conditions are identical
+    /// (awaited peer's status + the all-terminated flag), only the
+    /// waiting mechanics differ.  No
     /// deferred `terminal_seen` drain is needed: deliveries are
     /// synchronous with the sender's fiber, so when a termination is
     /// visible every message that peer ever sent is already in the
     /// mailbox.
     fn take_matching_event(&mut self, src: usize, tag: Tag) -> Message {
-        loop {
-            let NetShared::Event(net) = &self.shared.net else {
-                unreachable!("event receive on a threaded machine")
-            };
-            if let Some(msg) = net.pop_matching(self.rank, src, tag) {
-                return msg;
-            }
-            match net.wait_for(self.rank, src, tag, self.clock) {
-                Wait::Recheck => {}
-                Wait::SrcDied => self.panic_waiting_on_dead(src, tag),
-                Wait::SrcPoisoned => panic!("{ABORT_MSG} (rank {src})"),
-                Wait::SrcDone => self.panic_waiting_on_done(src, tag),
-                Wait::AllTerminated => self.panic_all_terminated(src, tag),
-                Wait::Timeout => {
-                    // The scheduler proved global no-progress — the
-                    // condition the threaded engine's host timeout
-                    // approximates — and elected this rank to diagnose
-                    // it.  Same payload, same message, no host stall.
-                    let message = format!(
-                        "rank {}: no message for {:?} while waiting for (src {src}, tag {tag:#x}) — \
-                         live deadlock (cyclic mutual wait) in the simulated algorithm",
-                        self.rank, self.shared.recv_timeout
-                    );
-                    std::panic::panic_any(DeadlockPayload {
-                        rank: self.rank,
-                        message,
-                    });
-                }
+        let NetShared::Event(net) = &self.shared.net else {
+            unreachable!("event receive on a threaded machine")
+        };
+        match net.recv(self.rank, src, tag, self.clock) {
+            Ok(msg) => msg,
+            Err(Wait::SrcDied) => self.panic_waiting_on_dead(src, tag),
+            Err(Wait::SrcPoisoned) => panic!("{ABORT_MSG} (rank {src})"),
+            Err(Wait::SrcDone) => self.panic_waiting_on_done(src, tag),
+            Err(Wait::AllTerminated) => self.panic_all_terminated(src, tag),
+            Err(Wait::Timeout) => {
+                // The scheduler proved global no-progress — the
+                // condition the threaded engine's host timeout
+                // approximates — and elected this rank to diagnose
+                // it.  Same payload, same message, no host stall.
+                let message = format!(
+                    "rank {}: no message for {:?} while waiting for (src {src}, tag {tag:#x}) — \
+                     live deadlock (cyclic mutual wait) in the simulated algorithm",
+                    self.rank, self.shared.recv_timeout
+                );
+                std::panic::panic_any(DeadlockPayload {
+                    rank: self.rank,
+                    message,
+                });
             }
         }
     }

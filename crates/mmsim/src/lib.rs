@@ -19,13 +19,16 @@
 //! bit-for-bit against a serial kernel.  Two interchangeable engines
 //! execute the ranks ([`Machine::with_engine`]):
 //!
-//! * [`EngineKind::Threaded`] (default) — one pooled OS thread per
-//!   rank, parallel across host cores;
-//! * [`EngineKind::Event`] — every rank a resumable fiber multiplexed
-//!   over one scheduler thread by a virtual-time event queue, reaching
-//!   tens of thousands of ranks.  Virtual-time results are
-//!   bit-identical to the threaded engine (the differential suite in
-//!   `tests/engine_differential.rs` pins this at every overlapping p).
+//! * [`EngineKind::Event`] (default on x86-64) — every rank a
+//!   resumable fiber multiplexed over one scheduler thread by a
+//!   virtual-time event queue: several times cheaper per message than
+//!   a thread handoff at every measured p, and the only engine that
+//!   reaches tens of thousands of ranks;
+//! * [`EngineKind::Threaded`] (default elsewhere, where a fiber has no
+//!   native context switch) — one pooled OS thread per rank, parallel
+//!   across host cores; the reference side of the differential suite
+//!   (`tests/engine_differential.rs`), which pins virtual-time results
+//!   bit-identical between the two at every overlapping p.
 //!
 //! ## Virtual time
 //!

@@ -2,7 +2,7 @@
 //! and mid-run stats snapshots.
 
 use mmsim::engine::message::tag;
-use mmsim::{CostModel, Machine, Ports, Topology};
+use mmsim::{CostModel, EngineKind, Machine, Ports, Topology};
 
 #[test]
 fn zero_word_messages_cost_only_startup() {
@@ -125,8 +125,10 @@ fn terminal_status_never_outraces_the_final_message() {
     // drain performed *after* the observation still finds no match.
     // Stress the window: the sender's send→terminate gap is a few
     // instructions, and the stagger varies which part of the
-    // receiver's drain/park cycle it lands in.
-    let machine = Machine::new(Topology::fully_connected(2), CostModel::unit());
+    // receiver's drain/park cycle it lands in.  The window exists only
+    // between host threads, so the engine is pinned.
+    let machine = Machine::new(Topology::fully_connected(2), CostModel::unit())
+        .with_engine(EngineKind::Threaded);
     for round in 0..300u32 {
         let r = machine.run(move |proc| {
             if proc.rank() == 1 {

@@ -2,7 +2,7 @@
 //! are deterministic, the zero plan is free, and no plan — however
 //! hostile — can hang the engine.
 
-use mmsim::{CostModel, FaultPlan, Machine, SimError, Topology};
+use mmsim::{CostModel, EngineKind, FaultPlan, Machine, SimError, Topology};
 use proptest::prelude::*;
 
 /// Reliable ring exchange: every rank sends `words` to its right
@@ -89,6 +89,9 @@ proptest! {
         // is far beyond any scheduling hiccup while keeping genuinely
         // deadlocked cases quick.  The env var is process-global, which
         // is fine — every test in this binary tolerates early diagnosis.
+        // Only the threaded engine diagnoses by timeout, so both
+        // machines pin it; `engine_differential.rs` holds the event
+        // engine to the same diagnoses.
         std::env::set_var("MMSIM_DEADLOCK_TIMEOUT_MS", "1500");
         let mut plan = FaultPlan::new(seed)
             .with_drop_rate(drop)
@@ -98,6 +101,7 @@ proptest! {
             plan = plan.with_death(death_pick % p, death_t);
         }
         let machine = Machine::new(Topology::fully_connected(p), CostModel::new(20.0, 2.0))
+            .with_engine(EngineKind::Threaded)
             .with_fault_plan(plan.clone());
         let attempt = |m: &Machine| {
             m.try_run(|proc| {
@@ -121,6 +125,7 @@ proptest! {
         }
         // The classification is reproducible, not schedule-dependent.
         let machine2 = Machine::new(Topology::fully_connected(p), CostModel::new(20.0, 2.0))
+            .with_engine(EngineKind::Threaded)
             .with_fault_plan(plan);
         let outcome2 = attempt(&machine2);
         match (&outcome, &outcome2) {

@@ -1,9 +1,11 @@
-//! Large-configuration stress tests.  The 512-processor threaded-engine
-//! sweeps (the paper's largest experimental machine) are ignored by
-//! default — run with `cargo test --release -- --ignored` — so the
-//! default suite stays fast in debug builds.  The 16384-rank event-
-//! engine smoke runs in tier-1: it is the coverage for the massive-p
-//! regime the event scheduler exists for.
+//! Large-configuration stress tests.  The 512-processor sweeps (the
+//! paper's largest experimental machine) pin `EngineKind::Threaded` —
+//! they are what leases that many pooled OS threads at once — and are
+//! ignored by default (run with `cargo test --release -- --ignored`).
+//! The 16384-rank smoke runs in tier-1 on the event engine, the
+//! default where fibers switch natively and named here so the test
+//! means the same on every platform: it is the coverage for the
+//! massive-p regime the event scheduler exists for.
 
 use dense::{gen, kernel};
 use mmsim::{CostModel, EngineKind, Machine, Topology};
@@ -51,7 +53,8 @@ fn cannon_at_16384_processors_event_engine() {
 fn gk_at_512_processors() {
     let n = 64usize;
     let (a, b) = gen::random_pair(n, 1);
-    let machine = Machine::new(Topology::fully_connected(512), CostModel::cm5());
+    let machine = Machine::new(Topology::fully_connected(512), CostModel::cm5())
+        .with_engine(EngineKind::Threaded);
     let out = algos::gk(&machine, &a, &b).expect("applicable");
     assert!(out.c.approx_eq(&kernel::matmul(&a, &b), 1e-9));
     // Eq. (18) shape at the paper's largest machine.
@@ -71,7 +74,8 @@ fn gk_at_512_processors() {
 fn cannon_at_484_processors() {
     let n = 110usize;
     let (a, b) = gen::random_pair(n, 2);
-    let machine = Machine::new(Topology::fully_connected(484), CostModel::cm5());
+    let machine = Machine::new(Topology::fully_connected(484), CostModel::cm5())
+        .with_engine(EngineKind::Threaded);
     let out = algos::cannon(&machine, &a, &b).expect("applicable");
     assert!(out.c.approx_eq(&kernel::matmul(&a, &b), 1e-9));
     let cost = CostModel::cm5();
@@ -88,7 +92,8 @@ fn dns_one_element_at_512() {
     // p = n³ with n = 8: the full one-element DNS algorithm.
     let n = 8usize;
     let (a, b) = gen::random_pair(n, 3);
-    let machine = Machine::new(Topology::hypercube_for(512), CostModel::new(5.0, 1.0));
+    let machine = Machine::new(Topology::hypercube_for(512), CostModel::new(5.0, 1.0))
+        .with_engine(EngineKind::Threaded);
     let out = algos::dns_one_element(&machine, &a, &b).expect("p = n³");
     assert!(out.c.approx_eq(&kernel::matmul(&a, &b), 1e-9));
     // O(log n) time: a small multiple of log₂ 512 = 9 message steps.
@@ -101,7 +106,8 @@ fn berntsen_at_512_processors() {
     // p = 512 = 2⁹, s = 8, needs 64 | n and p ≤ n^{3/2} (n ≥ 64).
     let n = 64usize;
     let (a, b) = gen::random_pair(n, 4);
-    let machine = Machine::new(Topology::hypercube_for(512), CostModel::ncube2());
+    let machine = Machine::new(Topology::hypercube_for(512), CostModel::ncube2())
+        .with_engine(EngineKind::Threaded);
     let out = algos::berntsen(&machine, &a, &b).expect("applicable");
     assert!(out.c.approx_eq(&kernel::matmul(&a, &b), 1e-9));
     let cost = CostModel::ncube2();
@@ -114,7 +120,8 @@ fn berntsen_at_512_processors() {
 fn cannon_at_1024_processors() {
     let n = 64usize;
     let (a, b) = gen::random_pair(n, 5);
-    let machine = Machine::new(Topology::square_torus_for(1024), CostModel::ncube2());
+    let machine = Machine::new(Topology::square_torus_for(1024), CostModel::ncube2())
+        .with_engine(EngineKind::Threaded);
     let out = algos::cannon(&machine, &a, &b).expect("applicable");
     assert!(out.c.approx_eq(&kernel::matmul(&a, &b), 1e-9));
     for s in &out.stats {
