@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use dense::{kernel, BlockGrid, ColStrips, Matrix, RowStrips};
-use mmsim::Machine;
+use mmsim::{Machine, Plain};
 
 use crate::cannon::{cannon_core, MeshView};
 use crate::common::{check_square_operands, exact_cbrt_pow2, AlgoError, SimOutcome};
@@ -106,7 +106,7 @@ pub fn berntsen(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome,
         let mesh = MeshView::contiguous(proc, l * s * s, s);
         let a0 = a_grids[l].block(u, v).clone();
         let b0 = b_grids[l].block(u, v).clone();
-        let c_partial = cannon_core(proc, &mesh, a0, b0, 0, false);
+        let c_partial = cannon_core::<Plain>(proc, &mesh, a0, b0, 0);
 
         // Sum across subcubes: group of the s corresponding processors.
         let group = Group::new(proc, (0..s).map(|m| m * s * s + local).collect());

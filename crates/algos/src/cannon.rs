@@ -32,9 +32,9 @@ use std::sync::Arc;
 
 use dense::{kernel, BlockGrid, Matrix};
 use mmsim::engine::message::tag;
-use mmsim::{Checkpoint, Machine, Proc};
+use mmsim::{Checkpoint, Machine, Plain, Proc, Transport};
 
-use crate::common::{check_square_operands, exact_sqrt, AlgoError, SimOutcome};
+use crate::common::{check_square_operands, exact_sqrt, phase_state, AlgoError, SimOutcome};
 
 /// How a [`MeshView`]'s coordinates map to machine ranks.
 enum MeshLayout {
@@ -103,29 +103,30 @@ impl MeshView {
 ///
 /// Blocks may be rectangular (Berntsen's usage): `a` is `h×w_a`, `b` is
 /// `w_a×h`-compatible per block column; shapes are carried by the
-/// matrices themselves.  Tag phases `phase0` (alignment) and
-/// `phase0 + 1` (rolling) are consumed; the reliable variant also
-/// consumes `phase0 + 2` for checkpoint frames.
+/// matrices themselves.
 ///
-/// With `reliable = true` every hop goes through the engine's
-/// checksummed retransmitting transport instead of the plain channels,
-/// so the phases complete correctly under any recoverable
-/// [`mmsim::FaultPlan`].  Reliable sends are issued sequentially (no
-/// `send_multi` batching), so the all-port overlap benefit is forfeited
-/// — each completed shift is the implicit checkpoint the next round
-/// restarts from.  The reliable variant additionally registers a
-/// [`Checkpoint`] after alignment and after every completed round
-/// (state: the live `a`/`b` blocks plus the accumulated `c`), so that
-/// on a machine with spares a fail-stop death replays from the last
-/// finished round instead of from scratch.  Without spares the hooks
-/// are free.
-pub(crate) fn cannon_core(
+/// Tag phases, relative to `phase0`:
+///
+/// | phase | use |
+/// |---|---|
+/// | `phase0` | alignment (sequence 0: A, 1: B) |
+/// | `phase0 + 1` | rolls (sequence `2s`: A west, `2s + 1`: B north) |
+/// | `phase0 + 2` | checkpoint frames (one after alignment, one per round) |
+///
+/// One schedule, two transports.  The A/B pair of every step goes out
+/// as one [`Transport::send_multi`] batch: over [`Plain`] that is the
+/// all-port batch of §7, over [`mmsim::Reliable`] two sequential
+/// reliable sends (no overlap — each completed shift is the implicit
+/// restart point of the next round).  The checkpoint after alignment
+/// and after every completed round lets a machine with spares replay a
+/// fail-stop death from the last finished round instead of from
+/// scratch; [`Plain`] registers none and never builds the state.
+pub(crate) fn cannon_core<X: Transport>(
     proc: &mut Proc,
     mesh: &MeshView,
     a0: Matrix,
     b0: Matrix,
     phase0: u32,
-    reliable: bool,
 ) -> Matrix {
     let q = mesh.q;
     let (i, j) = (mesh.my_row as isize, mesh.my_col as isize);
@@ -149,60 +150,34 @@ pub(crate) fn cannon_core(
     let b_src = mesh.rank_at(i + j, j);
     let a_moves = a_dst != proc.rank();
     let b_moves = b_dst != proc.rank();
-    if reliable {
-        if a_moves {
-            proc.send_reliable(a_dst, tag(phase0, 0), a0.as_slice().to_vec());
-        }
-        if b_moves {
-            proc.send_reliable(b_dst, tag(phase0, 1), b0.as_slice().to_vec());
-        }
-    } else {
-        let mut batch = Vec::new();
-        if a_moves {
-            batch.push((a_dst, tag(phase0, 0), a0.as_slice().to_vec()));
-        }
-        if b_moves {
-            batch.push((b_dst, tag(phase0, 1), b0.as_slice().to_vec()));
-        }
-        proc.send_multi(batch);
+    let mut batch = Vec::new();
+    if a_moves {
+        batch.push((a_dst, tag(phase0, 0), a0.as_slice().to_vec()));
     }
-    let pull = |proc: &mut Proc, src: usize, t| {
-        if reliable {
-            proc.recv_reliable(src, t)
-        } else {
-            proc.recv_payload(src, t)
-        }
-    };
+    if b_moves {
+        batch.push((b_dst, tag(phase0, 1), b0.as_slice().to_vec()));
+    }
+    X::send_multi(proc, batch);
     let mut a = if a_moves {
         // The sender moved its buffer into the network, so the handle is
         // unique here and `into_vec` is a free move, not a copy.
-        let words = pull(proc, a_src, tag(phase0, 0));
+        let words = X::recv(proc, a_src, tag(phase0, 0));
         Matrix::from_vec(a_shape.0, a_shape.1, words.into_vec())
     } else {
         a0
     };
     let mut b = if b_moves {
-        let words = pull(proc, b_src, tag(phase0, 1));
+        let words = X::recv(proc, b_src, tag(phase0, 1));
         Matrix::from_vec(b_shape.0, b_shape.1, words.into_vec())
     } else {
         b0
     };
 
-    // Step-granular recovery pricing (reliable variant only): the phase
-    // state is the live operand blocks plus the running accumulator —
-    // exactly what a promoted spare needs to resume the next round.
-    let mut ckpt = reliable.then(|| Checkpoint::new(phase0 + 2));
-    let phase_state = |a: &Matrix, b: &Matrix, c: &Matrix| -> Vec<f64> {
-        let mut s =
-            Vec::with_capacity(a.as_slice().len() + b.as_slice().len() + c.as_slice().len());
-        s.extend_from_slice(a.as_slice());
-        s.extend_from_slice(b.as_slice());
-        s.extend_from_slice(c.as_slice());
-        s
-    };
-    if let Some(ck) = ckpt.as_mut() {
-        ck.save(proc, phase_state(&a, &b, &c));
-    }
+    // Step-granular recovery pricing: the phase state is the live
+    // operand blocks plus the running accumulator — exactly what a
+    // promoted spare needs to resume the next round.
+    let mut ckpt = Checkpoint::new(phase0 + 2);
+    X::checkpoint(&mut ckpt, proc, || phase_state(&[&a, &b, &c]));
 
     // --- q rounds: multiply-accumulate, roll A west, roll B north. ---
     let west = mesh.rank_at(i, j - 1);
@@ -215,20 +190,16 @@ pub(crate) fn cannon_core(
 
         let ta = tag(phase0 + 1, 2 * s);
         let tb = tag(phase0 + 1, 2 * s + 1);
-        if reliable {
-            proc.send_reliable(west, ta, a.into_vec());
-            proc.send_reliable(north, tb, b.into_vec());
-        } else {
-            // West and north are distinct processors for q >= 2: one batch.
-            proc.send_multi(vec![(west, ta, a.into_vec()), (north, tb, b.into_vec())]);
-        }
-        let a_words = pull(proc, east, ta);
+        // West and north are distinct processors for q >= 2: one batch.
+        X::send_multi(
+            proc,
+            vec![(west, ta, a.into_vec()), (north, tb, b.into_vec())],
+        );
+        let a_words = X::recv(proc, east, ta);
         a = Matrix::from_vec(a_shape.0, a_shape.1, a_words.into_vec());
-        let b_words = pull(proc, south, tb);
+        let b_words = X::recv(proc, south, tb);
         b = Matrix::from_vec(b_shape.0, b_shape.1, b_words.into_vec());
-        if let Some(ck) = ckpt.as_mut() {
-            ck.save(proc, phase_state(&a, &b, &c));
-        }
+        X::checkpoint(&mut ckpt, proc, || phase_state(&[&a, &b, &c]));
     }
     c
 }
@@ -267,18 +238,28 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
 /// Returns [`AlgoError`] if the operands are not equal square matrices,
 /// `p` is not a perfect square, or `√p` does not divide `n`.
 pub fn cannon(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
+    cannon_on::<Plain>(machine, a, b)
+}
+
+/// Cannon's algorithm over transport `X`: [`cannon`] and
+/// [`crate::cannon_resilient`] are this one function.
+pub(crate) fn cannon_on<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
     let p = machine.p();
     let q = applicability(n, p)?;
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = machine.run(|proc| {
+    let report = X::run(machine, |proc| {
         let mesh = MeshView::contiguous(proc, 0, q);
         let a0 = ga.block_by_rank(proc.rank()).clone();
         let b0 = gb.block_by_rank(proc.rank()).clone();
-        cannon_core(proc, &mesh, a0, b0, 0, false)
-    });
+        cannon_core::<X>(proc, &mesh, a0, b0, 0)
+    })?;
     let c = BlockGrid::assemble_from(&report.results, q, q);
     Ok(SimOutcome::from_report(&report, c, n))
 }
@@ -309,7 +290,7 @@ pub fn cannon_gray(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutco
         let (i, j) = (mesh.my_row, mesh.my_col);
         let a0 = ga.block(i, j).clone();
         let b0 = gb.block(i, j).clone();
-        let c = cannon_core(proc, &mesh, a0, b0, 0, false);
+        let c = cannon_core::<Plain>(proc, &mesh, a0, b0, 0);
         (i, j, c)
     });
     // Results arrive in rank order; place each block by its mesh coords.

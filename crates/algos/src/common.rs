@@ -172,6 +172,16 @@ pub(crate) fn check_square_operands(a: &Matrix, b: &Matrix) -> Result<usize, Alg
     Ok(a.rows())
 }
 
+/// A checkpoint's phase state: the words of `blocks`, concatenated —
+/// what a promoted spare resumes the schedule's next step from.
+pub(crate) fn phase_state(blocks: &[&Matrix]) -> Vec<f64> {
+    let mut state = Vec::with_capacity(blocks.iter().map(|m| m.as_slice().len()).sum());
+    for m in blocks {
+        state.extend_from_slice(m.as_slice());
+    }
+    state
+}
+
 /// `√p` if `p` is a perfect square.
 #[must_use]
 pub fn exact_sqrt(p: usize) -> Option<usize> {

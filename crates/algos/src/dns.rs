@@ -27,12 +27,12 @@
 use std::sync::Arc;
 
 use dense::{BlockGrid, Matrix};
-use mmsim::Machine;
+use mmsim::{Checkpoint, Machine, Plain, Transport};
 
 use crate::cannon::{cannon_core, MeshView};
 use crate::common::{check_square_operands, AlgoError, SimOutcome};
-use crate::gk;
-use collectives::{broadcast, reduce_sum, Group};
+use crate::gk::route_along_i;
+use collectives::{broadcast_on, reduce_sum_on, Group};
 
 /// Check applicability: `p = n²·r` with `r` a power of two dividing `n`
 /// (so the internal meshes are square and the spread trees are
@@ -72,6 +72,23 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
 /// # Errors
 /// Returns [`AlgoError`] if `p ≠ n²·r` for an admissible `r`.
 pub fn dns_block(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
+    dns_block_on::<Plain>(machine, a, b)
+}
+
+/// [`dns_block`] over transport `X`.  Tag phases:
+///
+/// | phase | use |
+/// |---|---|
+/// | 0, 1 | routes of the A and B elements along the first axis |
+/// | 2, 3 | broadcasts of A (third axis) and B (second axis) |
+/// | 4, 5, 6 | internal Cannon: alignment, rolls, its checkpoints |
+/// | 7 | reduction along the first axis |
+/// | 8 | stage checkpoints: after the spread, after the multiply |
+pub(crate) fn dns_block_on<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
     let p = machine.p();
     let r = applicability(n, p)?;
@@ -80,23 +97,24 @@ pub fn dns_block(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome
     let ga = Arc::new(BlockGrid::split(a, r, r));
     let gb = Arc::new(BlockGrid::split(b, r, r));
 
-    let report = machine.run(|proc| {
+    let report = X::run(machine, |proc| {
         let rank = proc.rank();
         let (sp, local) = (rank / (m * m), rank % (m * m));
         let (i, jk) = (sp / (r * r), sp % (r * r));
         let (j, k) = (jk / r, jk % r);
         let (u, v) = (local / m, local % m);
         let rank_at = |i: usize, j: usize, k: usize| (((i * r) + j) * r + k) * m * m + local;
+        let mut ckpt = Checkpoint::new(8);
 
         // --- Stage 1: element-wise spread (same pattern as GK; the
         // route relays on hypercubes and is direct elsewhere). ---
         let a_src = (i == 0).then(|| vec![ga.block(j, k)[(u, v)]]);
-        let a_routed = gk::route_along_i(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src, false);
+        let a_routed = route_along_i::<X, _>(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src);
         let b_src = (i == 0).then(|| vec![gb.block(j, k)[(u, v)]]);
-        let b_routed = gk::route_along_i(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src, false);
+        let b_routed = route_along_i::<X, _>(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src);
 
         let a_group = Group::new(proc, (0..r).map(|l| rank_at(i, j, l)).collect());
-        let a_elem = broadcast(
+        let a_elem = broadcast_on::<X, _>(
             proc,
             &a_group,
             2,
@@ -104,29 +122,30 @@ pub fn dns_block(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome
             (k == i).then(|| a_routed.expect("A at (i,j,i)")),
         )[0];
         let b_group = Group::new(proc, (0..r).map(|l| rank_at(i, l, k)).collect());
-        let b_elem = broadcast(
+        let b_elem = broadcast_on::<X, _>(
             proc,
             &b_group,
             3,
             i,
             (j == i).then(|| b_routed.expect("B at (i,i,k)")),
         )[0];
+        X::checkpoint(&mut ckpt, proc, || vec![a_elem, b_elem]);
 
         // --- Stage 2: one-element Cannon on the internal mesh. ---
         let mesh = MeshView::contiguous(proc, sp * m * m, m);
-        let c_elem = cannon_core(
+        let c_elem = cannon_core::<X>(
             proc,
             &mesh,
             Matrix::from_vec(1, 1, vec![a_elem]),
             Matrix::from_vec(1, 1, vec![b_elem]),
             4,
-            false,
         );
+        X::checkpoint(&mut ckpt, proc, || c_elem.as_slice().to_vec());
 
         // --- Stage 3: element-wise reduction along the first axis. ---
         let r_group = Group::new(proc, (0..r).map(|l| rank_at(l, j, k)).collect());
-        reduce_sum(proc, &r_group, 6, 0, c_elem.into_vec())
-    });
+        reduce_sum_on::<X>(proc, &r_group, 7, 0, c_elem.into_vec())
+    })?;
 
     // C element (j·m+u, k·m+v) lives at (0, j, k, u, v).
     let mut c = Matrix::zeros(n, n);

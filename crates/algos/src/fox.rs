@@ -29,10 +29,10 @@ use std::sync::Arc;
 
 use dense::{kernel, BlockGrid, Matrix};
 use mmsim::engine::message::tag;
-use mmsim::Machine;
+use mmsim::{Checkpoint, Machine, Plain, Transport};
 
-use crate::common::{check_square_operands, exact_sqrt, AlgoError, SimOutcome};
-use collectives::{broadcast, Group};
+use crate::common::{check_square_operands, exact_sqrt, phase_state, AlgoError, SimOutcome};
+use collectives::{broadcast_on, Group};
 
 /// Check applicability: same mesh requirement as Cannon.
 pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
@@ -54,13 +54,32 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
 /// # Errors
 /// Returns [`AlgoError`] under the same conditions as Cannon.
 pub fn fox_tree(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
+    fox_tree_on::<Plain>(machine, a, b)
+}
+
+/// [`fox_tree`] over transport `X`.  Tags of iteration `t`:
+///
+/// | tag | use |
+/// |---|---|
+/// | phase `t` | binomial row broadcast of the A block |
+/// | `tag(u32::MAX, t)` | northward roll of the B block |
+/// | phase `u32::MAX − 1` | checkpoint: the rolled B block plus the accumulator |
+///
+/// Each of the `√p` iterations fences on its own delivered transfers,
+/// so over [`mmsim::Reliable`] a faulted broadcast level or roll is
+/// re-driven in place and completed iterations never repeat.
+pub(crate) fn fox_tree_on<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
     let q = applicability(n, machine.p())?;
     let bs = n / q;
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = machine.run(|proc| {
+    let report = X::run(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         let row_group = Group::new(proc, (0..q).map(|c| i * q + c).collect());
@@ -69,22 +88,24 @@ pub fn fox_tree(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome,
 
         let mut bcur = gb.block_by_rank(rank).clone();
         let mut c = Matrix::zeros(bs, bs);
+        let mut ckpt = Checkpoint::new(u32::MAX - 1);
         for t in 0..q {
             let owner_col = (i + t) % q;
             let data = (owner_col == j).then(|| ga.block_by_rank(rank).clone().into_vec());
-            let a_flat = broadcast(proc, &row_group, t as u32, owner_col, data);
+            let a_flat = broadcast_on::<X, _>(proc, &row_group, t as u32, owner_col, data);
             let ablk = Matrix::from_vec(bs, bs, a_flat.into_vec());
             proc.compute(kernel::work_units(bs, bs, bs));
             kernel::matmul_accumulate(&mut c, &ablk, &bcur);
 
             let tb = tag(u32::MAX, t as u32);
             if q > 1 {
-                proc.send(north, tb, bcur.into_vec());
-                bcur = Matrix::from_vec(bs, bs, proc.recv_payload(south, tb).into_vec());
+                X::send(proc, north, tb, bcur.into_vec());
+                bcur = Matrix::from_vec(bs, bs, X::recv(proc, south, tb).into_vec());
             }
+            X::checkpoint(&mut ckpt, proc, || phase_state(&[&bcur, &c]));
         }
         c
-    });
+    })?;
 
     // Note: after q iterations B has rolled all the way around, so the
     // grid is restored; C^{ij} = Σ_t A^{i,i+t}·B^{i+t,j} is complete.
@@ -106,6 +127,27 @@ pub fn fox_pipelined(
     b: &Matrix,
     packets: usize,
 ) -> Result<SimOutcome, AlgoError> {
+    fox_pipelined_on::<Plain>(machine, a, b, packets)
+}
+
+/// [`fox_pipelined`] over transport `X`.  Tags of iteration `t`:
+///
+/// | tag | use |
+/// |---|---|
+/// | `tag(t, k)` | packet `k` of the A block on the row relay |
+/// | `tag(u32::MAX, t)` | northward roll of the B block |
+/// | phase `u32::MAX − 2` | checkpoint: the rolled B block plus the accumulator |
+///
+/// Over [`mmsim::Reliable`] drops, corruption and duplication are
+/// re-driven per packet without restarting the pipeline.  Under either
+/// transport the relay forwards a received packet east as a
+/// reference-counted [`mmsim::Payload`] clone, never a byte copy.
+pub(crate) fn fox_pipelined_on<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+    packets: usize,
+) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
     let q = applicability(n, machine.p())?;
     let bs = n / q;
@@ -122,7 +164,7 @@ pub fn fox_pipelined(
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = machine.run(|proc| {
+    let report = X::run(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         let east = i * q + (j + 1) % q;
@@ -141,6 +183,7 @@ pub fn fox_pipelined(
 
         let mut bcur = gb.block_by_rank(rank).clone();
         let mut c = Matrix::zeros(bs, bs);
+        let mut ckpt = Checkpoint::new(u32::MAX - 2);
         for t in 0..q {
             let owner_col = (i + t) % q;
             let ablk = if owner_col == j {
@@ -150,19 +193,20 @@ pub fn fox_pipelined(
                 if q > 1 {
                     let flat = own.as_slice();
                     for (k, &(lo, hi)) in bounds.iter().enumerate() {
-                        proc.send(east, tag(t as u32, k as u32), flat[lo..hi].to_vec());
+                        X::send(proc, east, tag(t as u32, k as u32), flat[lo..hi].to_vec());
                     }
                 }
                 own
             } else {
                 // Receive packets from the west, forwarding each east
-                // unless the eastern neighbour is the owner.
+                // unless the eastern neighbour is the owner.  The
+                // forward is a Payload refcount bump.
                 let forward = (j + 1) % q != owner_col;
                 let mut flat = vec![0.0; block_words];
                 for (k, &(lo, hi)) in bounds.iter().enumerate() {
-                    let pkt = proc.recv_payload(west, tag(t as u32, k as u32));
+                    let pkt = X::recv(proc, west, tag(t as u32, k as u32));
                     if forward {
-                        proc.send(east, tag(t as u32, k as u32), pkt.clone());
+                        X::send(proc, east, tag(t as u32, k as u32), pkt.clone());
                     }
                     flat[lo..hi].copy_from_slice(&pkt);
                 }
@@ -174,12 +218,13 @@ pub fn fox_pipelined(
 
             let tb = tag(u32::MAX, t as u32);
             if q > 1 {
-                proc.send(north, tb, bcur.into_vec());
-                bcur = Matrix::from_vec(bs, bs, proc.recv_payload(south, tb).into_vec());
+                X::send(proc, north, tb, bcur.into_vec());
+                bcur = Matrix::from_vec(bs, bs, X::recv(proc, south, tb).into_vec());
             }
+            X::checkpoint(&mut ckpt, proc, || phase_state(&[&bcur, &c]));
         }
         c
-    });
+    })?;
     let c = BlockGrid::assemble_from(&report.results, q, q);
     Ok(SimOutcome::from_report(&report, c, n))
 }

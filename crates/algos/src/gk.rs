@@ -35,10 +35,10 @@ use std::sync::Arc;
 
 use dense::{kernel, BlockGrid, Matrix};
 use mmsim::engine::message::tag;
-use mmsim::{Machine, Payload, Proc, TopologyKind};
+use mmsim::{Checkpoint, Machine, Payload, Plain, Proc, TopologyKind, Transport};
 
-use crate::common::{check_square_operands, exact_cbrt_pow2, AlgoError, SimOutcome};
-use collectives::{broadcast, reduce_sum, Group};
+use crate::common::{check_square_operands, exact_cbrt_pow2, phase_state, AlgoError, SimOutcome};
+use collectives::{broadcast_on, reduce_sum_on, Group};
 
 /// Check applicability: `p = 2^{3q}` and `p^{1/3} | n`; returns the cube
 /// side `s = p^{1/3}`.
@@ -64,48 +64,29 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
 }
 
 /// Route a payload along the first (i) axis of the cube line
-/// `(·, j, k)`, from `i = 0` to `i = dest`.
+/// `(·, j, k)`, from `i = 0` to `i = dest`, over transport `X`.
 ///
 /// On a hypercube this relays LSB-first through the intermediate
 /// processors whose `i` is a prefix-mask of `dest` (e-cube order); on
 /// any other topology it is a single direct message.  Every processor
 /// on the line calls this; the return value is `Some` exactly at the
 /// destination.
-///
-/// With `reliable = true` every hop uses the engine's checksummed
-/// retransmitting transport, so the route survives recoverable link
-/// faults (drops, corruption, duplication).
-pub(crate) fn route_along_i<P: Into<Payload>>(
+pub(crate) fn route_along_i<X: Transport, P: Into<Payload>>(
     proc: &mut Proc,
     rank_of_i: impl Fn(usize) -> usize,
     my_i: usize,
     dest: usize,
     phase: u32,
     payload: Option<P>,
-    reliable: bool,
 ) -> Option<Payload> {
     let payload: Option<Payload> = payload.map(Into::into);
-    let push = |proc: &mut Proc, dst: usize, t, words: Payload| {
-        if reliable {
-            proc.send_reliable(dst, t, words);
-        } else {
-            proc.send(dst, t, words);
-        }
-    };
-    let pull = |proc: &mut Proc, src: usize, t| {
-        if reliable {
-            proc.recv_reliable(src, t)
-        } else {
-            proc.recv_payload(src, t)
-        }
-    };
     if dest == 0 {
         return payload.filter(|_| my_i == 0);
     }
     let relay = proc.topology().kind() == TopologyKind::Hypercube;
     if !relay {
         if my_i == 0 {
-            push(
+            X::send(
                 proc,
                 rank_of_i(dest),
                 tag(phase, 0),
@@ -114,7 +95,7 @@ pub(crate) fn route_along_i<P: Into<Payload>>(
             return None;
         }
         if my_i == dest {
-            return Some(pull(proc, rank_of_i(0), tag(phase, 0)));
+            return Some(X::recv(proc, rank_of_i(0), tag(phase, 0)));
         }
         return None;
     }
@@ -128,14 +109,14 @@ pub(crate) fn route_along_i<P: Into<Payload>>(
         if dest & bit != 0 {
             let next = cur | bit;
             if my_i == cur {
-                push(
+                X::send(
                     proc,
                     rank_of_i(next),
                     tag(phase, t),
                     holding.take().expect("relay holder has the payload"),
                 );
             } else if my_i == next {
-                holding = Some(pull(proc, rank_of_i(cur), tag(phase, t)));
+                holding = Some(X::recv(proc, rank_of_i(cur), tag(phase, t)));
             }
             cur = next;
         }
@@ -152,14 +133,30 @@ pub(crate) fn route_along_i<P: Into<Payload>>(
 /// Returns [`AlgoError`] if the operands are not equal square matrices,
 /// `p` is not a power of eight, or `p^{1/3}` does not divide `n`.
 pub fn gk(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
+    gk_on::<Plain>(machine, a, b)
+}
+
+/// [`gk`] over transport `X`.  Tag phases:
+///
+/// | phase | use |
+/// |---|---|
+/// | 0, 1 | routes of A and B along the first axis |
+/// | 2, 3 | broadcasts of A (third axis) and B (second axis) |
+/// | 4 | reduction along the first axis |
+/// | 5 | stage checkpoints: operands in place, then the local product |
+pub(crate) fn gk_on<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
     let p = machine.p();
     let s = applicability(n, p)?;
     if s == 1 {
         // Degenerate single-processor case.
-        let report = machine.run(|proc| {
+        let report = X::run(machine, |proc| {
             proc.compute(kernel::work_units(n, n, n));
-        });
+        })?;
         let c = kernel::matmul(a, b);
         return Ok(SimOutcome::from_report(&report, c, n));
     }
@@ -167,7 +164,7 @@ pub fn gk(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoE
 
     let ga = Arc::new(BlockGrid::split(a, s, s));
     let gb = Arc::new(BlockGrid::split(b, s, s));
-    let report = machine.run(|proc| {
+    let report = X::run(machine, |proc| {
         let rank = proc.rank();
         let (i, jk) = (rank / (s * s), rank % (s * s));
         let (j, k) = (jk / s, jk % s);
@@ -177,17 +174,17 @@ pub fn gk(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoE
         // Every processor participates in the route on its own line
         // (·, j, k), whose destination is i = k.
         let a_src = (i == 0).then(|| ga.block(j, k).clone().into_vec());
-        let a_routed = route_along_i(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src, false);
+        let a_routed = route_along_i::<X, _>(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src);
 
         // --- Stage 1b: route B^{jk} from (0,j,k) to (j,j,k). ---
         let b_src = (i == 0).then(|| gb.block(j, k).clone().into_vec());
-        let b_routed = route_along_i(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src, false);
+        let b_routed = route_along_i::<X, _>(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src);
 
         // --- Stage 1c: broadcast A along the third axis. ---
         // Group (i, j, ·); the root is l = i, which now holds A^{ji}.
         let a_group = Group::new(proc, (0..s).map(|l| rank_at(i, j, l)).collect());
         debug_assert!(a_routed.is_none() || k == i);
-        let a_flat = broadcast(
+        let a_flat = broadcast_on::<X, _>(
             proc,
             &a_group,
             2,
@@ -201,7 +198,7 @@ pub fn gk(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoE
         // Group (i, ·, k); the root is l = i, which now holds B^{ik}.
         let b_group = Group::new(proc, (0..s).map(|l| rank_at(i, l, k)).collect());
         debug_assert!(b_routed.is_none() || j == i);
-        let b_flat = broadcast(
+        let b_flat = broadcast_on::<X, _>(
             proc,
             &b_group,
             3,
@@ -210,15 +207,23 @@ pub fn gk(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoE
         );
         let b_blk = Matrix::from_vec(bs, bs, b_flat.into_vec());
 
+        // Checkpoint after stage 1: operands are in place.
+        let mut ckpt = Checkpoint::new(5);
+        X::checkpoint(&mut ckpt, proc, || phase_state(&[&a_blk, &b_blk]));
+
         // --- Stage 2: local block product A^{ji}·B^{ik}. ---
         let mut c = Matrix::zeros(bs, bs);
         proc.compute(kernel::work_units(bs, bs, bs));
         kernel::matmul_accumulate(&mut c, &a_blk, &b_blk);
 
+        // Checkpoint after stage 2: the local product, the state the
+        // reduction consumes.
+        X::checkpoint(&mut ckpt, proc, || c.as_slice().to_vec());
+
         // --- Stage 3: sum along the first axis onto (0, j, k). ---
         let r_group = Group::new(proc, (0..s).map(|l| rank_at(l, j, k)).collect());
-        reduce_sum(proc, &r_group, 4, 0, c.into_vec())
-    });
+        reduce_sum_on::<X>(proc, &r_group, 4, 0, c.into_vec())
+    })?;
 
     // Front plane (0, j, k) = ranks 0..s² hold the C blocks row-major.
     let blocks: Vec<Matrix> = report.results[..s * s]
@@ -281,9 +286,9 @@ pub fn gk_improved(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutco
         let rank_at = |i: usize, j: usize, k: usize| (i * s + j) * s + k;
 
         let a_src = (i == 0).then(|| ga.block(j, k).clone().into_vec());
-        let a_routed = route_along_i(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src, false);
+        let a_routed = route_along_i::<Plain, _>(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src);
         let b_src = (i == 0).then(|| gb.block(j, k).clone().into_vec());
-        let b_routed = route_along_i(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src, false);
+        let b_routed = route_along_i::<Plain, _>(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src);
 
         let a_group = Group::new(proc, (0..s).map(|l| rank_at(i, j, l)).collect());
         let a_flat = collectives::broadcast_scatter_allgather(

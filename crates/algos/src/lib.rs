@@ -20,6 +20,14 @@
 //! returns a [`SimOutcome`] whose virtual `t_parallel` is comparable
 //! against the paper's closed-form equations.
 //!
+//! **One schedule, two transports.**  The formulations that have a
+//! fault-tolerant form (Cannon, both Fox forms, GK, block DNS) are each
+//! written once, generic over [`mmsim::Transport`]: the plain entry
+//! point runs the schedule over [`mmsim::Plain`], the `*_resilient`
+//! entry point ([`mod@resilient`]) runs the same function over
+//! [`mmsim::Reliable`].  A new formulation is one file, not two
+//! (CONTRIBUTING.md has the recipe).
+//!
 //! The correctness bar: for every admissible `(n, p, topology)` the
 //! reassembled product equals the serial kernel's result up to
 //! floating-point rounding, and the simulated time matches the paper's

@@ -1,28 +1,30 @@
-//! Fault-tolerant variants of all six paper algorithms: Cannon, GK,
+//! Fault-tolerant entry points of all six paper algorithms: Cannon, GK,
 //! block DNS, and the three Fox formulations (hypercube/tree and
 //! pipelined; the asynchronous schedule is pipelined Fox with one
 //! packet).
 //!
-//! These run the *same schedules* as their plain counterparts
-//! ([`crate::cannon`], [`crate::gk`], [`crate::dns_block`],
-//! [`crate::fox_tree`], [`crate::fox_pipelined`])
-//! but move every message through the engine's reliable transport
-//! ([`mmsim::Proc::send_reliable`] / [`mmsim::Proc::recv_reliable`]) and
-//! the reliable collectives ([`collectives::broadcast_reliable`],
-//! [`collectives::reduce_sum_reliable`]), so they complete — with the
-//! bit-identical product — under any *recoverable*
-//! [`mmsim::FaultPlan`]: message drops, payload corruption, duplication,
-//! and per-link bandwidth degradation.
+//! **One schedule, two transports.**  Nothing is restated here: each
+//! function below is the generic schedule of its plain counterpart
+//! ([`crate::cannon()`], [`crate::gk()`], [`crate::dns_block`],
+//! [`crate::fox_tree`], [`crate::fox_pipelined`]) instantiated over
+//! [`mmsim::Reliable`] instead of [`mmsim::Plain`].  That moves every
+//! message — the collectives' included — through the engine's
+//! checksummed retransmitting transport, so the run completes, with the
+//! bit-identical product, under any *recoverable* [`mmsim::FaultPlan`]:
+//! message drops, payload corruption, duplication, and per-link
+//! bandwidth degradation.  Applicability, structural errors, tags and
+//! message order are those of the plain entry point by construction.
 //!
 //! ## Checkpoint/restart semantics
 //!
-//! Both algorithms proceed in lock-step phases (Cannon: alignment then
-//! `√p` shift rounds; GK: route, two broadcasts, multiply, reduce).
-//! Recovery is **step-granular**: the reliable transport retries each
-//! hop until it is delivered intact, so a faulted transfer is re-driven
-//! from the *last completed step* — completed shifts or broadcast
-//! levels are never re-executed, and no processor state is rolled back.
-//! The recovery cost (retransmissions, acknowledgements, exponential
+//! The algorithms proceed in lock-step phases (Cannon: alignment then
+//! `√p` shift rounds; Fox: `√p` broadcast/roll iterations; GK and DNS:
+//! route, two broadcasts, multiply, reduce).  Recovery is
+//! **step-granular**: the reliable transport retries each hop until it
+//! is delivered intact, so a faulted transfer is re-driven from the
+//! *last completed step* — completed shifts or broadcast levels are
+//! never re-executed, and no processor state is rolled back.  The
+//! recovery cost (retransmissions, acknowledgements, exponential
 //! backoff) is charged in virtual time, so resilience overhead is
 //! directly visible in `T_p` and in the per-processor
 //! [`mmsim::ProcStats::backoff_idle`] / `retransmissions` counters.
@@ -31,12 +33,13 @@
 //!
 //! On a machine provisioned with spares
 //! ([`mmsim::Machine::with_spares`]) fail-stop deaths are masked too:
-//! every resilient variant registers step-granular
-//! [`mmsim::Checkpoint`]s (alignment and per-round state for Cannon,
-//! per-iteration state for Fox, per-stage state for GK and DNS), so the
-//! engine can promote a spare into the dead rank's slot and replay from
-//! the buddy's checkpoint — the product stays bit-identical and the
-//! recovery surcharge lands in [`mmsim::ProcStats::recovery_idle`] /
+//! the schedules carry step-granular [`mmsim::Checkpoint`] hooks
+//! ([`mmsim::Transport::checkpoint`]: alignment and per-round state for
+//! Cannon, per-iteration state for Fox, per-stage state for GK and DNS),
+//! which only the reliable transport acts on, so the engine can promote
+//! a spare into the dead rank's slot and replay from the buddy's
+//! checkpoint — the product stays bit-identical and the recovery
+//! surcharge lands in [`mmsim::ProcStats::recovery_idle`] /
 //! `recoveries`.  The hooks are free (no messages, no virtual time) on
 //! machines without spares.
 //!
@@ -45,110 +48,39 @@
 //! deadlock it provokes in peers), never as a hang or an unannotated
 //! panic — the entry points run under [`mmsim::Machine::try_run`].
 
-use std::sync::Arc;
+use dense::Matrix;
+use mmsim::{Machine, Reliable};
 
-use dense::{kernel, BlockGrid, Matrix};
-use mmsim::{Checkpoint, Machine};
+use crate::common::{AlgoError, SimOutcome};
+use crate::{cannon, dns, fox, gk};
 
-use mmsim::engine::message::tag;
-
-use crate::cannon::{self, cannon_core, MeshView};
-use crate::common::{check_square_operands, AlgoError, SimOutcome};
-use crate::dns;
-use crate::fox;
-use crate::gk::{self, route_along_i};
-use collectives::{broadcast_reliable, reduce_sum_reliable, Group};
-
-/// Cannon's algorithm over the reliable transport.  Applicability is
-/// identical to [`crate::cannon()`]; the product is bit-identical to
-/// the fault-free run for every recoverable fault plan.
+/// [`crate::cannon()`] over the reliable transport, with a checkpoint
+/// after alignment and after every completed round.
 ///
 /// # Errors
-/// Returns the structural [`AlgoError`] variants exactly like
-/// [`crate::cannon()`], plus [`AlgoError::Sim`] when the simulated
-/// execution fails on an unrecoverable fault (fail-stop death).
+/// As [`crate::cannon()`], plus [`AlgoError::Sim`] when the simulated
+/// execution fails on an unrecoverable fault (fail-stop death beyond
+/// the spare budget).
 pub fn cannon_resilient(
     machine: &Machine,
     a: &Matrix,
     b: &Matrix,
 ) -> Result<SimOutcome, AlgoError> {
-    let n = check_square_operands(a, b)?;
-    let p = machine.p();
-    let q = cannon::applicability(n, p)?;
-
-    let ga = Arc::new(BlockGrid::split(a, q, q));
-    let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = machine.try_run(|proc| {
-        let mesh = MeshView::contiguous(proc, 0, q);
-        let a0 = ga.block_by_rank(proc.rank()).clone();
-        let b0 = gb.block_by_rank(proc.rank()).clone();
-        cannon_core(proc, &mesh, a0, b0, 0, true)
-    })?;
-    let c = BlockGrid::assemble_from(&report.results, q, q);
-    Ok(SimOutcome::from_report(&report, c, n))
+    cannon::cannon_on::<Reliable>(machine, a, b)
 }
 
-/// Fox's algorithm (the synchronous/tree variant of
-/// [`crate::fox_tree`]) over the reliable transport: every per-row
-/// binomial broadcast runs through [`collectives::broadcast_reliable`]
-/// and the northward B roll through [`mmsim::Proc::send_reliable`] /
-/// [`mmsim::Proc::recv_reliable`].  Recovery is step-granular exactly
-/// as for [`cannon_resilient`]: each of the `√p` iterations fences on
-/// its own delivered-intact transfers, so a faulted broadcast level or
-/// roll is re-driven in place and completed iterations never repeat.
-/// Applicability is identical to [`crate::fox_tree`]; the product is
-/// bit-identical to the fault-free run under every recoverable fault
-/// plan.
+/// [`crate::fox_tree`] over the reliable transport: reliable binomial
+/// row broadcasts and B rolls, with a checkpoint per iteration.
 ///
 /// # Errors
-/// As [`crate::fox_tree`], plus [`AlgoError::Sim`] when the simulated
-/// execution fails on an unrecoverable fault (fail-stop death).
+/// As [`crate::fox_tree`], plus [`AlgoError::Sim`] on an unrecoverable
+/// fault.
 pub fn fox_tree_resilient(
     machine: &Machine,
     a: &Matrix,
     b: &Matrix,
 ) -> Result<SimOutcome, AlgoError> {
-    let n = check_square_operands(a, b)?;
-    let q = fox::applicability(n, machine.p())?;
-    let bs = n / q;
-
-    let ga = Arc::new(BlockGrid::split(a, q, q));
-    let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = machine.try_run(|proc| {
-        let rank = proc.rank();
-        let (i, j) = (rank / q, rank % q);
-        let row_group = Group::new(proc, (0..q).map(|c| i * q + c).collect());
-        let north = ((i + q - 1) % q) * q + j;
-        let south = ((i + 1) % q) * q + j;
-
-        let mut bcur = gb.block_by_rank(rank).clone();
-        let mut c = Matrix::zeros(bs, bs);
-        // Phase state per iteration: the rolled B block plus the
-        // accumulator — what a promoted spare resumes the next
-        // broadcast round from.  Free without spares.
-        let mut ckpt = Checkpoint::new(u32::MAX - 1);
-        for t in 0..q {
-            let owner_col = (i + t) % q;
-            let data = (owner_col == j).then(|| ga.block_by_rank(rank).clone().into_vec());
-            let a_flat = broadcast_reliable(proc, &row_group, t as u32, owner_col, data);
-            let ablk = Matrix::from_vec(bs, bs, a_flat.into_vec());
-            proc.compute(kernel::work_units(bs, bs, bs));
-            kernel::matmul_accumulate(&mut c, &ablk, &bcur);
-
-            let tb = tag(u32::MAX, t as u32);
-            if q > 1 {
-                proc.send_reliable(north, tb, bcur.into_vec());
-                bcur = Matrix::from_vec(bs, bs, proc.recv_reliable(south, tb).into_vec());
-            }
-            let mut state = Vec::with_capacity(2 * bs * bs);
-            state.extend_from_slice(bcur.as_slice());
-            state.extend_from_slice(c.as_slice());
-            ckpt.save(proc, state);
-        }
-        c
-    })?;
-    let c = BlockGrid::assemble_from(&report.results, q, q);
-    Ok(SimOutcome::from_report(&report, c, n))
+    fox::fox_tree_on::<Reliable>(machine, a, b)
 }
 
 /// Historical name of [`fox_tree_resilient`], kept for source
@@ -161,303 +93,48 @@ pub fn fox_resilient(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOut
     fox_tree_resilient(machine, a, b)
 }
 
-/// The pipelined Fox formulation ([`crate::fox_pipelined`]) over the
-/// reliable transport: every packet of the ring relay and every
-/// northward B roll travels as a framed
-/// [`mmsim::Proc::send_reliable`] / [`mmsim::Proc::recv_reliable`]
-/// exchange, so drops, corruption and duplication are re-driven
-/// per-packet without restarting the pipeline.  The relay keeps the
-/// zero-copy forwarding of the plain variant: a received packet is
-/// forwarded east as a reference-counted [`mmsim::Payload`] clone, not
-/// a byte copy, even though it now rides inside the reliable framing.
-///
-/// Each of the `√p` iterations ends with a [`Checkpoint`] of the rolled
-/// B block plus the accumulator (phase `u32::MAX − 2`, disjoint from
-/// the relay's `tag(t, k)` packets and the roll's `tag(u32::MAX, t)`),
-/// so on a machine with spares a fail-stop death replays from the last
-/// completed iteration.  Applicability (including the `packets` bounds)
-/// is identical to [`crate::fox_pipelined`]; the product is
-/// bit-identical to the fault-free run under every recoverable plan.
+/// [`crate::fox_pipelined`] over the reliable transport: every packet
+/// of the ring relay and every B roll is a framed reliable exchange
+/// (the relay still forwards by [`mmsim::Payload`] clone), with a
+/// checkpoint per iteration.
 ///
 /// # Errors
-/// As [`crate::fox_pipelined`], plus [`AlgoError::Sim`] when the
-/// simulated execution fails on an unrecoverable fault (fail-stop death
-/// beyond the spare budget).
+/// As [`crate::fox_pipelined`] (including the `packets` bounds), plus
+/// [`AlgoError::Sim`] on an unrecoverable fault.
 pub fn fox_pipelined_resilient(
     machine: &Machine,
     a: &Matrix,
     b: &Matrix,
     packets: usize,
 ) -> Result<SimOutcome, AlgoError> {
-    let n = check_square_operands(a, b)?;
-    let q = fox::applicability(n, machine.p())?;
-    let bs = n / q;
-    let block_words = bs * bs;
-    if packets == 0 || packets > block_words.max(1) {
-        return Err(AlgoError::BadMatrixSize {
-            n,
-            requirement: format!(
-                "packet count must be in 1..={} (block words), got {packets}",
-                block_words
-            ),
-        });
-    }
-
-    let ga = Arc::new(BlockGrid::split(a, q, q));
-    let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = machine.try_run(|proc| {
-        let rank = proc.rank();
-        let (i, j) = (rank / q, rank % q);
-        let east = i * q + (j + 1) % q;
-        let west = i * q + (j + q - 1) % q;
-        let north = ((i + q - 1) % q) * q + j;
-        let south = ((i + 1) % q) * q + j;
-
-        // Packet boundaries (equal split with remainder spread left).
-        let bounds: Vec<(usize, usize)> = (0..packets)
-            .map(|k| {
-                let lo = k * block_words / packets;
-                let hi = (k + 1) * block_words / packets;
-                (lo, hi)
-            })
-            .collect();
-
-        let mut bcur = gb.block_by_rank(rank).clone();
-        let mut c = Matrix::zeros(bs, bs);
-        let mut ckpt = Checkpoint::new(u32::MAX - 2);
-        for t in 0..q {
-            let owner_col = (i + t) % q;
-            let ablk = if owner_col == j {
-                // Owner: push own block east in packets; the relay stops
-                // before wrapping back.
-                let own = ga.block_by_rank(rank).clone();
-                if q > 1 {
-                    let flat = own.as_slice();
-                    for (k, &(lo, hi)) in bounds.iter().enumerate() {
-                        proc.send_reliable(east, tag(t as u32, k as u32), flat[lo..hi].to_vec());
-                    }
-                }
-                own
-            } else {
-                // Receive packets from the west, forwarding each east
-                // unless the eastern neighbour is the owner.  The
-                // forward is a Payload refcount bump — the reliable
-                // framing never forces a byte copy of the packet.
-                let forward = (j + 1) % q != owner_col;
-                let mut flat = vec![0.0; block_words];
-                for (k, &(lo, hi)) in bounds.iter().enumerate() {
-                    let pkt = proc.recv_reliable(west, tag(t as u32, k as u32));
-                    if forward {
-                        proc.send_reliable(east, tag(t as u32, k as u32), pkt.clone());
-                    }
-                    flat[lo..hi].copy_from_slice(&pkt);
-                }
-                Matrix::from_vec(bs, bs, flat)
-            };
-
-            proc.compute(kernel::work_units(bs, bs, bs));
-            kernel::matmul_accumulate(&mut c, &ablk, &bcur);
-
-            let tb = tag(u32::MAX, t as u32);
-            if q > 1 {
-                proc.send_reliable(north, tb, bcur.into_vec());
-                bcur = Matrix::from_vec(bs, bs, proc.recv_reliable(south, tb).into_vec());
-            }
-            // Phase state per iteration: the rolled B block plus the
-            // accumulator, same as the tree variant.  Free without
-            // spares.
-            let mut state = Vec::with_capacity(2 * bs * bs);
-            state.extend_from_slice(bcur.as_slice());
-            state.extend_from_slice(c.as_slice());
-            ckpt.save(proc, state);
-        }
-        c
-    })?;
-    let c = BlockGrid::assemble_from(&report.results, q, q);
-    Ok(SimOutcome::from_report(&report, c, n))
+    fox::fox_pipelined_on::<Reliable>(machine, a, b, packets)
 }
 
-/// The GK algorithm over the reliable transport: reliable route along
-/// the first cube axis, reliable binomial-tree broadcasts and
-/// reduction.  Applicability is identical to [`crate::gk()`].
+/// [`crate::gk()`] over the reliable transport: reliable routes,
+/// broadcasts and reduction, with a checkpoint after the spread and
+/// after the local product.
 ///
 /// # Errors
-/// As [`crate::gk()`], plus [`AlgoError::Sim`] when the simulated
-/// execution fails on an unrecoverable fault.
+/// As [`crate::gk()`], plus [`AlgoError::Sim`] on an unrecoverable
+/// fault.
 pub fn gk_resilient(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
-    let n = check_square_operands(a, b)?;
-    let p = machine.p();
-    let s = gk::applicability(n, p)?;
-    if s == 1 {
-        let report = machine.try_run(|proc| {
-            proc.compute(kernel::work_units(n, n, n));
-        })?;
-        let c = kernel::matmul(a, b);
-        return Ok(SimOutcome::from_report(&report, c, n));
-    }
-    let bs = n / s;
-
-    let ga = Arc::new(BlockGrid::split(a, s, s));
-    let gb = Arc::new(BlockGrid::split(b, s, s));
-    let report = machine.try_run(|proc| {
-        let rank = proc.rank();
-        let (i, jk) = (rank / (s * s), rank % (s * s));
-        let (j, k) = (jk / s, jk % s);
-        let rank_at = |i: usize, j: usize, k: usize| (i * s + j) * s + k;
-
-        // Stage 1a/1b: reliable routes of A^{jk} to (k,j,k) and B^{jk}
-        // to (j,j,k) along the first axis.
-        let a_src = (i == 0).then(|| ga.block(j, k).clone().into_vec());
-        let a_routed = route_along_i(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src, true);
-        let b_src = (i == 0).then(|| gb.block(j, k).clone().into_vec());
-        let b_routed = route_along_i(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src, true);
-
-        // Stage 1c/1d: reliable broadcasts along the third and second
-        // axes (same trees and roots as the plain variant).
-        let a_group = Group::new(proc, (0..s).map(|l| rank_at(i, j, l)).collect());
-        let a_flat = broadcast_reliable(
-            proc,
-            &a_group,
-            2,
-            i,
-            (k == i).then(|| a_routed.expect("A routed to (i,j,i)")),
-        );
-        let a_blk = Matrix::from_vec(bs, bs, a_flat.into_vec());
-
-        let b_group = Group::new(proc, (0..s).map(|l| rank_at(i, l, k)).collect());
-        let b_flat = broadcast_reliable(
-            proc,
-            &b_group,
-            3,
-            i,
-            (j == i).then(|| b_routed.expect("B routed to (i,i,k)")),
-        );
-        let b_blk = Matrix::from_vec(bs, bs, b_flat.into_vec());
-
-        // Checkpoint after stage 1: operands are in place.  Free
-        // without spares.
-        let mut ckpt = Checkpoint::new(5);
-        let mut state = Vec::with_capacity(2 * bs * bs);
-        state.extend_from_slice(a_blk.as_slice());
-        state.extend_from_slice(b_blk.as_slice());
-        ckpt.save(proc, state);
-
-        // Stage 2: local block product.
-        let mut c = Matrix::zeros(bs, bs);
-        proc.compute(kernel::work_units(bs, bs, bs));
-        kernel::matmul_accumulate(&mut c, &a_blk, &b_blk);
-
-        // Checkpoint after stage 2: the local product, the state the
-        // reduction consumes.
-        ckpt.save(proc, c.as_slice().to_vec());
-
-        // Stage 3: reliable reduction onto the front plane.
-        let r_group = Group::new(proc, (0..s).map(|l| rank_at(l, j, k)).collect());
-        reduce_sum_reliable(proc, &r_group, 4, 0, c.into_vec())
-    })?;
-
-    let blocks: Vec<Matrix> = report.results[..s * s]
-        .iter()
-        .map(|r| Matrix::from_vec(bs, bs, r.clone().expect("front plane holds C")))
-        .collect();
-    let c = BlockGrid::assemble_from(&blocks, s, s);
-    Ok(SimOutcome::from_report(&report, c, n))
+    gk::gk_on::<Reliable>(machine, a, b)
 }
 
-/// The block-variant DNS algorithm ([`crate::dns_block`]) over the
-/// reliable transport: reliable element spread along the first cube
-/// axis, reliable internal Cannon (with its per-round checkpoints), and
-/// a reliable element-wise reduction.  Stage boundaries additionally
-/// register [`Checkpoint`]s (after the spread, after the internal
-/// multiply), so on a machine with spares a fail-stop death replays
-/// from the last completed stage.  Applicability is identical to
-/// [`crate::dns_block`]; the product is bit-identical to the fault-free
-/// run under every recoverable fault plan.
-///
-/// Tag phases: 0/1 (routes), 2/3 (broadcasts), 4–6 (internal Cannon +
-/// its checkpoints), 7 (reduction), 8 (stage checkpoints).
+/// [`crate::dns_block`] over the reliable transport: reliable element
+/// spread, reliable internal Cannon (with its per-round checkpoints)
+/// and reliable reduction, with a checkpoint at each stage boundary.
 ///
 /// # Errors
-/// As [`crate::dns_block`], plus [`AlgoError::Sim`] when the simulated
-/// execution fails on an unrecoverable fault (fail-stop death beyond
-/// the spare budget).
+/// As [`crate::dns_block`], plus [`AlgoError::Sim`] on an unrecoverable
+/// fault.
 pub fn dns_resilient(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
-    let n = check_square_operands(a, b)?;
-    let p = machine.p();
-    let r = dns::applicability(n, p)?;
-    let m = n / r; // internal mesh side; block size of superblocks
-
-    let ga = Arc::new(BlockGrid::split(a, r, r));
-    let gb = Arc::new(BlockGrid::split(b, r, r));
-
-    let report = machine.try_run(|proc| {
-        let rank = proc.rank();
-        let (sp, local) = (rank / (m * m), rank % (m * m));
-        let (i, jk) = (sp / (r * r), sp % (r * r));
-        let (j, k) = (jk / r, jk % r);
-        let (u, v) = (local / m, local % m);
-        let rank_at = |i: usize, j: usize, k: usize| (((i * r) + j) * r + k) * m * m + local;
-        let mut ckpt = Checkpoint::new(8);
-
-        // --- Stage 1: element-wise spread over the reliable transport. ---
-        let a_src = (i == 0).then(|| vec![ga.block(j, k)[(u, v)]]);
-        let a_routed = route_along_i(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src, true);
-        let b_src = (i == 0).then(|| vec![gb.block(j, k)[(u, v)]]);
-        let b_routed = route_along_i(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src, true);
-
-        let a_group = Group::new(proc, (0..r).map(|l| rank_at(i, j, l)).collect());
-        let a_elem = broadcast_reliable(
-            proc,
-            &a_group,
-            2,
-            i,
-            (k == i).then(|| a_routed.expect("A at (i,j,i)")),
-        )[0];
-        let b_group = Group::new(proc, (0..r).map(|l| rank_at(i, l, k)).collect());
-        let b_elem = broadcast_reliable(
-            proc,
-            &b_group,
-            3,
-            i,
-            (j == i).then(|| b_routed.expect("B at (i,i,k)")),
-        )[0];
-        ckpt.save(proc, vec![a_elem, b_elem]);
-
-        // --- Stage 2: one-element Cannon on the internal mesh,
-        // reliable hops + per-round checkpoints. ---
-        let mesh = MeshView::contiguous(proc, sp * m * m, m);
-        let c_elem = cannon_core(
-            proc,
-            &mesh,
-            Matrix::from_vec(1, 1, vec![a_elem]),
-            Matrix::from_vec(1, 1, vec![b_elem]),
-            4,
-            true,
-        );
-        ckpt.save(proc, c_elem.as_slice().to_vec());
-
-        // --- Stage 3: element-wise reliable reduction. ---
-        let r_group = Group::new(proc, (0..r).map(|l| rank_at(l, j, k)).collect());
-        reduce_sum_reliable(proc, &r_group, 7, 0, c_elem.into_vec())
-    })?;
-
-    // C element (j·m+u, k·m+v) lives at (0, j, k, u, v).
-    let mut c = Matrix::zeros(n, n);
-    for jk in 0..r * r {
-        let (j, k) = (jk / r, jk % r);
-        for local in 0..m * m {
-            let (u, v) = (local / m, local % m);
-            let rank = jk * m * m + local;
-            let val = report.results[rank].as_ref().expect("front plane holds C")[0];
-            c[(j * m + u, k * m + v)] = val;
-        }
-    }
-    Ok(SimOutcome::from_report(&report, c, n))
+    dns::dns_block_on::<Reliable>(machine, a, b)
 }
 
 #[cfg(test)]
 mod tests {
-    use dense::gen;
+    use dense::{gen, kernel};
     use mmsim::{CostModel, FaultPlan, Machine, SimError, Topology};
 
     use super::*;
@@ -683,6 +360,30 @@ mod tests {
             err,
             AlgoError::Sim(SimError::RankDied { rank: 3, .. })
         ));
+    }
+
+    /// At `s = 1` GK bypasses its schedule, but not its transport's
+    /// failure surface: the resilient name still reports a death as a
+    /// structured error …
+    #[test]
+    fn death_in_single_rank_gk_resilient_is_a_structured_error() {
+        let (a, b) = gen::random_pair(4, 41);
+        let machine = Machine::new(Topology::fully_connected(1), CostModel::unit())
+            .with_fault_plan(FaultPlan::new(2).with_death(0, 10.0));
+        assert!(matches!(
+            gk_resilient(&machine, &a, &b),
+            Err(AlgoError::Sim(SimError::RankDied { rank: 0, .. }))
+        ));
+    }
+
+    /// … and the plain name still fails the way [`Machine::run`] does.
+    #[test]
+    #[should_panic(expected = "virtual processor 0 panicked")]
+    fn death_in_single_rank_plain_gk_panics_like_machine_run() {
+        let (a, b) = gen::random_pair(4, 41);
+        let machine = Machine::new(Topology::fully_connected(1), CostModel::unit())
+            .with_fault_plan(FaultPlan::new(2).with_death(0, 10.0));
+        let _ = gk::gk(&machine, &a, &b);
     }
 
     #[test]

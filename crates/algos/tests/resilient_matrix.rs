@@ -287,3 +287,46 @@ fn detection_composes_with_every_variant() {
         );
     }
 }
+
+/// The transport is chosen by the entry point's name, never by the
+/// machine: a *plain* entry point on a machine with a spare runs the
+/// generic schedule over `Plain`, so it registers no checkpoint and is
+/// indistinguishable — `T_p` bits, per-rank message and word counts,
+/// every other counter — from the same run on the bare logical machine.
+#[test]
+fn plain_entry_points_ignore_the_spare_budget() {
+    type Entry = (
+        &'static str,
+        usize,
+        usize,
+        fn(&Machine, &Matrix, &Matrix) -> Result<SimOutcome, AlgoError>,
+    );
+    let fox_piped: fn(&Machine, &Matrix, &Matrix) -> Result<SimOutcome, AlgoError> =
+        |m, a, b| algos::fox_pipelined(m, a, b, 2);
+    let entries: [Entry; 5] = [
+        ("cannon", 9, 6, algos::cannon),
+        ("fox_tree", 9, 6, algos::fox_tree),
+        ("fox_pipelined", 9, 6, fox_piped),
+        ("gk", 8, 8, algos::gk),
+        ("dns_block", 16, 4, algos::dns_block),
+    ];
+    let cost = CostModel::new(5.0, 0.5);
+    for (name, p, n, algo) in entries {
+        let (a, b) = gen::random_pair(n, 0xD1FF);
+        let bare = algo(&Machine::new(Topology::fully_connected(p), cost), &a, &b)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let spared_machine = Machine::new(Topology::fully_connected(p + 1), cost).with_spares(1);
+        assert_eq!(spared_machine.p(), p);
+        let spared = algo(&spared_machine, &a, &b).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(spared.c, bare.c, "{name}");
+        assert_eq!(
+            spared.t_parallel.to_bits(),
+            bare.t_parallel.to_bits(),
+            "{name}"
+        );
+        for (rank, (s, b)) in spared.stats.iter().zip(&bare.stats).enumerate() {
+            assert_eq!(s.checkpoint_words, 0, "{name} rank {rank}");
+            assert_eq!(s, b, "{name} rank {rank}");
+        }
+    }
+}

@@ -39,6 +39,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bench::workload_common::{run_workload_sweep_on, WorkloadSweep};
+use bench::{bits, check_golden};
 use dense::gen;
 use mmsim::{CostModel, EngineKind, Machine, ProcStats, Topology};
 use model::regions::RegionMap;
@@ -70,20 +71,10 @@ mod baseline {
     ];
 }
 
-/// Exact-bit float formatting: decimal for the human, bits for the
-/// byte-identity gate.
-fn bits(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
 struct SliceResult {
     name: &'static str,
     runs: usize,
     wall_ms: f64,
-}
-
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
 }
 
 fn workspace_root() -> PathBuf {
@@ -92,34 +83,6 @@ fn workspace_root() -> PathBuf {
         .nth(2)
         .expect("workspace root")
         .to_path_buf()
-}
-
-/// Compare `actual` against the committed golden `name`, or rewrite it
-/// under `--bless`.  On mismatch the actual bytes are parked in
-/// `results/` for inspection and the process exits nonzero.
-fn check_golden(name: &str, actual: &str, bless: bool) -> bool {
-    let path = goldens_dir().join(name);
-    if bless {
-        fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        fs::write(&path, actual).expect("write golden");
-        println!("  blessed {}", path.display());
-        return true;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with --bless", path.display()));
-    if expected == actual {
-        println!("  golden {name}: byte-identical");
-        true
-    } else {
-        let park = bench::results_dir().join(format!("{name}.actual"));
-        fs::create_dir_all(bench::results_dir()).expect("create results dir");
-        fs::write(&park, actual).expect("park actual");
-        eprintln!(
-            "  golden {name}: MISMATCH — virtual-time output drifted; actual parked at {}",
-            park.display()
-        );
-        false
-    }
 }
 
 /// One simulated run reduced to its virtual-time observables.
@@ -407,11 +370,14 @@ fn main() {
     }
     println!();
 
-    let mut ok = true;
-    ok &= check_golden(&format!("{mode}_runs.csv"), &runs_csv, bless);
-    ok &= check_golden(&format!("{mode}_ranks.csv"), &ranks_csv, bless);
-    ok &= check_golden(&format!("{mode}_regions.csv"), &regions_csv, bless);
-    ok &= check_golden(&format!("{mode}_workload.csv"), &workload_csv, bless);
+    let golden = |kind: &str, csv: &str| {
+        check_golden("engine_perf", &format!("{mode}_{kind}.csv"), csv, bless)
+    };
+    // `&`, not `&&`: every golden is compared (and parked) even after a mismatch.
+    let ok = golden("runs", &runs_csv)
+        & golden("ranks", &ranks_csv)
+        & golden("regions", &regions_csv)
+        & golden("workload", &workload_csv);
 
     write_bench_json(mode, &slices, ok);
 

@@ -42,15 +42,13 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use algos::{
     cannon_resilient, dns_resilient, fox_pipelined_resilient, fox_tree_resilient, gk_resilient,
     SimOutcome,
 };
-use bench::{parallel_sweep, ResultTable};
+use bench::{bits, check_golden, parallel_sweep, GoldenArgs, ResultTable};
 use dense::gen;
 use mmsim::{CostModel, FaultPlan, Machine, Topology};
 
@@ -78,54 +76,12 @@ const DNS_N: usize = 4;
 const DEFAULT_N: usize = 24;
 const DEFAULT_SEED: u64 = 7;
 
-struct Args {
-    n: usize,
-    seed: u64,
-    smoke: bool,
-    bless: bool,
-    enforce: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let (mut smoke, mut bless, mut enforce) = (false, false, false);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--bless" => bless = true,
-            "--enforce" => enforce = true,
-            _ => {
-                if let Some(name) = arg.strip_prefix("--") {
-                    let value = args
-                        .next()
-                        .ok_or_else(|| format!("missing value for --{name}"))?;
-                    flags.insert(name.to_string(), value);
-                } else {
-                    return Err(format!("unexpected argument {arg:?}"));
-                }
-            }
-        }
-    }
-    let n: usize = flags
-        .get("n")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--n: {e}"))?
-        .unwrap_or(DEFAULT_N);
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--seed: {e}"))?
-        .unwrap_or(DEFAULT_SEED);
-    Ok(Args {
-        n,
-        seed,
-        smoke,
-        bless,
-        enforce,
-    })
+/// The switches plus `--n` and `--seed`.
+fn parse_args() -> Result<(GoldenArgs, usize, u64), String> {
+    let flags = GoldenArgs::parse(std::env::args().skip(1))?;
+    let n = flags.value("n", DEFAULT_N)?;
+    let seed = flags.value("seed", DEFAULT_SEED)?;
+    Ok((flags, n, seed))
 }
 
 /// One sweep point: algorithm name, processor count, operand size,
@@ -185,44 +141,6 @@ fn run_point(point: &Point, seed: u64) -> Result<SimOutcome, String> {
     out.map_err(|e| format!("{} p={} drop={}: {e}", point.alg, point.p, point.drop))
 }
 
-/// Exact-bit float formatting: decimal for the human, bits for the
-/// byte-identity gate.
-fn bits(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
-}
-
-/// Compare `actual` against the committed golden `name`, or rewrite it
-/// under `--bless`.  On mismatch the actual bytes are parked in
-/// `results/` for inspection and the caller exits nonzero.
-fn check_golden(name: &str, actual: &str, bless: bool) -> bool {
-    let path = goldens_dir().join(name);
-    if bless {
-        fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        fs::write(&path, actual).expect("write golden");
-        println!("blessed {}", path.display());
-        return true;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with --bless", path.display()));
-    if expected == actual {
-        println!("golden {name}: byte-identical");
-        true
-    } else {
-        let park = bench::results_dir().join(format!("{name}.actual"));
-        fs::create_dir_all(bench::results_dir()).expect("create results dir");
-        fs::write(&park, actual).expect("park actual");
-        eprintln!(
-            "golden {name}: MISMATCH — resilience output drifted; actual parked at {}",
-            park.display()
-        );
-        false
-    }
-}
-
 /// One finished sweep row: the point's identity plus its outcome.
 struct Row {
     alg: &'static str,
@@ -235,7 +153,7 @@ struct Row {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let (args, n, seed) = match parse_args() {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("error: {e}");
@@ -245,7 +163,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (n, seed) = (args.n, args.seed);
     let default_sweep = (n, seed) == (DEFAULT_N, DEFAULT_SEED);
     if args.bless && !default_sweep {
         eprintln!(
@@ -512,7 +429,12 @@ fn main() -> ExitCode {
     println!("CSV written to {}", path.display());
 
     if default_sweep {
-        if !check_golden(&format!("{mode}_resilience.csv"), &golden, args.bless) {
+        if !check_golden(
+            "resilience",
+            &format!("{mode}_resilience.csv"),
+            &golden,
+            args.bless,
+        ) {
             eprintln!("\nFAIL: resilience golden drifted (stale rows)");
             return ExitCode::FAILURE;
         }

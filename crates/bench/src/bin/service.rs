@@ -25,15 +25,14 @@
 //! batched sub-job's service time must be bit-identical to its
 //! unbatched (`edf`) execution.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use bench::service_common::{
     check_service_rows, run_point, run_service_sweep, tabulate, ServiceRow, ServiceSweep,
 };
+use bench::{bits, check_golden, GoldenArgs};
 use gemmd::{analyze, JobClasses, Slo};
 
 /// The sweep the goldens pin.
@@ -41,91 +40,17 @@ const DEFAULT_JOBS: usize = 150;
 const SMOKE_JOBS: usize = 60;
 const DEFAULT_SEED: u64 = 11;
 
-struct Args {
-    jobs: usize,
-    seed: u64,
-    smoke: bool,
-    bless: bool,
-    enforce: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let (mut smoke, mut bless, mut enforce) = (false, false, false);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--bless" => bless = true,
-            "--enforce" => enforce = true,
-            _ => {
-                if let Some(name) = arg.strip_prefix("--") {
-                    let value = args
-                        .next()
-                        .ok_or_else(|| format!("missing value for --{name}"))?;
-                    flags.insert(name.to_string(), value);
-                } else {
-                    return Err(format!("unexpected argument {arg:?}"));
-                }
-            }
-        }
-    }
-    let default_jobs = if smoke { SMOKE_JOBS } else { DEFAULT_JOBS };
-    let jobs: usize = flags
-        .get("jobs")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--jobs: {e}"))?
-        .unwrap_or(default_jobs);
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--seed: {e}"))?
-        .unwrap_or(DEFAULT_SEED);
-    Ok(Args {
-        jobs,
-        seed,
-        smoke,
-        bless,
-        enforce,
-    })
-}
-
-/// Exact-bit float formatting for the golden.
-fn bits(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
-}
-
-/// Compare `actual` against the committed golden `name`, or rewrite it
-/// under `--bless`; mismatches park the actual bytes in `results/`.
-fn check_golden(name: &str, actual: &str, bless: bool) -> bool {
-    let path = goldens_dir().join(name);
-    if bless {
-        fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        fs::write(&path, actual).expect("write golden");
-        println!("blessed {}", path.display());
-        return true;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with --bless", path.display()));
-    if expected == actual {
-        println!("golden {name}: byte-identical");
-        true
+/// The switches plus `--jobs` and `--seed`.
+fn parse_args() -> Result<(GoldenArgs, usize, u64), String> {
+    let flags = GoldenArgs::parse(std::env::args().skip(1))?;
+    let default_jobs = if flags.smoke {
+        SMOKE_JOBS
     } else {
-        let park = bench::results_dir().join(format!("{name}.actual"));
-        fs::create_dir_all(bench::results_dir()).expect("create results dir");
-        fs::write(&park, actual).expect("park actual");
-        eprintln!(
-            "golden {name}: MISMATCH — service output drifted; actual parked at {}",
-            park.display()
-        );
-        false
-    }
+        DEFAULT_JOBS
+    };
+    let jobs = flags.value("jobs", default_jobs)?;
+    let seed = flags.value("seed", DEFAULT_SEED)?;
+    Ok((flags, jobs, seed))
 }
 
 /// The golden rows: exact bits of every latency headline per point.
@@ -254,7 +179,7 @@ fn write_detail_csvs(mode: &str, sweep: &ServiceSweep, rows: &[ServiceRow]) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let (args, jobs, seed) = match parse_args() {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("error: {e}");
@@ -265,17 +190,17 @@ fn main() -> ExitCode {
         }
     };
     let mode = if args.smoke { "smoke" } else { "full" };
-    let default_sweep = args.seed == DEFAULT_SEED
-        && args.jobs == if args.smoke { SMOKE_JOBS } else { DEFAULT_JOBS };
+    let default_sweep =
+        seed == DEFAULT_SEED && jobs == if args.smoke { SMOKE_JOBS } else { DEFAULT_JOBS };
     if args.bless && !default_sweep {
         eprintln!("error: --bless requires the default --jobs/--seed");
         return ExitCode::FAILURE;
     }
 
     let sweep = if args.smoke {
-        ServiceSweep::smoke(args.jobs, args.seed)
+        ServiceSweep::smoke(jobs, seed)
     } else {
-        ServiceSweep::full(args.jobs, args.seed)
+        ServiceSweep::full(jobs, seed)
     };
     let rows = run_service_sweep(&sweep);
     let table = tabulate(&sweep, &rows);
@@ -298,6 +223,7 @@ fn main() -> ExitCode {
 
     if default_sweep {
         if !check_golden(
+            "service",
             &format!("{mode}_service.csv"),
             &golden_csv(&rows),
             args.bless,

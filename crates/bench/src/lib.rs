@@ -1,5 +1,7 @@
 //! Shared harness for the experiment binaries and Criterion benches:
-//! result tables, CSV emission, and parallel sweeps.
+//! result tables, CSV emission, parallel sweeps, and the golden-CSV
+//! gate (`--smoke/--bless/--enforce` flags, [`check_golden`]) of the
+//! five byte-identity benches.
 //!
 //! Every table and figure of the paper has one binary in `src/bin/`
 //! that regenerates it (see DESIGN.md's per-experiment index) and one
@@ -13,9 +15,11 @@ pub mod service_common;
 pub mod svg;
 pub mod workload_common;
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// A rectangular results table that renders as aligned text and CSV.
 #[derive(Debug, Clone)]
@@ -120,6 +124,108 @@ pub fn results_dir() -> PathBuf {
         .join("results")
 }
 
+/// Exact-bit float formatting for the goldens: decimal is for the
+/// human, bits for the byte-identity gate.
+#[must_use]
+pub fn bits(x: f64) -> String {
+    format!("{:016x}", x.to_bits())
+}
+
+/// `crates/bench/goldens`, where the committed golden CSVs live.
+#[must_use]
+pub fn goldens_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
+}
+
+/// Compare `actual` against the committed golden `name`, or rewrite it
+/// under `--bless`.  On mismatch the actual bytes are parked in
+/// `results/<name>.actual` for inspection and the caller (the `bench`
+/// binary named in the message) exits nonzero.
+///
+/// # Panics
+/// Panics if the golden is missing (run with `--bless`) or a file
+/// cannot be written.
+#[must_use]
+pub fn check_golden(bench: &str, name: &str, actual: &str, bless: bool) -> bool {
+    let path = goldens_dir().join(name);
+    if bless {
+        fs::create_dir_all(goldens_dir()).expect("create goldens dir");
+        fs::write(&path, actual).expect("write golden");
+        println!("blessed {}", path.display());
+        return true;
+    }
+    let expected = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with --bless", path.display()));
+    if expected == actual {
+        println!("golden {name}: byte-identical");
+        true
+    } else {
+        let park = results_dir().join(format!("{name}.actual"));
+        fs::create_dir_all(results_dir()).expect("create results dir");
+        fs::write(&park, actual).expect("park actual");
+        eprintln!(
+            "golden {name}: MISMATCH — {bench} output drifted; actual parked at {}",
+            park.display()
+        );
+        false
+    }
+}
+
+/// The command line of a golden-checked bench: the three switches plus
+/// any `--name value` options.
+#[derive(Debug, Clone, Default)]
+pub struct GoldenArgs {
+    /// `--smoke`: the reduced sweep CI runs.
+    pub smoke: bool,
+    /// `--bless`: rewrite the golden instead of comparing against it.
+    pub bless: bool,
+    /// `--enforce`: fail on the bench's acceptance thresholds.
+    pub enforce: bool,
+    values: HashMap<String, String>,
+}
+
+impl GoldenArgs {
+    /// Parse an argument list (without the program name).
+    ///
+    /// # Errors
+    /// A `--name` with no value after it, or a bare word.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut out = Self::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => out.smoke = true,
+                "--bless" => out.bless = true,
+                "--enforce" => out.enforce = true,
+                _ => {
+                    if let Some(name) = arg.strip_prefix("--") {
+                        let value = args
+                            .next()
+                            .ok_or_else(|| format!("missing value for --{name}"))?;
+                        out.values.insert(name.to_string(), value);
+                    } else {
+                        return Err(format!("unexpected argument {arg:?}"));
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The value of `--name`, or `default` when the option is absent.
+    ///
+    /// # Errors
+    /// The value does not parse as a `T`.
+    pub fn value<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.values.get(name).map_or(Ok(default), |s| {
+            s.parse().map_err(|e| format!("--{name}: {e}"))
+        })
+    }
+}
+
 /// Format an efficiency / ratio to three decimals, or `-`.
 #[must_use]
 pub fn fmt_opt(x: Option<f64>) -> String {
@@ -199,6 +305,25 @@ mod tests {
     fn parallel_sweep_preserves_order() {
         let out = parallel_sweep((0..100).collect(), |&x: &i32| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn golden_args_parse_switches_and_named_values() {
+        let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let a = GoldenArgs::parse(argv("--smoke --jobs 12 --enforce")).unwrap();
+        assert!(a.smoke && a.enforce && !a.bless);
+        assert_eq!(a.value("jobs", 150usize), Ok(12));
+        assert_eq!(a.value("seed", 11u64), Ok(11));
+        assert!(GoldenArgs::parse(argv("--jobs banana"))
+            .unwrap()
+            .value("jobs", 1usize)
+            .unwrap_err()
+            .starts_with("--jobs: "));
+        assert_eq!(
+            GoldenArgs::parse(argv("--seed")).unwrap_err(),
+            "missing value for --seed"
+        );
+        assert!(GoldenArgs::parse(argv("stray")).is_err());
     }
 
     #[test]

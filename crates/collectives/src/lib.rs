@@ -31,7 +31,7 @@ pub mod reliable;
 pub use group::Group;
 pub use ops::{
     all_reduce_sum, all_to_all_personalized, allgather_hypercube, allgather_ring, barrier,
-    broadcast, broadcast_scatter_allgather, gather, reduce_scatter_sum, reduce_sum, scan_sum,
-    scatter,
+    broadcast, broadcast_on, broadcast_scatter_allgather, gather, reduce_scatter_sum, reduce_sum,
+    reduce_sum_on, scan_sum, scatter,
 };
-pub use reliable::{barrier_reliable, broadcast_reliable, exchange_reliable, reduce_sum_reliable};
+pub use reliable::{barrier_reliable, broadcast_reliable, reduce_sum_reliable};

@@ -9,9 +9,15 @@
 //! any group size via binomial trees; the hypercube (recursive
 //! doubling/halving) schedules require a power-of-two group, mirroring
 //! the subcube structure the paper's algorithms use.
+//!
+//! The three collectives the resilient algorithms need — broadcast,
+//! reduce and barrier — are written once, generic over the
+//! [`mmsim::Transport`] that moves their messages (`*_on`); the plain
+//! names here and the `*_reliable` names in [`crate::reliable`] pick the
+//! type.
 
 use mmsim::engine::message::tag;
-use mmsim::{Payload, Proc, Word};
+use mmsim::{Payload, Plain, Proc, Transport, Word};
 
 use crate::group::Group;
 
@@ -48,6 +54,21 @@ pub fn broadcast<P: Into<Payload>>(
     root_idx: usize,
     data: Option<P>,
 ) -> Payload {
+    broadcast_on::<Plain, P>(proc, group, phase, root_idx, data)
+}
+
+/// The [`broadcast`] schedule over transport `X`: the one binomial tree
+/// behind both [`broadcast`] and [`crate::broadcast_reliable`].
+///
+/// # Panics
+/// Panics if the root/non-root `data` contract is violated.
+pub fn broadcast_on<X: Transport, P: Into<Payload>>(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    root_idx: usize,
+    data: Option<P>,
+) -> Payload {
     let g = group.size();
     assert!(root_idx < g, "root index {root_idx} out of group of {g}");
     let me = group.my_idx();
@@ -75,11 +96,11 @@ pub fn broadcast<P: Into<Payload>>(
             if peer < g {
                 // Reference-count bump, not an O(m) copy.
                 let msg = payload.clone().expect("holder has the payload");
-                proc.send(to_rank(peer), tag(phase, t), msg);
+                X::send(proc, to_rank(peer), tag(phase, t), msg);
             }
         } else if vidx < 2 * half {
             debug_assert!(payload.is_none());
-            payload = Some(proc.recv_payload(to_rank(vidx - half), tag(phase, t)));
+            payload = Some(X::recv(proc, to_rank(vidx - half), tag(phase, t)));
         }
     }
     payload.expect("every member holds the payload after the tree completes")
@@ -226,6 +247,21 @@ pub fn reduce_sum(
     root_idx: usize,
     contribution: Vec<Word>,
 ) -> Option<Vec<Word>> {
+    reduce_sum_on::<Plain>(proc, group, phase, root_idx, contribution)
+}
+
+/// The [`reduce_sum`] schedule over transport `X`: the one binomial
+/// tree behind both [`reduce_sum`] and [`crate::reduce_sum_reliable`].
+///
+/// # Panics
+/// Panics if contribution lengths mismatch.
+pub fn reduce_sum_on<X: Transport>(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    root_idx: usize,
+    contribution: Vec<Word>,
+) -> Option<Vec<Word>> {
     let g = group.size();
     assert!(root_idx < g, "root index {root_idx} out of group of {g}");
     let me = group.my_idx();
@@ -237,7 +273,7 @@ pub fn reduce_sum(
         if vidx < half {
             let peer = vidx + half;
             if peer < g {
-                let other = proc.recv_payload(to_rank(peer), tag(phase, t));
+                let other = X::recv(proc, to_rank(peer), tag(phase, t));
                 assert_eq!(
                     other.len(),
                     acc.len(),
@@ -249,7 +285,7 @@ pub fn reduce_sum(
                 proc.compute_adds(acc.len());
             }
         } else if vidx < 2 * half {
-            proc.send(to_rank(vidx - half), tag(phase, t), acc);
+            X::send(proc, to_rank(vidx - half), tag(phase, t), acc);
             return None;
         }
     }
@@ -388,6 +424,11 @@ pub fn all_to_all_personalized<P: Into<Payload>>(
 /// messages; returns once every member is known to have entered.
 /// Costs `ceil(log g)·t_s`.
 pub fn barrier(proc: &mut Proc, group: &Group, phase: u32) {
+    barrier_on::<Plain>(proc, group, phase);
+}
+
+/// The [`barrier`] schedule over transport `X`.
+pub(crate) fn barrier_on<X: Transport>(proc: &mut Proc, group: &Group, phase: u32) {
     let g = group.size();
     let me = group.my_idx();
     let mut step = 1usize;
@@ -396,8 +437,8 @@ pub fn barrier(proc: &mut Proc, group: &Group, phase: u32) {
         let dst = (me + step) % g;
         let src = (me + g - step) % g;
         let t = tag(phase, round);
-        proc.send(group.rank_of(dst), t, Payload::new());
-        proc.recv(group.rank_of(src), t);
+        X::send(proc, group.rank_of(dst), t, Payload::new());
+        X::recv(proc, group.rank_of(src), t);
         step <<= 1;
         round += 1;
     }

@@ -1,41 +1,20 @@
-//! Fault-tolerant variants of the collectives, built on the engine's
-//! reliable transport ([`mmsim::Proc::send_reliable`] /
-//! [`mmsim::Proc::recv_reliable`]).
-//!
-//! These mirror the schedules of [`crate::ops`] step for step — same
-//! trees, same tags, same root contracts — but every hop is checksummed
-//! and retransmitted on drop or corruption, so they complete correctly
-//! under any recoverable [`mmsim::FaultPlan`] schedule (no fail-stop).
-//! The price is the protocol overhead: two framing words per message,
-//! one modelled 1-word acknowledgement per hop, and retry/backoff idle
-//! time on faulty links — all charged in virtual time, so the cost of
-//! resilience is measurable in `T_p` and in
-//! [`mmsim::ProcStats::backoff_idle`] / `retransmissions`.
-//!
-//! On a healthy machine (no plan, or a zero plan) every transmission
-//! succeeds on the first attempt and the only overhead is the framing
-//! and acknowledgement charges.
+//! The collectives that have a fault-tolerant form.  Each is the *same
+//! schedule* as its plain counterpart in [`crate::ops`] — one generic
+//! function, same tree, same tags, same root contract — instantiated
+//! over [`mmsim::Reliable`]: every hop is checksummed and retransmitted,
+//! so it completes under any recoverable [`mmsim::FaultPlan`] (no
+//! fail-stop).  The protocol overhead (two framing words per message, a
+//! 1-word acknowledgement per hop, backoff on faulty links) is charged
+//! in virtual time and visible in [`mmsim::ProcStats::backoff_idle`] /
+//! `retransmissions`; on a healthy machine only the framing and
+//! acknowledgement charges remain.
 
-use mmsim::engine::message::tag;
-use mmsim::{Payload, Proc, Word};
+use mmsim::{Payload, Proc, Reliable, Word};
 
 use crate::group::Group;
+use crate::ops::{barrier_on, broadcast_on, reduce_sum_on};
 
-/// Reliable exchange with a partner: send ours, receive theirs, same
-/// tag.  Reliable sends are eager like plain sends, so the symmetric
-/// pattern cannot deadlock.
-pub fn exchange_reliable<P: Into<Payload>>(
-    proc: &mut Proc,
-    partner: usize,
-    t: mmsim::Tag,
-    payload: P,
-) -> Payload {
-    proc.send_reliable(partner, t, payload);
-    proc.recv_reliable(partner, t)
-}
-
-/// One-to-all broadcast over a binomial tree with reliable hops; same
-/// schedule and contract as [`crate::broadcast`].
+/// [`crate::broadcast`] with reliable hops.
 ///
 /// # Panics
 /// Panics if the root/non-root `data` contract is violated.
@@ -46,66 +25,16 @@ pub fn broadcast_reliable<P: Into<Payload>>(
     root_idx: usize,
     data: Option<P>,
 ) -> Payload {
-    let g = group.size();
-    assert!(root_idx < g, "root index {root_idx} out of group of {g}");
-    let me = group.my_idx();
-    let data: Option<Payload> = data.map(Into::into);
-    if me == root_idx {
-        assert!(data.is_some(), "broadcast root must supply the payload");
-    } else {
-        assert!(
-            data.is_none(),
-            "non-root member {me} must not supply a payload"
-        );
-    }
-    if g == 1 {
-        return data.expect("single-member broadcast root");
-    }
-    let vidx = (me + g - root_idx) % g;
-    let to_rank = |v: usize| group.rank_of((v + root_idx) % g);
-
-    let mut payload = data;
-    for t in 0..group.steps() {
-        let half = 1usize << t;
-        if vidx < half {
-            let peer = vidx + half;
-            if peer < g {
-                // Reference-count bump, not an O(m) copy.
-                let msg = payload.clone().expect("holder has the payload");
-                proc.send_reliable(to_rank(peer), tag(phase, t), msg);
-            }
-        } else if vidx < 2 * half {
-            debug_assert!(payload.is_none());
-            payload = Some(proc.recv_reliable(to_rank(vidx - half), tag(phase, t)));
-        }
-    }
-    payload.expect("every member holds the payload after the tree completes")
+    broadcast_on::<Reliable, P>(proc, group, phase, root_idx, data)
 }
 
-/// Dissemination barrier with reliable hops; same schedule as
-/// [`crate::barrier`] (`ceil(log g)` rounds of zero-word exchanges), so
-/// it synchronises a group even when links drop or corrupt control
-/// messages.  Used by partitioned multi-tenant runs to fence algorithm
-/// phases on lossy machines.
+/// [`crate::barrier`] with reliable hops: fences a group (a partitioned
+/// multi-tenant run's phases) even when links drop or corrupt messages.
 pub fn barrier_reliable(proc: &mut Proc, group: &Group, phase: u32) {
-    let g = group.size();
-    let me = group.my_idx();
-    let mut step = 1usize;
-    let mut round = 0u32;
-    while step < g {
-        let dst = (me + step) % g;
-        let src = (me + g - step) % g;
-        let t = tag(phase, round);
-        proc.send_reliable(group.rank_of(dst), t, Payload::new());
-        proc.recv_reliable(group.rank_of(src), t);
-        step <<= 1;
-        round += 1;
-    }
+    barrier_on::<Reliable>(proc, group, phase);
 }
 
-/// All-to-one elementwise sum over a binomial tree with reliable hops;
-/// same schedule and contract as [`crate::reduce_sum`] (returns `Some`
-/// only at the root).
+/// [`crate::reduce_sum`] with reliable hops (`Some` only at the root).
 ///
 /// # Panics
 /// Panics on contribution length mismatches.
@@ -116,34 +45,7 @@ pub fn reduce_sum_reliable(
     root_idx: usize,
     contribution: Vec<Word>,
 ) -> Option<Vec<Word>> {
-    let g = group.size();
-    assert!(root_idx < g, "root index {root_idx} out of group of {g}");
-    let me = group.my_idx();
-    let vidx = (me + g - root_idx) % g;
-    let to_rank = |v: usize| group.rank_of((v + root_idx) % g);
-    let mut acc = contribution;
-    for t in (0..group.steps()).rev() {
-        let half = 1usize << t;
-        if vidx < half {
-            let peer = vidx + half;
-            if peer < g {
-                let other = proc.recv_reliable(to_rank(peer), tag(phase, t));
-                assert_eq!(
-                    other.len(),
-                    acc.len(),
-                    "reduce contribution length mismatch"
-                );
-                for (a, b) in acc.iter_mut().zip(&other) {
-                    *a += b;
-                }
-                proc.compute_adds(acc.len());
-            }
-        } else if vidx < 2 * half {
-            proc.send_reliable(to_rank(vidx - half), tag(phase, t), acc);
-            return None;
-        }
-    }
-    Some(acc)
+    reduce_sum_on::<Reliable>(proc, group, phase, root_idx, contribution)
 }
 
 #[cfg(test)]
@@ -244,18 +146,5 @@ mod tests {
             r.total_retransmissions() > 0,
             "lossy plan must force retries"
         );
-    }
-
-    #[test]
-    fn exchange_reliable_pairs_under_faults() {
-        let machine = Machine::new(Topology::fully_connected(2), CostModel::unit())
-            .with_fault_plan(lossy_plan(11));
-        let r = machine
-            .try_run(|proc| {
-                let partner = 1 - proc.rank();
-                exchange_reliable(proc, partner, 9, vec![proc.rank() as f64; 4])[0]
-            })
-            .expect("reliable exchange under recoverable faults");
-        assert_eq!(r.results, vec![1.0, 0.0]);
     }
 }

@@ -41,26 +41,6 @@ const WORKER_STACK_BYTES: usize = 1 << 20;
 /// enough that back-to-back sweep runs never pay a respawn.
 const IDLE_REAP_AFTER: Duration = Duration::from_secs(30);
 
-/// Floor for the reap override: a sub-10 ms window would have workers
-/// thrashing through retire/respawn cycles between back-to-back runs.
-const MIN_REAP: Duration = Duration::from_millis(10);
-
-/// Resolve the idle-retirement window: `MMSIM_POOL_REAP_MS` in whole
-/// milliseconds (clamped to [`MIN_REAP`]), else [`IDLE_REAP_AFTER`].
-/// Read once; the pool is process-wide, so a per-run toggle would only
-/// apply to workers spawned after the change anyway.
-fn idle_reap_after() -> Duration {
-    static REAP: OnceLock<Duration> = OnceLock::new();
-    *REAP.get_or_init(|| parse_reap_ms(std::env::var("MMSIM_POOL_REAP_MS").ok().as_deref()))
-}
-
-fn parse_reap_ms(var: Option<&str>) -> Duration {
-    var.and_then(|v| v.trim().parse::<u64>().ok())
-        .map_or(IDLE_REAP_AFTER, |ms| {
-            Duration::from_millis(ms).max(MIN_REAP)
-        })
-}
-
 /// A countdown latch: `wait` returns once `count_down` has been called
 /// `n` times.
 struct Latch {
@@ -134,7 +114,7 @@ fn idle_pool() -> &'static Mutex<Vec<Worker>> {
 }
 
 fn spawn_worker(seq: usize) -> Worker {
-    spawn_worker_with_reap(seq, idle_reap_after())
+    spawn_worker_with_reap(seq, IDLE_REAP_AFTER)
 }
 
 fn spawn_worker_with_reap(seq: usize, reap_after: Duration) -> Worker {
@@ -300,18 +280,6 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-    }
-
-    #[test]
-    fn reap_timeout_env_knob_parses() {
-        assert_eq!(parse_reap_ms(None), IDLE_REAP_AFTER);
-        assert_eq!(parse_reap_ms(Some("oops")), IDLE_REAP_AFTER);
-        assert_eq!(parse_reap_ms(Some("")), IDLE_REAP_AFTER);
-        assert_eq!(parse_reap_ms(Some("250")), Duration::from_millis(250));
-        assert_eq!(parse_reap_ms(Some(" 90000 ")), Duration::from_secs(90));
-        // Sub-floor values clamp instead of thrashing.
-        assert_eq!(parse_reap_ms(Some("0")), MIN_REAP);
-        assert_eq!(parse_reap_ms(Some("3")), MIN_REAP);
     }
 
     #[test]

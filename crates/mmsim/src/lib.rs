@@ -89,6 +89,7 @@ pub mod recovery;
 pub mod stats;
 pub mod topology;
 pub mod trace;
+pub mod transport;
 
 pub use cost::{CostModel, Ports, Routing};
 pub use engine::error::SimError;
@@ -101,6 +102,7 @@ pub use recovery::{Checkpoint, StateTransfer};
 pub use stats::ProcStats;
 pub use topology::{Topology, TopologyKind};
 pub use trace::{Timeline, TraceEvent};
+pub use transport::{Plain, Reliable, Transport};
 
 /// Floating-point scalar used for message payloads and matrix elements.
 ///
