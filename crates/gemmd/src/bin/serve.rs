@@ -29,6 +29,7 @@
 //! {"verb":"shutdown"}
 //! ```
 
+use std::io::Write;
 use std::net::TcpListener;
 use std::time::Instant;
 
@@ -97,6 +98,8 @@ fn main() {
     serve(&listener, &mut frontend, || {
         epoch.elapsed().as_secs_f64() * rate
     })
-    .expect("serve");
-    println!("gemmd-serve: shutdown requested, bye");
+    .expect("accept on the listening socket");
+    // Not `println!`: a supervisor that read the banner and closed the
+    // pipe must not turn a clean shutdown into a panic.
+    let _ = writeln!(std::io::stdout(), "gemmd-serve: shutdown requested, bye");
 }

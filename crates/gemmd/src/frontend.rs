@@ -27,9 +27,21 @@
 //! out.  Submissions are also validated before they touch the trace:
 //! `n` must be an integer in `1..=MAX_SUBMIT_N`, so a malformed or
 //! hostile client cannot wedge the replay loop with a multi-gigabyte
-//! GEMM.  The socket loop bounds request lines at [`MAX_LINE`] bytes
+//! GEMM.  Every other integer field (`id`, `priority`, `seed`) is
+//! checked the same way — integer-valued and inside its type's range,
+//! or a structured error — never cast, so `"id":-3` does not answer for
+//! job 0.  The socket loop bounds request lines at [`MAX_LINE`] bytes
 //! and drops clients that exceed it (the rest of their stream is
 //! mid-line garbage).
+//!
+//! **The socket edge.**  [`serve`] sets `TCP_NODELAY` on every accepted
+//! stream and sends each reply, newline included, with one `write_all`:
+//! a reply split over two small segments is held by Nagle until the
+//! client's delayed ACK fires, a 40 ms stall on a 60-byte line.
+//! Clients should likewise write a whole request line at once.  A
+//! connection that fails (reset, broken pipe, bytes that are not UTF-8)
+//! costs only that connection: the accept loop and the accepted trace
+//! go on.
 //!
 //! Determinism by **replay**: the front-end only accumulates the
 //! submitted [`JobSpec`]s (arrival times clamped monotone, so the
@@ -41,7 +53,7 @@
 //! nesting) because the build is offline and std-only.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 
 use mmsim::Machine;
 
@@ -87,6 +99,23 @@ fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
 
 fn num(obj: &str, key: &str) -> Option<f64> {
     field(obj, key)?.parse().ok()
+}
+
+/// Integer field `key`, validated against `T`'s range rather than cast
+/// into it: `Ok(None)` when the field is absent, `Err` when it is
+/// present but not an integer-valued number that `T` holds exactly.
+fn int<T: TryFrom<u128>>(obj: &str, key: &str) -> Result<Option<T>, ()> {
+    let Some(raw) = field(obj, key) else {
+        return Ok(None);
+    };
+    let x: f64 = raw.parse().map_err(|_| ())?;
+    // NaN and the infinities have a NaN fraction and fail here too.
+    if x.fract() != 0.0 || x < 0.0 {
+        return Err(());
+    }
+    // Exact for every non-negative integer-valued f64 below 2^128;
+    // larger ones saturate and then fail `try_from`.
+    T::try_from(x as u128).map(Some).map_err(|_| ())
 }
 
 fn err(detail: &str) -> String {
@@ -151,11 +180,15 @@ impl Frontend {
         if self.draining {
             return "{\"ok\":false,\"error\":\"draining\",\"backpressure\":true}".to_string();
         }
-        let Some(n) = num(line, "n")
-            .filter(|x| x.fract() == 0.0 && *x >= 1.0 && *x <= MAX_SUBMIT_N as f64)
-            .map(|x| x as usize)
-        else {
-            return err(&format!("submit needs an integer n in 1..={MAX_SUBMIT_N}"));
+        let n = match int::<usize>(line, "n") {
+            Ok(Some(n)) if (1..=MAX_SUBMIT_N).contains(&n) => n,
+            _ => return err(&format!("submit needs an integer n in 1..={MAX_SUBMIT_N}")),
+        };
+        let Ok(priority) = int::<u8>(line, "priority") else {
+            return err("priority must be an integer in 0..=255");
+        };
+        let Ok(seed) = int::<u64>(line, "seed") else {
+            return err("seed must be an integer in 0..2^64");
         };
         let floor = self.jobs.last().map_or(0.0, |j| j.arrival);
         let arrival = num(line, "arrival")
@@ -166,9 +199,8 @@ impl Frontend {
         let spec = JobSpec {
             n,
             arrival,
-            priority: num(line, "priority").map_or(0, |x| x as u8),
-            seed: num(line, "seed")
-                .map_or_else(|| detrng::mix(&[id as u64, n as u64]), |x| x as u64),
+            priority: priority.unwrap_or(0),
+            seed: seed.unwrap_or_else(|| detrng::mix(&[id as u64, n as u64])),
             deadline: num(line, "deadline"),
         };
         self.jobs.push(spec);
@@ -176,8 +208,8 @@ impl Frontend {
     }
 
     fn status(&self, line: &str) -> String {
-        let Some(id) = num(line, "id").map(|x| x as usize) else {
-            return err("status needs an id");
+        let Ok(Some(id)) = int::<usize>(line, "id") else {
+            return err("status needs a non-negative integer id");
         };
         if id >= self.jobs.len() {
             return err(&format!("unknown job {id}"));
@@ -253,49 +285,78 @@ impl Frontend {
 /// (requests interleave across reconnects; the trace persists).
 /// `now_fn` supplies the default arrival stamp for submissions without
 /// one — the binary maps wall-clock elapsed time onto the virtual
-/// clock here, keeping the core free of real time.  Request lines are
-/// bounded at [`MAX_LINE`] bytes; a client that exceeds the bound gets
-/// one structured error reply and is disconnected (the rest of its
-/// stream is the tail of the oversized line).  Returns after a
-/// `shutdown` verb.
+/// clock here, keeping the core free of real time.  Every accepted
+/// stream gets `TCP_NODELAY` and every reply leaves as one write (see
+/// the module doc).  Request lines are bounded at [`MAX_LINE`] bytes; a
+/// client that exceeds the bound gets one structured error reply and is
+/// disconnected (the rest of its stream is the tail of the oversized
+/// line).  A line that is not UTF-8 gets one structured error reply.
+/// Returns after a `shutdown` verb.
 ///
 /// # Errors
-/// Propagates socket I/O errors.
+/// Only a failing `accept` on `listener`.  An I/O error on an accepted
+/// connection (reset, broken pipe, a refused socket option) drops that
+/// connection and the loop accepts the next one.
 pub fn serve<F: FnMut() -> f64>(
     listener: &TcpListener,
     frontend: &mut Frontend,
     mut now_fn: F,
 ) -> std::io::Result<()> {
     for stream in listener.incoming() {
-        let stream = stream?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.by_ref().take(MAX_LINE).read_line(&mut line)? == 0 {
-                break; // client hung up; wait for the next one
-            }
-            if line.len() as u64 >= MAX_LINE && !line.ends_with('\n') {
-                writer.write_all(err("request line too long").as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                break; // drop the client; its stream is mid-line
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let (reply, shutdown) = frontend.handle(trimmed, now_fn());
-            writer.write_all(reply.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            if shutdown {
-                return Ok(());
-            }
+        // `Err` here is the client's failure, not the service's.
+        if let Ok(true) = converse(stream?, frontend, &mut now_fn) {
+            return Ok(());
         }
     }
     Ok(())
+}
+
+/// Answer one client until it hangs up (`Ok(false)`), its connection
+/// fails (`Err`) or it asks for shutdown (`Ok(true)`).
+fn converse<F: FnMut() -> f64>(
+    stream: TcpStream,
+    frontend: &mut Frontend,
+    now_fn: &mut F,
+) -> std::io::Result<bool> {
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader
+            .by_ref()
+            .take(MAX_LINE)
+            .read_until(b'\n', &mut line)?
+            == 0
+        {
+            return Ok(false);
+        }
+        if line.len() as u64 >= MAX_LINE && line.last() != Some(&b'\n') {
+            // Drop the client; its stream is mid-line.
+            writer.write_all(reply_line(err("request line too long")).as_bytes())?;
+            return Ok(false);
+        }
+        let (reply, shutdown) = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => continue,
+            Ok(request) => frontend.handle(request, now_fn()),
+            Err(_) => (err("request line is not valid UTF-8"), false),
+        };
+        let sent = writer.write_all(reply_line(reply).as_bytes());
+        if shutdown {
+            // The verb was received; a client that did not wait for its
+            // `bye` still stops the service.
+            return Ok(true);
+        }
+        sent?;
+    }
+}
+
+/// A reply and its newline in one buffer, so that it leaves in one
+/// write and one segment.
+fn reply_line(mut reply: String) -> String {
+    reply.push('\n');
+    reply
 }
 
 #[cfg(test)]
@@ -413,6 +474,52 @@ mod tests {
         // The boundary itself is accepted.
         let (reply, _) = fe.handle("{\"verb\":\"submit\",\"n\":4096}", 0.0);
         assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+
+    #[test]
+    fn integer_fields_are_validated_not_cast() {
+        let mut fe = frontend("fifo");
+        let _ = fe.handle("{\"verb\":\"submit\",\"n\":8}", 0.0);
+        // A saturating cast would answer every one of these for job 0.
+        for id in ["-3", "0.7", "NaN", "-inf", "1e300", "\"zero\""] {
+            let (reply, _) = fe.handle(&format!("{{\"verb\":\"status\",\"id\":{id}}}"), 0.0);
+            assert!(
+                reply.contains("\"ok\":false") && reply.contains("non-negative integer id"),
+                "id {id} -> {reply}"
+            );
+        }
+        let (reply, _) = fe.handle("{\"verb\":\"status\"}", 0.0);
+        assert!(reply.contains("non-negative integer id"), "{reply}");
+        for (field, bad) in [
+            ("priority", "300"),
+            ("priority", "-1"),
+            ("priority", "1.5"),
+            ("priority", "\"high\""),
+            ("seed", "-1"),
+            ("seed", "0.5"),
+            ("seed", "NaN"),
+            ("seed", "18446744073709551616"),
+        ] {
+            let (reply, _) = fe.handle(
+                &format!("{{\"verb\":\"submit\",\"n\":8,\"{field}\":{bad}}}"),
+                0.0,
+            );
+            assert!(
+                reply.contains("\"ok\":false") && reply.contains(&format!("{field} must be")),
+                "{field} {bad} -> {reply}"
+            );
+        }
+        assert_eq!(fe.jobs().len(), 1, "refused submits never enter the trace");
+        // In-range values arrive exactly, integer-valued floats included.
+        let (reply, _) = fe.handle(
+            "{\"verb\":\"submit\",\"n\":8.0,\"priority\":255,\"seed\":9007199254740993}",
+            0.0,
+        );
+        assert_eq!(reply, "{\"ok\":true,\"id\":1,\"arrival\":0.000,\"n\":8}");
+        assert_eq!(fe.jobs()[1].priority, 255);
+        assert_eq!(fe.jobs()[1].seed, 9_007_199_254_740_992, "the nearest f64");
+        let (reply, _) = fe.handle("{\"verb\":\"status\",\"id\":1.0}", 0.0);
+        assert!(reply.contains("\"id\":1,\"state\":\"done\""), "{reply}");
     }
 
     #[test]
