@@ -18,9 +18,6 @@ fn bench_kernels(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("ikj", n), &n, |bch, _| {
             bch.iter(|| black_box(kernel::matmul(&a, &b)));
         });
-        g.bench_with_input(BenchmarkId::new("blocked_t32", n), &n, |bch, _| {
-            bch.iter(|| black_box(kernel::matmul_blocked(&a, &b, 32)));
-        });
     }
 
     // The per-block accumulate primitive the simulated algorithms use.

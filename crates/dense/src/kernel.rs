@@ -1,9 +1,11 @@
 //! Serial matrix-multiplication kernels.
 //!
 //! All kernels compute the conventional triple-loop product; they differ
-//! only in loop order and tiling.  `C = A·B` for `A: m×k`, `B: k×n`
-//! performs `m·n·k` multiply–add pairs, i.e. `m·n·k` units of the
-//! paper's normalised work (`W = n³` for square `n×n` inputs).
+//! only in loop order and register blocking.  `C = A·B` for `A: m×k`,
+//! `B: k×n` performs `m·n·k` multiply–add pairs, i.e. `m·n·k` units of
+//! the paper's normalised work (`W = n³` for square `n×n` inputs).
+
+use std::ops::Range;
 
 use crate::matrix::Matrix;
 
@@ -56,10 +58,22 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
+/// Rows of C one register tile covers.
+const TILE_ROWS: usize = 4;
+/// Columns of C one register tile covers.
+const TILE_COLS: usize = 8;
+
 /// `C += A·B` on raw row-major slices, i-k-j order.
 ///
 /// This is the primitive the simulated algorithms use for local block
 /// updates (Cannon/Fox/GK all accumulate partial products in place).
+///
+/// Every C element receives `a[i][l] * b[l][j]` for ascending `l`, as a
+/// separate multiply and add (never fused), skipping the `l` where
+/// `a[i][l] == 0.0`: results are bit-identical to the plain i-k-j loop
+/// whichever path runs.  On an x86-64 host with AVX2, blocks of at least
+/// 4×8 take the register-tiled path (`accumulate_tiled_avx2`); every
+/// other block, host and target takes the row-pair loop.
 ///
 /// # Panics
 /// Panics on any shape mismatch.
@@ -79,20 +93,55 @@ pub fn matmul_accumulate(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let (av, bv) = (a.as_slice(), b.as_slice());
     let cv = c.as_mut_slice();
+    // Blocks smaller than one tile never reach the feature check.
+    #[cfg(target_arch = "x86_64")]
+    if m >= TILE_ROWS && n >= TILE_COLS && is_x86_feature_detected!("avx2") {
+        accumulate_tiled(cv, av, bv, m, k, n);
+        return;
+    }
+    accumulate_row_pairs(cv, av, bv, k, n, 0..m, 0..n);
+}
 
-    // Register-blocked over pairs of C rows: each row of B is streamed
-    // once per row *pair* instead of once per row, halving B traffic and
-    // giving the vectoriser two independent accumulator streams.  Every
-    // C element still receives exactly the same additions in the same
-    // ascending-k order (with the same per-row `aval == 0` skip) as the
-    // plain i-k-j loop, so results are bit-identical.
-    let mut i = 0;
-    while i + 1 < m {
+/// Out-of-line entry to the tiled path.  `#[cold]` is a layout hint only:
+/// it keeps the row-pair path above a straight fall-through, so tiny
+/// blocks pay nothing for the tile's existence; a tiled call does enough
+/// work to hide one extra jump.
+#[cfg(target_arch = "x86_64")]
+#[cold]
+#[inline(never)]
+fn accumulate_tiled(cv: &mut [f64], av: &[f64], bv: &[f64], m: usize, k: usize, n: usize) {
+    // SAFETY: the only caller has checked that the host supports AVX2.
+    unsafe { accumulate_tiled_avx2(cv, av, bv, m, k, n) };
+}
+
+/// `C[rows, cols] += A[rows, :]·B[:, cols]` for row-major `C: ·×n`,
+/// `A: ·×k`, `B: k×n`, register-blocked over pairs of C rows.
+///
+/// Each row of B is streamed once per row *pair* instead of once per
+/// row, halving B traffic and giving the vectoriser two independent
+/// accumulator streams.  Every C element still receives exactly the same
+/// additions in the same ascending-k order (with the same per-row
+/// `aval == 0` skip) as the plain i-k-j loop, so results are
+/// bit-identical.
+#[inline(always)]
+fn accumulate_row_pairs(
+    cv: &mut [f64],
+    av: &[f64],
+    bv: &[f64],
+    k: usize,
+    n: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    let (j0, j1) = (cols.start, cols.end);
+    let mut i = rows.start;
+    while i + 1 < rows.end {
         let (crow0, crow1) = cv[i * n..(i + 2) * n].split_at_mut(n);
+        let (crow0, crow1) = (&mut crow0[j0..j1], &mut crow1[j0..j1]);
         for l in 0..k {
             let a0 = av[i * k + l];
             let a1 = av[(i + 1) * k + l];
-            let brow = &bv[l * n..(l + 1) * n];
+            let brow = &bv[l * n + j0..l * n + j1];
             if a0 != 0.0 && a1 != 0.0 {
                 for ((c0, c1), bx) in crow0.iter_mut().zip(crow1.iter_mut()).zip(brow) {
                     *c0 += a0 * bx;
@@ -110,14 +159,14 @@ pub fn matmul_accumulate(c: &mut Matrix, a: &Matrix, b: &Matrix) {
         }
         i += 2;
     }
-    if i < m {
-        let crow = &mut cv[i * n..(i + 1) * n];
+    if i < rows.end {
+        let crow = &mut cv[i * n + j0..i * n + j1];
         for l in 0..k {
             let aval = av[i * k + l];
             if aval == 0.0 {
                 continue;
             }
-            let brow = &bv[l * n..(l + 1) * n];
+            let brow = &bv[l * n + j0..l * n + j1];
             for (cx, bx) in crow.iter_mut().zip(brow) {
                 *cx += aval * bx;
             }
@@ -125,46 +174,135 @@ pub fn matmul_accumulate(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     }
 }
 
-/// Tiled (blocked) product with square tiles of `tile` elements.
+/// [`matmul_accumulate`]'s fast path for `C: m×n += A: m×k · B: k×n`,
+/// compiled for AVX2 (and deliberately not FMA, which would round each
+/// multiply-add once instead of twice).
 ///
-/// For large `n` this keeps the working set in cache; it exists as the
-/// "tuned serial baseline" ablation for the benchmark harness.  Results
-/// can differ from [`matmul`] only by floating-point association order.
+/// C is covered by 4×8 register tiles: a tile keeps its 32 C values in
+/// registers for the whole `k` loop and streams one 8-wide row of B per
+/// `k`, instead of loading and storing C once per `k`.  A 4-row strip
+/// of A holding an exact zero, the columns past the last full 8 and the
+/// rows past the last full 4 go through [`accumulate_row_pairs`], so the
+/// zero skip and the ascending-`k` order are exactly the plain loop's.
+/// Correct for any shape; [`matmul_accumulate`] calls it only for blocks
+/// of at least one tile.
 ///
-/// # Panics
-/// Panics if `tile == 0` or on shape mismatch.
-#[must_use]
-pub fn matmul_blocked(a: &Matrix, b: &Matrix, tile: usize) -> Matrix {
-    assert!(tile > 0, "tile size must be positive");
-    check_shapes(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let cv = c.as_mut_slice();
-    for i0 in (0..m).step_by(tile) {
-        let imax = (i0 + tile).min(m);
-        for l0 in (0..k).step_by(tile) {
-            let lmax = (l0 + tile).min(k);
-            for j0 in (0..n).step_by(tile) {
-                let jmax = (j0 + tile).min(n);
-                for i in i0..imax {
-                    for l in l0..lmax {
-                        let aval = av[i * k + l];
-                        for j in j0..jmax {
-                            cv[i * n + j] += aval * bv[l * n + j];
-                        }
-                    }
-                }
+/// # Safety
+/// The host must support AVX2 (`is_x86_feature_detected!("avx2")`).
+/// The body itself is safe code: every index is bounds-checked.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn accumulate_tiled_avx2(
+    cv: &mut [f64],
+    av: &[f64],
+    bv: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let m4 = m - m % TILE_ROWS;
+    let n8 = n - n % TILE_COLS;
+    for i in (0..m4).step_by(TILE_ROWS) {
+        let strip = &av[i * k..(i + TILE_ROWS) * k];
+        if strip.contains(&0.0) {
+            row_pairs_outlined(cv, av, bv, k, n, i..i + TILE_ROWS, 0..n);
+            continue;
+        }
+        for j in (0..n8).step_by(TILE_COLS) {
+            accumulate_tile(cv, strip, bv, k, n, i, j);
+        }
+        if n8 < n {
+            row_pairs_outlined(cv, av, bv, k, n, i..i + TILE_ROWS, n8..n);
+        }
+    }
+    if m4 < m {
+        row_pairs_outlined(cv, av, bv, k, n, m4..m, 0..n);
+    }
+}
+
+/// [`accumulate_row_pairs`] as a function of its own, for the tiled
+/// path's fallbacks: compiled for the baseline target rather than inlined
+/// into the AVX2 function, it runs the short column remainders (1–7
+/// wide) faster than an AVX2 copy does.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+fn row_pairs_outlined(
+    cv: &mut [f64],
+    av: &[f64],
+    bv: &[f64],
+    k: usize,
+    n: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    accumulate_row_pairs(cv, av, bv, k, n, rows, cols);
+}
+
+/// One 4×8 tile of C at `(i, j)`: `C[i..i+4, j..j+8] += strip · B[:, j..j+8]`,
+/// where `strip` is rows `i..i+4` of A (no exact zeros).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn accumulate_tile(
+    cv: &mut [f64],
+    strip: &[f64],
+    bv: &[f64],
+    k: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+) {
+    let arows: [&[f64]; TILE_ROWS] = std::array::from_fn(|r| &strip[r * k..(r + 1) * k]);
+    let mut acc = [[0.0; TILE_COLS]; TILE_ROWS];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&cv[(i + r) * n + j..(i + r) * n + j + TILE_COLS]);
+    }
+    for l in 0..k {
+        let brow = &bv[l * n + j..l * n + j + TILE_COLS];
+        for (row, arow) in acc.iter_mut().zip(arows) {
+            let aval = arow[l];
+            for (cx, bx) in row.iter_mut().zip(brow) {
+                *cx += aval * bx;
             }
         }
     }
-    c
+    for (r, row) in acc.iter().enumerate() {
+        cv[(i + r) * n + j..(i + r) * n + j + TILE_COLS].copy_from_slice(row);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use proptest::prelude::*;
+
+    /// The plain i-k-j loop with the per-element zero skip: the
+    /// semantics every `matmul_accumulate` path must reproduce bit for
+    /// bit.
+    fn plain_ikj(c: &mut Matrix, a: &Matrix, b: &Matrix) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        for i in 0..m {
+            for l in 0..k {
+                let aval = a.as_slice()[i * k + l];
+                if aval == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    c.as_mut_slice()[i * n + j] += aval * b.as_slice()[l * n + j];
+                }
+            }
+        }
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: the payload a
+    /// NaN result carries is unspecified (it depends on operand order
+    /// inside one IEEE addition, which the compiler may commute).
+    fn same_bits(x: &Matrix, y: &Matrix) -> bool {
+        x.as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
+    }
 
     #[test]
     fn work_units_cubic() {
@@ -186,9 +324,7 @@ mod tests {
         let b = gen::random(7, 9, 43);
         let naive = matmul_naive(&a, &b);
         let fast = matmul(&a, &b);
-        let blocked = matmul_blocked(&a, &b, 4);
         assert!(naive.approx_eq(&fast, 1e-12));
-        assert!(naive.approx_eq(&blocked, 1e-12));
     }
 
     #[test]
@@ -228,38 +364,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile size must be positive")]
-    fn zero_tile_rejected() {
-        let a = Matrix::identity(2);
-        let _ = matmul_blocked(&a, &a, 0);
-    }
-
-    #[test]
-    fn blocked_handles_tile_larger_than_matrix() {
-        let a = gen::random(5, 5, 3);
-        let b = gen::random(5, 5, 4);
-        assert!(matmul_blocked(&a, &b, 64).approx_eq(&matmul(&a, &b), 1e-12));
-    }
-
-    #[test]
     fn accumulate_is_bit_identical_to_plain_ikj() {
         // The register-blocked kernel must reproduce the plain i-k-j
         // reference bit for bit — virtual-time golden files depend on
         // local results being deterministic across kernel revisions.
-        fn reference(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-            let (m, k, n) = (a.rows(), a.cols(), b.cols());
-            for i in 0..m {
-                for l in 0..k {
-                    let aval = a.as_slice()[i * k + l];
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    for j in 0..n {
-                        c.as_mut_slice()[i * n + j] += aval * b.as_slice()[l * n + j];
-                    }
-                }
-            }
-        }
         for (m, k, n, seed) in [(5, 7, 9, 1u64), (8, 8, 8, 2), (1, 4, 3, 3), (6, 1, 5, 4)] {
             let mut a = gen::random(m, k, seed);
             let b = gen::random(k, n, seed + 100);
@@ -272,17 +380,102 @@ mod tests {
             let mut fast = gen::random(m, n, seed + 200);
             let mut slow = fast.clone();
             matmul_accumulate(&mut fast, &a, &b);
-            reference(&mut slow, &a, &b);
+            plain_ikj(&mut slow, &a, &b);
             for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }
 
-    #[test]
-    fn blocked_handles_non_dividing_tile() {
-        let a = gen::random(7, 7, 5);
-        let b = gen::random(7, 7, 6);
-        assert!(matmul_blocked(&a, &b, 3).approx_eq(&matmul(&a, &b), 1e-12));
+    /// A block dimension: mostly 1..=40 (every tile remainder), now and
+    /// then one of the block sizes the ledger's large runs use.
+    fn dim() -> impl Strategy<Value = usize> {
+        (1usize..=46).prop_map(|d| match d {
+            41 | 42 => 64,
+            43 | 44 => 128,
+            45 | 46 => 192,
+            d => d,
+        })
+    }
+
+    /// One kernel input `(c, a, b)`.  `zeros` plants an exact zero in A
+    /// every `zeros` elements (0: none), `start_neg_zero` starts C at
+    /// `-0.0` instead of random values, and `specials` plants `+inf`,
+    /// `-inf` and NaN in B every `specials` elements (0: none) — where A
+    /// is zero they must be skipped, not multiplied.
+    fn case_input(
+        (m, k, n): (usize, usize, usize),
+        seed: u64,
+        zeros: usize,
+        start_neg_zero: bool,
+        specials: usize,
+    ) -> (Matrix, Matrix, Matrix) {
+        let mut a = gen::random(m, k, seed);
+        let mut b = gen::random(k, n, seed + 1);
+        let c = if start_neg_zero {
+            Matrix::from_fn(m, n, |_, _| -0.0)
+        } else {
+            gen::random(m, n, seed + 2)
+        };
+        if zeros > 0 {
+            for x in a
+                .as_mut_slice()
+                .iter_mut()
+                .skip(seed as usize % zeros)
+                .step_by(zeros)
+            {
+                *x = 0.0;
+            }
+        }
+        if specials > 0 {
+            let values = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            for (x, v) in b
+                .as_mut_slice()
+                .iter_mut()
+                .step_by(specials)
+                .zip(values.iter().cycle())
+            {
+                *x = *v;
+            }
+        }
+        (c, a, b)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn accumulate_matches_plain_ikj_bitwise(
+            shape in (dim(), dim(), dim()),
+            seed in 0u64..1000,
+            zeros in 0usize..40,
+            start_neg_zero in 0u32..2,
+            specials in 0usize..60,
+        ) {
+            // Half the cases without zeros (the tiles' own path), half
+            // with (strips falling back to the row-pair loop).
+            let zeros = if zeros < 20 { 0 } else { zeros - 17 };
+            let specials = if specials < 30 { 0 } else { specials - 27 };
+            let (c0, a, b) = case_input(shape, seed, zeros, start_neg_zero == 1, specials);
+            let mut want = c0.clone();
+            plain_ikj(&mut want, &a, &b);
+
+            let mut got = c0.clone();
+            matmul_accumulate(&mut got, &a, &b);
+            prop_assert!(same_bits(&got, &want), "matmul_accumulate {shape:?}");
+
+            // The tiled path directly, whatever the shape, so an AVX2
+            // host checks both paths on every case.
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                let (m, k, n) = shape;
+                let mut tiled = c0;
+                // SAFETY: the host supports AVX2, checked just above.
+                unsafe {
+                    accumulate_tiled_avx2(tiled.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
+                }
+                prop_assert!(same_bits(&tiled, &want), "accumulate_tiled_avx2 {shape:?}");
+            }
+        }
     }
 }

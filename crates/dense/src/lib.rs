@@ -7,9 +7,11 @@
 //! partitioning used to distribute matrices over processor meshes.
 //!
 //! The problem size of an `n×n` multiplication is `W = n³` unit
-//! operations, where one unit is a fused multiply–add; kernels report
-//! their work in those units so simulated efficiencies use exactly the
-//! paper's `W`.
+//! operations, where one unit is one multiply–add; kernels report their
+//! work in those units so simulated efficiencies use exactly the paper's
+//! `W`.  The kernels never fuse a unit: each is a multiply rounded, then
+//! an add rounded, so every product is bit-identical to the plain i-k-j
+//! loop on every host.
 
 pub mod block;
 pub mod gen;
@@ -17,5 +19,5 @@ pub mod kernel;
 pub mod matrix;
 
 pub use block::{BlockGrid, ColStrips, RowStrips};
-pub use kernel::{matmul, matmul_accumulate, matmul_blocked, matmul_naive, work_units};
+pub use kernel::{matmul, matmul_accumulate, matmul_naive, work_units};
 pub use matrix::Matrix;

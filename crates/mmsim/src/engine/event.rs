@@ -51,7 +51,7 @@ use crate::engine::error::install_quiet_control_panic_hook;
 use crate::engine::fiber;
 use crate::engine::message::{Message, Tag};
 use crate::engine::proc_ctx::{NetShared, Proc, RankStatus, RunShared};
-use crate::engine::{outcome_from_panic, Machine, ThreadOutcome};
+use crate::engine::{collect_outcomes, outcome_from_panic, Machine, ThreadOutcome};
 use crate::recovery::CkptRecord;
 use std::cmp::Reverse;
 
@@ -160,13 +160,15 @@ impl EventNet {
     /// Deliver a message into its destination's mailbox, waking the
     /// destination if it is parked on exactly this `(src, tag)`.
     ///
-    /// A terminated destination swallows the message, mirroring the
-    /// threaded engine's send-to-closed-inbox behaviour: the sender
-    /// already paid the injection cost and the traffic counters.
+    /// A dead or poisoned destination swallows the message, mirroring
+    /// the threaded engine's send-to-closed-inbox behaviour: the sender
+    /// already paid the injection cost and the traffic counters.  A
+    /// destination that returned normally keeps it, to be counted as
+    /// unreceived at run end like the threaded engine's open inbox.
     pub(crate) fn deliver(&self, msg: Message) {
         let (src, dst, tag) = (msg.src, msg.dst, msg.tag);
         let mut st = self.lock_state();
-        if st.status[dst] != RankStatus::Running {
+        if matches!(st.status[dst], RankStatus::Died | RankStatus::Poisoned) {
             return;
         }
         st.mailboxes[dst].push_back(msg);
@@ -267,8 +269,8 @@ impl EventNet {
             .collect()
     }
 
-    /// Count and discard `rank`'s unmatched messages at closure end
-    /// (the event-side mirror of the final channel drain).
+    /// Count and discard `rank`'s unmatched messages at run end (the
+    /// event-side mirror of the final channel drain).
     pub(crate) fn drain_unreceived(&self, rank: usize) -> u64 {
         let mut st = self.lock_state();
         let n = st.mailboxes[rank].len() as u64;
@@ -377,19 +379,5 @@ where
     }
     debug_assert!(fibers.iter().all(fiber::Fiber::finished));
     drop(fibers);
-
-    let ckpts = shared
-        .ckpt_log
-        .iter()
-        .map(|slot| slot.lock().expect("checkpoint log slot poisoned").take())
-        .collect();
-    let outcomes = outcomes
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("outcome slot poisoned")
-                .expect("every rank reports exactly once")
-        })
-        .collect();
-    (outcomes, ckpts)
+    collect_outcomes(&shared, outcomes)
 }

@@ -10,7 +10,7 @@ pub mod payload;
 pub(crate) mod pool;
 pub mod proc_ctx;
 
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::cost::CostModel;
@@ -397,7 +397,12 @@ impl Machine {
     {
         let p = self.p();
         crate::engine::error::install_quiet_control_panic_hook();
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| channel::<Envelope>()).unzip();
+        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..p)
+            .map(|_| {
+                let (sender, inbox) = channel::<Envelope>();
+                (sender, Mutex::new(Some(inbox)))
+            })
+            .unzip();
         // Everything run-wide lives behind one Arc built once, instead
         // of per-rank clones of the topology and friends.
         let shared = Arc::new(RunShared {
@@ -406,6 +411,7 @@ impl Machine {
             net: NetShared::Threaded {
                 senders,
                 board: StatusBoard::new(p),
+                inboxes,
             },
             recv_timeout: self.recv_timeout,
             fault: self.fault.clone(),
@@ -417,12 +423,13 @@ impl Machine {
         // Receivers are `Send` but not `Sync`, so each rank's worker
         // takes its inbox out of a mutexed slot; outcomes travel back
         // the same way.
-        let inboxes: Vec<Mutex<Option<Receiver<Envelope>>>> =
-            receivers.into_iter().map(|r| Mutex::new(Some(r))).collect();
         let outcomes: Vec<Mutex<Option<ThreadOutcome<T>>>> =
             (0..p).map(|_| Mutex::new(None)).collect();
 
         let job = |rank: usize| {
+            let NetShared::Threaded { inboxes, .. } = &shared.net else {
+                unreachable!("threaded execute built a threaded net")
+            };
             let inbox = inboxes[rank]
                 .lock()
                 .expect("inbox slot poisoned")
@@ -434,21 +441,8 @@ impl Machine {
                 Some(outcome_from_panic(rank, outcome, &shared, proc));
         };
         pool::run_on_pool(p, &job);
-
-        let ckpts = shared
-            .ckpt_log
-            .iter()
-            .map(|slot| slot.lock().expect("checkpoint log slot poisoned").take())
-            .collect();
-        let outcomes = outcomes
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("outcome slot poisoned")
-                    .expect("every rank reports exactly once")
-            })
-            .collect();
-        (outcomes, ckpts)
+        // Past the pool's latch: every rank has returned.
+        collect_outcomes(&shared, outcomes)
     }
 
     /// Build the report once every outcome is known to be `Ok`.
@@ -857,6 +851,37 @@ fn outcome_from_panic<T>(
             Err(payload)
         }
     }
+}
+
+/// Shared run-end epilogue of both engines, called once every rank has
+/// returned: each rank's outcome and last checkpoint record in rank
+/// order, with the messages still addressed to a finished rank added to
+/// its `unreceived` count (see [`RunShared::drain_unreceived`]).
+#[allow(clippy::type_complexity)]
+fn collect_outcomes<T>(
+    shared: &RunShared,
+    slots: Vec<Mutex<Option<ThreadOutcome<T>>>>,
+) -> (Vec<ThreadOutcome<T>>, Vec<Option<CkptRecord>>) {
+    let ckpts = shared
+        .ckpt_log
+        .iter()
+        .map(|slot| slot.lock().expect("checkpoint log slot poisoned").take())
+        .collect();
+    let outcomes = slots
+        .into_iter()
+        .enumerate()
+        .map(|(rank, slot)| {
+            let mut outcome = slot
+                .into_inner()
+                .expect("outcome slot poisoned")
+                .expect("every rank reports exactly once");
+            if let Ok((_, stats, _)) = &mut outcome {
+                stats.unreceived += shared.drain_unreceived(rank);
+            }
+            outcome
+        })
+        .collect();
+    (outcomes, ckpts)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -117,6 +117,12 @@ pub(crate) enum NetShared {
     Threaded {
         senders: Vec<Sender<Envelope>>,
         board: StatusBoard,
+        /// Each rank's inbox while no `Proc` holds it: before its rank
+        /// starts, and from its normal return until the run-end count
+        /// (`RunShared::drain_unreceived`).  A slot left empty by a rank
+        /// that died or panicked closes its channel, so later sends to
+        /// it are swallowed.
+        inboxes: Vec<Mutex<Option<Receiver<Envelope>>>>,
     },
     /// Fiber-per-rank event scheduler (see [`crate::engine::event`]):
     /// per-rank mailboxes + a virtual-time ready queue.
@@ -155,7 +161,7 @@ impl RunShared {
     /// trivially.
     pub(crate) fn announce_termination(&self, rank: usize, status: RankStatus) {
         match &self.net {
-            NetShared::Threaded { senders, board } => {
+            NetShared::Threaded { senders, board, .. } => {
                 board.status[rank].store(status as u8, Ordering::SeqCst);
                 board.terminated.fetch_add(1, Ordering::SeqCst);
                 for (peer, sender) in senders.iter().enumerate() {
@@ -167,6 +173,29 @@ impl RunShared {
                 }
             }
             NetShared::Event(net) => net.announce(rank, status),
+        }
+    }
+
+    /// Count and discard the application messages still addressed to
+    /// `rank` once every rank has returned.  Counting at run end rather
+    /// than at the rank's own return is what makes the count a function
+    /// of the program: a peer's send that lands after `rank` returned is
+    /// counted whichever order the host ran the two in.
+    pub(crate) fn drain_unreceived(&self, rank: usize) -> u64 {
+        match &self.net {
+            NetShared::Threaded { inboxes, .. } => inboxes[rank]
+                .lock()
+                .expect("inbox slot poisoned")
+                .take()
+                .map_or(0, |inbox| {
+                    // Spurious Wake control signals are the engine's
+                    // business, not unreceived messages.
+                    inbox
+                        .try_iter()
+                        .filter(|envelope| matches!(envelope, Envelope::App(_)))
+                        .count() as u64
+                }),
+            NetShared::Event(net) => net.drain_unreceived(rank),
         }
     }
 }
@@ -1167,28 +1196,19 @@ impl Proc {
         &self.stats
     }
 
+    /// Final accounting of a rank that returned normally.  `unreceived`
+    /// holds only the messages this rank took off its channel and never
+    /// matched; what is still in flight to it is added once every rank
+    /// has returned ([`RunShared::drain_unreceived`]), so the threaded
+    /// inbox goes back to its slot and stays open for late senders.
     pub(crate) fn into_final_parts(mut self) -> (ProcStats, Timeline) {
         self.stats.clock = self.clock;
-        let mut unreceived = self.pending.len() as u64;
-        match (&self.port, &self.shared.net) {
-            // Drain leftover envelopes, counting only application
-            // messages (spurious Wake control signals are the engine's
-            // business).
-            (Port::Threaded(inbox), _) => {
-                while let Ok(envelope) = inbox.try_recv() {
-                    if matches!(envelope, Envelope::App(_)) {
-                        unreceived += 1;
-                    }
-                }
-            }
-            (Port::Event, NetShared::Event(net)) => {
-                unreceived += net.drain_unreceived(self.rank);
-            }
-            (Port::Event, NetShared::Threaded { .. }) => {
-                unreachable!("event processor on a threaded machine")
-            }
+        self.stats.unreceived = self.pending.len() as u64;
+        if let (Port::Threaded(inbox), NetShared::Threaded { inboxes, .. }) =
+            (self.port, &self.shared.net)
+        {
+            *inboxes[self.rank].lock().expect("inbox slot poisoned") = Some(inbox);
         }
-        self.stats.unreceived = unreceived;
         (self.stats, self.timeline.unwrap_or_default())
     }
 }

@@ -35,7 +35,7 @@
 //! Every processor carries a virtual clock:
 //!
 //! * [`Proc::compute`] advances the clock by the given number of work
-//!   units (1 unit = one fused multiply–add, the paper's normalisation);
+//!   units (1 unit = one multiply–add, the paper's normalisation);
 //! * [`Proc::send`] advances the *sender* by the message cost and stamps
 //!   the message with its arrival time at the destination;
 //! * [`Proc::recv`] advances the *receiver* to

@@ -24,8 +24,10 @@ pub struct ProcStats {
     pub msgs_received: u64,
     /// Total hops traversed by sent messages.
     pub hops_traversed: u64,
-    /// Messages that were still undelivered/unmatched when the processor
-    /// finished — nonzero values indicate a sloppy algorithm.
+    /// Messages addressed to this processor that it never matched,
+    /// counted when the whole run ends (so a send that lands after this
+    /// processor returned counts too) — nonzero values indicate a sloppy
+    /// algorithm.
     pub unreceived: u64,
     /// Reliable-protocol retransmission attempts (dropped or corrupted
     /// frames that had to be resent).  Zero on fault-free runs.

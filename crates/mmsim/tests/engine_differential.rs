@@ -318,3 +318,46 @@ fn unreceived_accounting_is_equal() {
         }
     });
 }
+
+/// A send that lands after its destination returned still counts as
+/// unreceived, on both engines.  Rank 0 sleeps between its sends, so on
+/// the threaded engine rank 1 has returned long before tag 2 arrives;
+/// the event engine runs rank 0 to completion first.  Either way rank 1
+/// leaves tags 0 and 2 unreceived.  The sleep does not make the test
+/// pass (any interleaving must report 2); it makes an engine that counts
+/// at the rank's own return fail instead of passing by luck.
+#[test]
+fn late_send_to_a_returned_rank_is_counted() {
+    let machine = Machine::new(Topology::fully_connected(2), cost());
+    for engine in [EngineKind::Threaded, EngineKind::Event] {
+        let report = machine.clone().with_engine(engine).run(|proc| {
+            if proc.rank() == 0 {
+                proc.send(1, 0, vec![1.0]);
+                proc.send(1, 1, vec![2.0]);
+                std::thread::sleep(Duration::from_millis(20));
+                proc.send(1, 2, vec![3.0]);
+            } else {
+                proc.recv(0, 1);
+            }
+        });
+        assert_eq!(report.stats[1].unreceived, 2, "{engine:?}");
+        assert_eq!(report.stats[0].unreceived, 0, "{engine:?}");
+    }
+}
+
+/// The mirror ordering: the receiving rank 0 returns first on both
+/// engines (the event engine runs it first, rank order), and rank 1's
+/// send after a host sleep still counts against rank 0.
+#[test]
+fn send_after_the_destination_returned_is_counted() {
+    let machine = Machine::new(Topology::fully_connected(2), cost());
+    for engine in [EngineKind::Threaded, EngineKind::Event] {
+        let report = machine.clone().with_engine(engine).run(|proc| {
+            if proc.rank() == 1 {
+                std::thread::sleep(Duration::from_millis(20));
+                proc.send(0, 5, vec![1.0]);
+            }
+        });
+        assert_eq!(report.stats[0].unreceived, 1, "{engine:?}");
+    }
+}
