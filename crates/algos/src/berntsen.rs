@@ -36,7 +36,7 @@ use dense::{kernel, BlockGrid, ColStrips, Matrix, RowStrips};
 use mmsim::{Machine, Plain};
 
 use crate::cannon::{cannon_core, MeshView};
-use crate::common::{check_square_operands, exact_cbrt_pow2, AlgoError, SimOutcome};
+use crate::common::{check_square_operands, exact_cbrt_pow2, run_lending, AlgoError, SimOutcome};
 use collectives::{reduce_scatter_sum, Group};
 
 /// Check applicability: `p = 2^{3q}`, `p ≤ n^{3/2}`, and `p^{2/3} | n`;
@@ -96,7 +96,7 @@ pub fn berntsen(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome,
             .collect(),
     );
 
-    let report = machine.run(|proc| {
+    let report = run_lending::<Plain, _>(machine, |proc| {
         let rank = proc.rank();
         let l = rank / (s * s);
         let local = rank % (s * s);
@@ -111,7 +111,7 @@ pub fn berntsen(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome,
         // Sum across subcubes: group of the s corresponding processors.
         let group = Group::new(proc, (0..s).map(|m| m * s * s + local).collect());
         reduce_scatter_sum(proc, &group, 8, c_partial.into_vec())
-    });
+    })?;
 
     // Reassemble: processor (l; u, v) holds rows [l·(n/s²), (l+1)·(n/s²))
     // of C mesh-block (u, v).

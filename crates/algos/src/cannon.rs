@@ -34,7 +34,9 @@ use dense::{kernel, BlockGrid, Matrix};
 use mmsim::engine::message::tag;
 use mmsim::{Checkpoint, Machine, Plain, Proc, Transport};
 
-use crate::common::{check_square_operands, exact_sqrt, phase_state, AlgoError, SimOutcome};
+use crate::common::{
+    check_square_operands, exact_sqrt, phase_state, run_lending, AlgoError, SimOutcome,
+};
 
 /// How a [`MeshView`]'s coordinates map to machine ranks.
 enum MeshLayout {
@@ -254,7 +256,7 @@ pub(crate) fn cannon_on<X: Transport>(
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = X::run(machine, |proc| {
+    let report = run_lending::<X, _>(machine, |proc| {
         let mesh = MeshView::contiguous(proc, 0, q);
         let a0 = ga.block_by_rank(proc.rank()).clone();
         let b0 = gb.block_by_rank(proc.rank()).clone();
@@ -285,14 +287,14 @@ pub fn cannon_gray(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutco
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = machine.run(|proc| {
+    let report = run_lending::<Plain, _>(machine, |proc| {
         let mesh = MeshView::gray_embedded(proc, q);
         let (i, j) = (mesh.my_row, mesh.my_col);
         let a0 = ga.block(i, j).clone();
         let b0 = gb.block(i, j).clone();
         let c = cannon_core::<Plain>(proc, &mesh, a0, b0, 0);
         (i, j, c)
-    });
+    })?;
     // Results arrive in rank order; place each block by its mesh coords.
     let mut blocks = vec![Matrix::zeros(n / q, n / q); q * q];
     for (i, j, c) in &report.results {

@@ -1,8 +1,9 @@
 //! Shared infrastructure for the parallel algorithms: outcome type,
-//! applicability errors, and mesh bookkeeping.
+//! applicability errors, the run entry that lends idle host cores to the
+//! kernel, and mesh bookkeeping.
 
 use dense::{kernel, Matrix};
-use mmsim::{ProcStats, RunReport};
+use mmsim::{Machine, Proc, ProcStats, RunReport, SimError, Transport};
 
 /// Why an algorithm cannot run on a given `(n, p)` combination, or —
 /// for the fault-tolerant variants — why a simulation did not complete.
@@ -148,6 +149,23 @@ impl SimOutcome {
     pub fn total_words(&self) -> u64 {
         self.stats.iter().map(|s| s.words_sent).sum()
     }
+}
+
+/// Run a schedule's rank closure `f` on `machine` over transport `X`,
+/// lending the calling thread's idle host cores to the ranks' large
+/// kernel calls ([`dense::with_idle_cores`]).
+///
+/// The event engine runs every rank on the calling thread, one at a
+/// time, so its ranks multiply with the whole host.  The threaded
+/// engine runs its ranks on pool threads, which do not lend, so it
+/// never oversubscribes the host; only at `p = 1` does it run the rank
+/// on the calling thread, with the other cores idle.  The split kernel
+/// is bit-identical to the serial one, so nothing a run reports moves.
+pub(crate) fn run_lending<X: Transport, T: Send>(
+    machine: &Machine,
+    f: impl Fn(&mut Proc) -> T + Sync,
+) -> Result<RunReport<T>, SimError> {
+    dense::with_idle_cores(|| X::run(machine, f))
 }
 
 /// Validate that `a` and `b` are square, equal-sized, and nonempty;

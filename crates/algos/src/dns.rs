@@ -30,7 +30,7 @@ use dense::{BlockGrid, Matrix};
 use mmsim::{Checkpoint, Machine, Plain, Transport};
 
 use crate::cannon::{cannon_core, MeshView};
-use crate::common::{check_square_operands, AlgoError, SimOutcome};
+use crate::common::{check_square_operands, run_lending, AlgoError, SimOutcome};
 use crate::gk::route_along_i;
 use collectives::{broadcast_on, reduce_sum_on, Group};
 
@@ -97,7 +97,7 @@ pub(crate) fn dns_block_on<X: Transport>(
     let ga = Arc::new(BlockGrid::split(a, r, r));
     let gb = Arc::new(BlockGrid::split(b, r, r));
 
-    let report = X::run(machine, |proc| {
+    let report = run_lending::<X, _>(machine, |proc| {
         let rank = proc.rank();
         let (sp, local) = (rank / (m * m), rank % (m * m));
         let (i, jk) = (sp / (r * r), sp % (r * r));

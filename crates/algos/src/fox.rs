@@ -31,7 +31,9 @@ use dense::{kernel, BlockGrid, Matrix};
 use mmsim::engine::message::tag;
 use mmsim::{Checkpoint, Machine, Plain, Transport};
 
-use crate::common::{check_square_operands, exact_sqrt, phase_state, AlgoError, SimOutcome};
+use crate::common::{
+    check_square_operands, exact_sqrt, phase_state, run_lending, AlgoError, SimOutcome,
+};
 use collectives::{broadcast_on, Group};
 
 /// Check applicability: same mesh requirement as Cannon.
@@ -79,7 +81,7 @@ pub(crate) fn fox_tree_on<X: Transport>(
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = X::run(machine, |proc| {
+    let report = run_lending::<X, _>(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         let row_group = Group::new(proc, (0..q).map(|c| i * q + c).collect());
@@ -164,7 +166,7 @@ pub(crate) fn fox_pipelined_on<X: Transport>(
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = X::run(machine, |proc| {
+    let report = run_lending::<X, _>(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         let east = i * q + (j + 1) % q;

@@ -37,7 +37,9 @@ use dense::{kernel, BlockGrid, Matrix};
 use mmsim::engine::message::tag;
 use mmsim::{Checkpoint, Machine, Payload, Plain, Proc, TopologyKind, Transport};
 
-use crate::common::{check_square_operands, exact_cbrt_pow2, phase_state, AlgoError, SimOutcome};
+use crate::common::{
+    check_square_operands, exact_cbrt_pow2, phase_state, run_lending, AlgoError, SimOutcome,
+};
 use collectives::{broadcast_on, reduce_sum_on, Group};
 
 /// Check applicability: `p = 2^{3q}` and `p^{1/3} | n`; returns the cube
@@ -164,7 +166,7 @@ pub(crate) fn gk_on<X: Transport>(
 
     let ga = Arc::new(BlockGrid::split(a, s, s));
     let gb = Arc::new(BlockGrid::split(b, s, s));
-    let report = X::run(machine, |proc| {
+    let report = run_lending::<X, _>(machine, |proc| {
         let rank = proc.rank();
         let (i, jk) = (rank / (s * s), rank % (s * s));
         let (j, k) = (jk / s, jk % s);
@@ -279,7 +281,7 @@ pub fn gk_improved(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutco
 
     let ga = Arc::new(BlockGrid::split(a, s, s));
     let gb = Arc::new(BlockGrid::split(b, s, s));
-    let report = machine.run(|proc| {
+    let report = run_lending::<Plain, _>(machine, |proc| {
         let rank = proc.rank();
         let (i, jk) = (rank / (s * s), rank % (s * s));
         let (j, k) = (jk / s, jk % s);
@@ -319,7 +321,7 @@ pub fn gk_improved(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutco
         let piece = collectives::reduce_scatter_sum(proc, &r_group, 6, c.into_vec());
         collectives::gather(proc, &r_group, 7, 0, piece)
             .map(|pieces| pieces.into_iter().flatten().collect::<Vec<f64>>())
-    });
+    })?;
 
     let blocks: Vec<Matrix> = report.results[..s * s]
         .iter()

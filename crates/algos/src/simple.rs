@@ -27,9 +27,9 @@
 use std::sync::Arc;
 
 use dense::{kernel, BlockGrid, Matrix};
-use mmsim::{Machine, Proc};
+use mmsim::{Machine, Plain, Proc};
 
-use crate::common::{check_square_operands, exact_sqrt, AlgoError, SimOutcome};
+use crate::common::{check_square_operands, exact_sqrt, run_lending, AlgoError, SimOutcome};
 use collectives::{allgather_hypercube, allgather_ring, Group};
 
 /// Check applicability: same mesh requirement as Cannon.
@@ -71,7 +71,7 @@ pub fn simple(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, A
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = machine.run(|proc| {
+    let report = run_lending::<Plain, _>(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         // Row group (fixed i) for A; column group (fixed j) for B.
@@ -99,7 +99,7 @@ pub fn simple(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, A
             kernel::matmul_accumulate(&mut c, &ak, &bk);
         }
         c
-    });
+    })?;
     let c = BlockGrid::assemble_from(&report.results, q, q);
     Ok(SimOutcome::from_report(&report, c, n))
 }

@@ -6,7 +6,9 @@
 //! the paper's normalised work (`W = n³` for square `n×n` inputs).
 
 use std::ops::Range;
+use std::sync::Mutex;
 
+use crate::lend;
 use crate::matrix::Matrix;
 
 /// The paper's problem size `W` for multiplying `m×k` by `k×n`:
@@ -63,6 +65,17 @@ const TILE_ROWS: usize = 4;
 /// Columns of C one register tile covers.
 const TILE_COLS: usize = 8;
 
+/// Fewest multiply-adds, and fewest rows of C, a lending thread splits
+/// across helper threads.  Below it a split cannot pay: on 2 vCPUs with
+/// AVX2 a 64³ call (2^18) takes ~16 µs on one core, and waking a parked
+/// helper takes 8–15 µs.  Splitting the 128³ calls (2^21) took the
+/// event engine's Cannon at p = 16, n = 512 from 14.6–14.9 ms to
+/// 6.6–7.7 ms (retained heap included).
+const SPLIT_MIN_WORK: usize = 1 << 20;
+const SPLIT_MIN_ROWS: usize = 8;
+/// Chunks a split call cuts C's rows into.
+pub(crate) const SPLIT_CHUNKS: usize = 8;
+
 /// `C += A·B` on raw row-major slices, i-k-j order.
 ///
 /// This is the primitive the simulated algorithms use for local block
@@ -73,7 +86,10 @@ const TILE_COLS: usize = 8;
 /// `a[i][l] == 0.0`: results are bit-identical to the plain i-k-j loop
 /// whichever path runs.  On an x86-64 host with AVX2, blocks of at least
 /// 4×8 take the register-tiled path (`accumulate_tiled_avx2`); every
-/// other block, host and target takes the row-pair loop.
+/// other block, host and target takes the row-pair loop.  Inside
+/// [`with_idle_cores`](crate::with_idle_cores), calls of at least 2^20
+/// multiply-adds and 8 rows split C's rows across helper threads
+/// (`accumulate_split`), each chunk taking the same path on its rows.
 ///
 /// # Panics
 /// Panics on any shape mismatch.
@@ -93,6 +109,20 @@ pub fn matmul_accumulate(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let (av, bv) = (a.as_slice(), b.as_slice());
     let cv = c.as_mut_slice();
+    if m >= SPLIT_MIN_ROWS
+        && m.saturating_mul(k).saturating_mul(n) >= SPLIT_MIN_WORK
+        && lend::lending()
+    {
+        accumulate_split(cv, av, bv, m, k, n);
+        return;
+    }
+    accumulate_serial(cv, av, bv, m, k, n);
+}
+
+/// `C: m×n += A: m×k · B: k×n` on the calling thread: the tile where it
+/// fits, the row-pair loop otherwise.
+#[inline(always)]
+fn accumulate_serial(cv: &mut [f64], av: &[f64], bv: &[f64], m: usize, k: usize, n: usize) {
     // Blocks smaller than one tile never reach the feature check.
     #[cfg(target_arch = "x86_64")]
     if m >= TILE_ROWS && n >= TILE_COLS && is_x86_feature_detected!("avx2") {
@@ -100,6 +130,33 @@ pub fn matmul_accumulate(c: &mut Matrix, a: &Matrix, b: &Matrix) {
         return;
     }
     accumulate_row_pairs(cv, av, bv, k, n, 0..m, 0..n);
+}
+
+/// [`accumulate_serial`] over chunks of C's rows, shared with whichever
+/// helper threads are free (see `lend`).  A chunk is a multiple of the
+/// tile's 4 rows (the last one may be shorter), and rows are independent:
+/// each C element is still computed by one thread, in ascending `l`, so
+/// the result is bit-identical to the serial call for any shape.
+#[cold]
+#[inline(never)]
+fn accumulate_split(cv: &mut [f64], av: &[f64], bv: &[f64], m: usize, k: usize, n: usize) {
+    let rows = m.div_ceil(SPLIT_CHUNKS).next_multiple_of(TILE_ROWS);
+    if rows * n == 0 {
+        return; // C is empty
+    }
+    let mut strips = cv.chunks_mut(rows * n);
+    let parts: [Mutex<Option<&mut [f64]>>; SPLIT_CHUNKS] =
+        std::array::from_fn(|_| Mutex::new(strips.next()));
+    lend::split(m.div_ceil(rows), &|i| {
+        let c = parts[i]
+            .lock()
+            .expect("chunk slot poisoned")
+            .take()
+            .expect("each chunk runs once");
+        let mi = c.len() / n;
+        let a = &av[i * rows * k..(i * rows + mi) * k];
+        accumulate_serial(c, a, bv, mi, k, n);
+    });
 }
 
 /// Out-of-line entry to the tiled path.  `#[cold]` is a layout hint only:
@@ -469,13 +526,79 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             if is_x86_feature_detected!("avx2") {
                 let (m, k, n) = shape;
-                let mut tiled = c0;
+                let mut tiled = c0.clone();
                 // SAFETY: the host supports AVX2, checked just above.
                 unsafe {
                     accumulate_tiled_avx2(tiled.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
                 }
                 prop_assert!(same_bits(&tiled, &want), "accumulate_tiled_avx2 {shape:?}");
             }
+
+            // The split path directly, whatever the shape, so every case
+            // is cut into chunks, not only those above the threshold.
+            let (m, k, n) = shape;
+            let mut split = c0;
+            crate::with_idle_cores(|| {
+                accumulate_split(split.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
+            });
+            prop_assert!(same_bits(&split, &want), "accumulate_split {shape:?}");
         }
+    }
+
+    #[test]
+    fn concurrent_lenders_are_bit_identical() {
+        // Two lenders at once: one holds the helpers, the other must
+        // fall back to running its chunks alone — neither may wait on
+        // the other or see its chunks.  Released by one barrier per
+        // round, the two calls reach the pool microseconds apart, and a
+        // call lasts about a millisecond, so rounds collide.
+        let n = 192;
+        let a = gen::random(n, n, 1);
+        let b = gen::random(n, n, 2);
+        let c0 = gen::random(n, n, 3);
+        let mut want = c0.clone();
+        plain_ikj(&mut want, &a, &b);
+        let barrier = std::sync::Barrier::new(2);
+        let side = || {
+            crate::with_idle_cores(|| {
+                let before = lend::BUSY_FALLBACKS.with(std::cell::Cell::get);
+                for _ in 0..20 {
+                    barrier.wait();
+                    let mut got = c0.clone();
+                    matmul_accumulate(&mut got, &a, &b);
+                    assert!(same_bits(&got, &want), "lent product diverges");
+                }
+                lend::BUSY_FALLBACKS.with(std::cell::Cell::get) - before
+            })
+        };
+        let twenty_rounds = || {
+            std::thread::scope(|s| {
+                let one = s.spawn(side);
+                let two = s.spawn(side);
+                one.join().unwrap() + two.join().unwrap()
+            })
+        };
+        // A host descheduling one side through all twenty rounds gets
+        // more rounds, not a failure.
+        let collided = (0..10).any(|_| twenty_rounds() > 0);
+        assert!(collided, "no call was forced onto the serial fallback");
+    }
+
+    #[test]
+    fn idle_cores_flag_is_restored_after_a_panic() {
+        assert!(!lend::lending());
+        let caught = std::panic::catch_unwind(|| {
+            crate::with_idle_cores(|| {
+                assert!(lend::lending());
+                panic!("inside the lending scope");
+            })
+        });
+        assert!(caught.is_err());
+        assert!(!lend::lending(), "the flag outlived its scope");
+        // Nested scopes restore the enclosing setting, not `false`.
+        crate::with_idle_cores(|| {
+            let _ = std::panic::catch_unwind(|| crate::with_idle_cores(|| panic!("nested")));
+            assert!(lend::lending());
+        });
     }
 }

@@ -11,13 +11,17 @@
 //! work in those units so simulated efficiencies use exactly the paper's
 //! `W`.  The kernels never fuse a unit: each is a multiply rounded, then
 //! an add rounded, so every product is bit-identical to the plain i-k-j
-//! loop on every host.
+//! loop on every host.  A thread with idle host cores to spare lends
+//! them to large kernel calls through [`with_idle_cores`]; the split
+//! changes no bit of the product.
 
 pub mod block;
 pub mod gen;
 pub mod kernel;
+mod lend;
 pub mod matrix;
 
 pub use block::{BlockGrid, ColStrips, RowStrips};
 pub use kernel::{matmul, matmul_accumulate, matmul_naive, work_units};
+pub use lend::with_idle_cores;
 pub use matrix::Matrix;

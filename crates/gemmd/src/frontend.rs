@@ -84,11 +84,21 @@ pub struct Frontend {
 
 /// Value of a flat JSON field: the raw slice for numbers/booleans, the
 /// unquoted content for strings.  Good enough for this protocol —
-/// values never contain escapes, commas or nesting.
+/// values never contain escapes, commas or nesting.  The key matches
+/// only where a key can stand (after `{` or `,`, before `:`), so a
+/// string value that spells a key name never shadows the real field.
 fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\"");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
+    let mut from = 0;
+    let rest = loop {
+        let at = from + obj[from..].find(&pat)?;
+        from = at + pat.len();
+        if obj[..at].trim_end().ends_with(['{', ',']) {
+            if let Some(rest) = obj[from..].trim_start().strip_prefix(':') {
+                break rest.trim_start();
+            }
+        }
+    };
     if let Some(s) = rest.strip_prefix('"') {
         s.find('"').map(|end| &s[..end])
     } else {
@@ -104,19 +114,30 @@ fn num(obj: &str, key: &str) -> Option<f64> {
 /// Integer field `key`, validated against `T`'s range rather than cast
 /// into it: `Ok(None)` when the field is absent, `Err` when it is
 /// present but not an integer-valued number that `T` holds exactly.
+///
+/// An integer literal is parsed exactly.  Any other number (`16.0`,
+/// `1e3`) goes through `f64` and is accepted only below 2^53, where
+/// every integer is a distinct `f64`, so no value is silently rounded.
 fn int<T: TryFrom<u128>>(obj: &str, key: &str) -> Result<Option<T>, ()> {
     let Some(raw) = field(obj, key) else {
         return Ok(None);
     };
-    let x: f64 = raw.parse().map_err(|_| ())?;
-    // NaN and the infinities have a NaN fraction and fail here too.
-    if x.fract() != 0.0 || x < 0.0 {
-        return Err(());
-    }
-    // Exact for every non-negative integer-valued f64 below 2^128;
-    // larger ones saturate and then fail `try_from`.
-    T::try_from(x as u128).map(Some).map_err(|_| ())
+    let exact = if raw.bytes().all(|b| b.is_ascii_digit()) {
+        raw.parse::<u128>().map_err(|_| ())?
+    } else {
+        let x: f64 = raw.parse().map_err(|_| ())?;
+        // NaN and the infinities have a NaN fraction and fail here too.
+        if x.fract() != 0.0 || !(0.0..F64_EXACT_INTS).contains(&x) {
+            return Err(());
+        }
+        x as u128
+    };
+    T::try_from(exact).map(Some).map_err(|_| ())
 }
+
+/// 2^53: every integer below it, and none from it on, has an `f64` of
+/// its own.
+const F64_EXACT_INTS: f64 = 9_007_199_254_740_992.0;
 
 fn err(detail: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{detail}\"}}")
@@ -517,9 +538,57 @@ mod tests {
         );
         assert_eq!(reply, "{\"ok\":true,\"id\":1,\"arrival\":0.000,\"n\":8}");
         assert_eq!(fe.jobs()[1].priority, 255);
-        assert_eq!(fe.jobs()[1].seed, 9_007_199_254_740_992, "the nearest f64");
+        assert_eq!(fe.jobs()[1].seed, 9_007_199_254_740_993, "not rounded");
         let (reply, _) = fe.handle("{\"verb\":\"status\",\"id\":1.0}", 0.0);
         assert!(reply.contains("\"id\":1,\"state\":\"done\""), "{reply}");
+    }
+
+    #[test]
+    fn integer_literals_are_exact_and_float_forms_stop_at_2_pow_53() {
+        let mut fe = frontend("fifo");
+        // Literals are exact across the whole u64 range.
+        for seed in [9_007_199_254_740_993u64, u64::MAX] {
+            let (reply, _) = fe.handle(
+                &format!("{{\"verb\":\"submit\",\"n\":8,\"seed\":{seed}}}"),
+                0.0,
+            );
+            assert!(reply.contains("\"ok\":true"), "{seed} -> {reply}");
+            assert_eq!(fe.jobs().last().unwrap().seed, seed);
+        }
+        // Integer-valued floats still work below 2^53...
+        let (reply, _) = fe.handle("{\"verb\":\"submit\",\"n\":16.0,\"seed\":1e3}", 0.0);
+        assert!(reply.contains("\"n\":16"), "{reply}");
+        assert_eq!(fe.jobs().last().unwrap().seed, 1000);
+        // ...and are refused from 2^53 on, where they may already be
+        // rounded.
+        for bad in ["9007199254740992.0", "9007199254740993.0", "1e16"] {
+            let (reply, _) = fe.handle(
+                &format!("{{\"verb\":\"submit\",\"n\":8,\"seed\":{bad}}}"),
+                0.0,
+            );
+            assert!(reply.contains("seed must be"), "{bad} -> {reply}");
+        }
+        assert_eq!(fe.jobs().len(), 3, "refused submits never enter the trace");
+    }
+
+    #[test]
+    fn a_key_name_inside_a_string_value_does_not_shadow_the_field() {
+        let mut fe = frontend("fifo");
+        let (reply, _) = fe.handle(
+            "{\"verb\":\"submit\",\"n\":8,\"tag\":\"seed\",\"seed\":7}",
+            0.0,
+        );
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert_eq!(fe.jobs()[0].seed, 7);
+        // Whitespace around the key is still a key position.
+        let (reply, _) = fe.handle("{ \"verb\" : \"submit\" , \"n\" : 4 }", 0.0);
+        assert!(reply.contains("\"n\":4"), "{reply}");
+        // The same shadowing on a query.
+        let (reply, _) = fe.handle("{\"verb\":\"status\",\"tag\":\"id\",\"id\":0}", 0.0);
+        assert!(reply.contains("\"id\":0,\"state\":"), "{reply}");
+        // A value spelling a key, with no real key: absent, not misread.
+        let (reply, _) = fe.handle("{\"verb\":\"status\",\"tag\":\"id\"}", 0.0);
+        assert!(reply.contains("non-negative integer id"), "{reply}");
     }
 
     #[test]

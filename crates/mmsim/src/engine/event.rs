@@ -1,5 +1,6 @@
 //! The event-driven engine: thousands of virtual ranks multiplexed
-//! over one scheduler thread.
+//! over one scheduler thread, plus the dense kernel's helper threads
+//! when the caller lends the host's idle cores.
 //!
 //! ## Shape
 //!
@@ -16,6 +17,15 @@
 //! message costs one acquisition to send and one to receive.  Park/unpark rendezvous, futexes, and spin-yields
 //! all disappear; a context switch is ~12 instructions of userspace
 //! register shuffling.
+//!
+//! The scheduler thread is the thread that called the run, and every
+//! rank runs on it, one at a time.  So a caller that lends its idle
+//! cores through `dense::with_idle_cores` — every `algos` schedule runs
+//! inside it — lends them to every rank: a `matmul_accumulate` call of
+//! at least 2^20 multiply-adds splits C's rows across the dense
+//! kernel's helper threads, one per other host core.  The split is
+//! bit-identical to the serial kernel and invisible to virtual time.
+//! (Off x86-64 a fiber is an OS thread of its own and never lends.)
 //!
 //! ## Determinism and bit-identity
 //!

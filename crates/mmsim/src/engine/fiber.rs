@@ -145,8 +145,10 @@ mod imp {
                 .expect("fiber stack size overflows the address space");
             // Deliberately uninitialised: zeroing would fault in every
             // page of the reservation up front (p × 1 MiB is tens of GiB
-            // at massive p), while the allocator's fresh mmap pages are
-            // demand-zeroed by the kernel and a fiber touches only the
+            // at massive p), while the allocator's fresh pages (a new
+            // mapping, or heap grown for the stack, as on glibc once the
+            // engine retains freed heap) are demand-zeroed by the kernel
+            // and a fiber touches only the
             // few KiB it actually uses.  The memory is never read as
             // values — it is machine stack, seeded before the first
             // switch.

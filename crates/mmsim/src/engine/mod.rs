@@ -95,6 +95,44 @@ fn default_deadlock_timeout() -> std::time::Duration {
     })
 }
 
+/// Keep freed heap memory in the process across runs, as the fiber
+/// stack pool keeps stacks: a run's blocks, messages and mailboxes are
+/// freed when it ends, and glibc would otherwise hand them back to the
+/// kernel (allocations over its mmap threshold are unmapped on `free`,
+/// and the heap top is trimmed), so the next run of the same shape
+/// faults every page in again — about a third of a large-block event run
+/// on the ledger's `kernel_heavy` points.  Called before every run,
+/// effective once per process.
+///
+/// Both settings are needed: fixing either one turns off glibc's dynamic
+/// mmap threshold, so a trim threshold alone would pin the mmap
+/// threshold at its 128 KiB default.  32 MiB is the largest mmap
+/// threshold glibc accepts on 64-bit hosts.  malloc has long been
+/// initialised by the time a machine runs, so `mallopt`'s "call before
+/// the first allocation" caveat does not apply.
+fn retain_freed_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            /// glibc's `mallopt(3)`, declared by hand like `mprotect`
+            /// (std links libc on every unix target).
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            // SAFETY: `mallopt` only adjusts allocator tunables; both
+            // values are in range, and a refusal (return 0) leaves the
+            // defaults in place, which is merely slower.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, 32 << 20);
+                mallopt(M_TRIM_THRESHOLD, 64 << 20);
+            }
+        });
+    }
+}
+
 /// Per-run rank translation and fail-stop schedule, computed once when a
 /// [`Machine`] is built or partitioned instead of per rank per run.
 ///
@@ -382,6 +420,7 @@ impl Machine {
         T: Send,
         F: Fn(&mut Proc) -> T + Sync,
     {
+        retain_freed_heap();
         match self.engine {
             EngineKind::Threaded => self.execute_threaded(f),
             EngineKind::Event => event::execute(self, f),

@@ -7,7 +7,9 @@
 //!
 //! * **Fault-free algorithms** at `p ∈ {4, 16, 64, 256}` over all six
 //!   algorithm families (simple, Cannon, Fox×3, Berntsen, GK, DNS) on
-//!   their native topologies, comparing bit-for-bit.
+//!   their native topologies, comparing bit-for-bit — at `p = 4` also
+//!   with blocks large enough for the event side's kernel calls to split
+//!   across helper threads.
 //! * **Fault plans, spares, and detection** through the resilient
 //!   entry points at their native geometries: message drops with
 //!   retransmission, payload corruption, duplication, fail-stop deaths
@@ -138,6 +140,14 @@ fn fault_free_point(p: usize, n: usize) {
 #[test]
 fn fault_free_p4() {
     fault_free_point(4, 8);
+}
+
+/// 128³ blocks: above the dense kernel's split threshold, so the event
+/// side (whose caller lends its idle cores) multiplies on helper threads
+/// while the threaded side (whose rank threads never lend) does not.
+#[test]
+fn fault_free_p4_kernel_bound() {
+    fault_free_point(4, 256);
 }
 
 #[test]
