@@ -21,14 +21,10 @@
 //! sweep outcomes: they must surface as the structured error — on both
 //! replays — never as a hang.
 
-use std::time::Duration;
-
 use algos::common::{AlgoError, SimOutcome};
 use dense::{gen, Matrix};
 use mmsim::{CostModel, FaultPlan, Machine, Topology};
 use proptest::prelude::*;
-
-const TIMEOUT: Duration = Duration::from_millis(4_000);
 
 const DROPS: [f64; 3] = [0.0, 0.1, 0.25];
 const CORRUPTS: [f64; 3] = [0.0, 0.05, 0.1];
@@ -41,7 +37,6 @@ fn sweep_machine(p: usize, spares: usize, plan: FaultPlan) -> Machine {
         Topology::fully_connected(p + spares),
         CostModel::new(5.0, 0.5),
     )
-    .with_deadlock_timeout(TIMEOUT)
     .with_fault_plan(plan)
     .with_spares(spares)
 }

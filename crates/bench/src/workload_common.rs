@@ -88,8 +88,8 @@ pub fn run_workload_sweep(sweep: &WorkloadSweep) -> ResultTable {
 }
 
 /// [`run_workload_sweep`] on a named engine (the table is virtual-time
-/// only, so it is the same on either; `engine_perf` times the threaded
-/// one).
+/// only, so it is the same on either; `engine_perf` checks it on the
+/// threaded one).
 ///
 /// # Panics
 /// As [`run_workload_sweep`].

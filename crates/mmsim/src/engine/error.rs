@@ -20,8 +20,8 @@ pub enum SimError {
     },
     /// The simulation deadlocked: the listed ranks were blocked in a
     /// receive that can never be satisfied (all peers terminated, a peer
-    /// fail-stopped before sending, or a live cyclic wait hit the host
-    /// timeout).
+    /// fail-stopped before sending, or every unfinished rank was blocked
+    /// in a live cyclic wait).
     Deadlock {
         /// Ranks that were provably blocked, in rank order.
         waiters: Vec<usize>,

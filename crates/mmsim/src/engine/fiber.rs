@@ -59,9 +59,11 @@
 //! is never resumed again, and nothing outside the fiber points into
 //! its stack) but leaks the frames' resources, so [`Fiber::drop`] leaks
 //! the stack too rather than recycling potentially-watched memory —
-//! and debug builds flag it.  The event engine cancels parked
-//! fibers (resume-with-cancel, unwinding them cleanly) before teardown,
-//! so the leak path is unreachable short of an engine bug.
+//! and debug builds flag it.  Nothing cancels a parked fiber: a run
+//! whose unfinished ranks are all parked is a deadlock, and the
+//! network's election resumes one parked rank at a time into its
+//! diagnosis panic, so every fiber returns and the leak path is
+//! unreachable short of an engine bug.
 
 use std::sync::OnceLock;
 
@@ -94,7 +96,7 @@ pub(crate) fn parse_stack_bytes(raw: Option<&str>) -> usize {
 }
 
 /// Fiber stack size in bytes, from `MMSIM_FIBER_STACK_KB` (read once
-/// per process and cached, like the deadlock timeout), default 1 MiB.
+/// per process and cached), default 1 MiB.
 pub(crate) fn stack_bytes() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| parse_stack_bytes(std::env::var("MMSIM_FIBER_STACK_KB").ok().as_deref()))
@@ -408,8 +410,8 @@ mod imp {
                 // Suspended frames still own values; recycling the
                 // stack would overwrite them under whatever they point
                 // at, so it leaks instead (a `Stack` is never freed).
-                // Unreachable short of an engine bug — the scheduler
-                // cancels parked fibers.
+                // Unreachable short of an engine bug — the deadlock
+                // election drives every parked fiber to completion.
                 debug_assert!(false, "dropped a suspended fiber (engine bug)");
             }
         }

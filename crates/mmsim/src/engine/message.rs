@@ -56,26 +56,6 @@ impl Message {
     }
 }
 
-/// What actually travels through the engine channels: application
-/// messages plus the one control signal that keeps blocked receivers
-/// responsive to terminations.
-///
-/// Termination facts themselves (done / panicked / fail-stopped) live
-/// on the run's shared status board, not in the channels: publishing a
-/// termination is O(1) plus one `Wake` per *currently blocked* peer,
-/// instead of the O(p²) per-run control storm that per-peer `Done`
-/// envelopes cost.  A receiver acts only on the board's monotonic,
-/// order-independent facts, so failure diagnoses stay deterministic.
-#[derive(Debug)]
-pub(crate) enum Envelope {
-    /// An application message.
-    App(Message),
-    /// A peer changed its terminal status on the board; a blocked
-    /// receiver should re-read the board.  Carries no information
-    /// itself and is safe to deliver (or drain) spuriously.
-    Wake,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,17 +6,17 @@ pub mod error;
 pub(crate) mod event;
 pub(crate) mod fiber;
 pub mod message;
+pub(crate) mod net;
 pub mod payload;
 pub(crate) mod pool;
 pub mod proc_ctx;
 
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::cost::CostModel;
 use crate::engine::error::{CorruptionPayload, DeadlockPayload, DiedPayload, SimError};
-use crate::engine::message::Envelope;
-use crate::engine::proc_ctx::{NetShared, Proc, RankStatus, RunShared, StatusBoard, ABORT_MSG};
+use crate::engine::net::{Net, RankStatus};
+use crate::engine::proc_ctx::{Proc, RunShared, ABORT_MSG};
 use crate::fault::FaultPlan;
 use crate::recovery::CkptRecord;
 use crate::stats::ProcStats;
@@ -28,8 +28,9 @@ use crate::trace::Timeline;
 type ThreadOutcome<T> = Result<(T, ProcStats, Timeline), Box<dyn std::any::Any + Send>>;
 
 /// How a [`Machine`] executes its virtual processors.  Both engines
-/// share every layer above the transport — cost arithmetic, fault
-/// fates, diagnosis attribution — so their virtual-time reports are
+/// share everything but who runs the ranks — the network (mailboxes,
+/// statuses, deadlock election), cost arithmetic, fault fates,
+/// diagnosis attribution — so their virtual-time reports are
 /// bit-identical; they differ only in host mechanics and in how far p
 /// scales (see `tests/engine_differential.rs` for the proof and
 /// `docs/performance.md` for the architecture and the measurements
@@ -50,49 +51,6 @@ pub enum EngineKind {
     /// a virtual-time event scheduler: reaches p ≥ 16k ranks.
     #[cfg_attr(target_arch = "x86_64", default)]
     Event,
-}
-
-/// Parse an `MMSIM_DEADLOCK_TIMEOUT_MS` value (`None` = variable unset)
-/// into the blocked-receive host-time budget.  Pure, so tests can cover
-/// the parsing without racing on process-global environment state.
-///
-/// # Panics
-/// Panics unless the value is a positive integer millisecond count.
-fn parse_deadlock_timeout(raw: Option<&str>) -> std::time::Duration {
-    match raw {
-        Some(raw) => {
-            let ms: u64 = raw.trim().parse().unwrap_or_else(|_| {
-                panic!(
-                    "MMSIM_DEADLOCK_TIMEOUT_MS must be a positive integer number of \
-                     milliseconds, got {raw:?}"
-                )
-            });
-            assert!(ms > 0, "MMSIM_DEADLOCK_TIMEOUT_MS must be positive, got 0");
-            std::time::Duration::from_millis(ms)
-        }
-        None => std::time::Duration::from_secs(10),
-    }
-}
-
-/// Default host-time budget for a single blocked receive, taken from the
-/// `MMSIM_DEADLOCK_TIMEOUT_MS` environment variable when set (so CI under
-/// load can raise it instead of mis-diagnosing slow runs as deadlocks),
-/// otherwise 10 s.
-///
-/// The variable is read **once per process** and cached: machines built
-/// later in the process all see the value from that first read, and the
-/// engine never races a test (or a harness) mutating the environment
-/// mid-run.  Override per machine with
-/// [`Machine::with_deadlock_timeout`].
-///
-/// # Panics
-/// Panics (on the first read) if the variable is set to anything but a
-/// positive integer millisecond count.
-fn default_deadlock_timeout() -> std::time::Duration {
-    static CACHED: OnceLock<std::time::Duration> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        parse_deadlock_timeout(std::env::var("MMSIM_DEADLOCK_TIMEOUT_MS").ok().as_deref())
-    })
 }
 
 /// Keep freed heap memory in the process across runs, as the fiber
@@ -166,7 +124,6 @@ pub struct Machine {
     topology: Topology,
     cost: CostModel,
     trace: bool,
-    recv_timeout: std::time::Duration,
     fault: Option<Arc<FaultPlan>>,
     /// When set, the machine is a *partition view*: only these physical
     /// ranks take part in a run, and closures see local ranks
@@ -193,7 +150,6 @@ impl Machine {
             topology,
             cost,
             trace: false,
-            recv_timeout: default_deadlock_timeout(),
             fault: None,
             part: None,
             table,
@@ -251,7 +207,6 @@ impl Machine {
             topology: self.topology.clone(),
             cost: self.cost,
             trace: self.trace,
-            recv_timeout: self.recv_timeout,
             fault: self.fault.clone(),
             part: Some(Arc::new(global)),
             table,
@@ -269,17 +224,6 @@ impl Machine {
         self.part.as_deref().map(Vec::as_slice)
     }
 
-    /// Builder-style: host-time budget a blocked receive may wait before
-    /// the engine declares a live deadlock (cyclic mutual wait).  A
-    /// healthy simulation never blocks for long — sends are eager — so
-    /// the default (10 s, overridable via `MMSIM_DEADLOCK_TIMEOUT_MS`)
-    /// only fires on genuinely stuck algorithms.
-    #[must_use]
-    pub fn with_deadlock_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.recv_timeout = timeout;
-        self
-    }
-
     /// Builder-style: record per-processor event timelines during runs
     /// (see [`crate::trace`]).
     #[must_use]
@@ -290,8 +234,8 @@ impl Machine {
 
     /// Builder-style: select the execution engine instead of the
     /// platform's default (see [`EngineKind`]).  Virtual-time results
-    /// are bit-identical across engines (every layer above the
-    /// transport is shared); [`EngineKind::Event`] lifts the
+    /// are bit-identical across engines (everything but who runs the
+    /// ranks is shared); [`EngineKind::Event`] lifts the
     /// thread-per-rank cap so machines of tens of thousands of ranks
     /// run on one host thread, [`EngineKind::Threaded`] runs ranks in
     /// parallel on the host's cores.  Partition views inherit the
@@ -414,6 +358,10 @@ impl Machine {
     /// and collect every rank's outcome (value or panic payload) in
     /// rank order, together with each rank's last completed checkpoint
     /// record (always `None` on spare-less runs).
+    ///
+    /// The engines share everything here but who runs the ranks: one
+    /// pooled OS thread each, all at once, or one fiber each under the
+    /// virtual-time scheduler on this thread.
     #[allow(clippy::type_complexity)]
     fn execute<T, F>(&self, f: &F) -> (Vec<ThreadOutcome<T>>, Vec<Option<CkptRecord>>)
     where
@@ -421,66 +369,33 @@ impl Machine {
         F: Fn(&mut Proc) -> T + Sync,
     {
         retain_freed_heap();
-        match self.engine {
-            EngineKind::Threaded => self.execute_threaded(f),
-            EngineKind::Event => event::execute(self, f),
-        }
-    }
-
-    /// The threaded engine: lease one pooled OS thread per rank.
-    #[allow(clippy::type_complexity)]
-    fn execute_threaded<T, F>(&self, f: &F) -> (Vec<ThreadOutcome<T>>, Vec<Option<CkptRecord>>)
-    where
-        T: Send,
-        F: Fn(&mut Proc) -> T + Sync,
-    {
-        let p = self.p();
         crate::engine::error::install_quiet_control_panic_hook();
-        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..p)
-            .map(|_| {
-                let (sender, inbox) = channel::<Envelope>();
-                (sender, Mutex::new(Some(inbox)))
-            })
-            .unzip();
+        let p = self.p();
         // Everything run-wide lives behind one Arc built once, instead
         // of per-rank clones of the topology and friends.
         let shared = Arc::new(RunShared {
             topology: self.topology.clone(),
             cost: self.cost,
-            net: NetShared::Threaded {
-                senders,
-                board: StatusBoard::new(p),
-                inboxes,
-            },
-            recv_timeout: self.recv_timeout,
+            net: Net::new(p, self.engine),
             fault: self.fault.clone(),
             table: Arc::clone(&self.table),
             trace: self.trace,
             spares: self.spares.len(),
             ckpt_log: (0..p).map(|_| Mutex::new(None)).collect(),
         });
-        // Receivers are `Send` but not `Sync`, so each rank's worker
-        // takes its inbox out of a mutexed slot; outcomes travel back
-        // the same way.
         let outcomes: Vec<Mutex<Option<ThreadOutcome<T>>>> =
             (0..p).map(|_| Mutex::new(None)).collect();
-
-        let job = |rank: usize| {
-            let NetShared::Threaded { inboxes, .. } = &shared.net else {
-                unreachable!("threaded execute built a threaded net")
-            };
-            let inbox = inboxes[rank]
-                .lock()
-                .expect("inbox slot poisoned")
-                .take()
-                .expect("each rank runs exactly once");
-            let mut proc = Proc::new(rank, Arc::clone(&shared), inbox);
+        let run_rank = |rank: usize| {
+            let mut proc = Proc::new(rank, Arc::clone(&shared));
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut proc)));
             *outcomes[rank].lock().expect("outcome slot poisoned") =
                 Some(outcome_from_panic(rank, outcome, &shared, proc));
         };
-        pool::run_on_pool(p, &job);
-        // Past the pool's latch: every rank has returned.
+        match self.engine {
+            EngineKind::Threaded => pool::run_on_pool(p, &run_rank),
+            EngineKind::Event => event::run_fibers(p, &shared.net, &run_rank),
+        }
+        // Every rank has returned.
         collect_outcomes(&shared, outcomes)
     }
 
@@ -866,7 +781,7 @@ fn outcome_from_panic<T>(
 ) -> ThreadOutcome<T> {
     match outcome {
         Ok(out) => {
-            shared.announce_termination(rank, RankStatus::Done);
+            shared.net.announce(rank, RankStatus::Done);
             let (stats, timeline) = proc.into_final_parts();
             Ok((out, stats, timeline))
         }
@@ -886,7 +801,7 @@ fn outcome_from_panic<T>(
                 // Abort the rest of the machine.
                 RankStatus::Poisoned
             };
-            shared.announce_termination(rank, status);
+            shared.net.announce(rank, status);
             Err(payload)
         }
     }
@@ -895,7 +810,7 @@ fn outcome_from_panic<T>(
 /// Shared run-end epilogue of both engines, called once every rank has
 /// returned: each rank's outcome and last checkpoint record in rank
 /// order, with the messages still addressed to a finished rank added to
-/// its `unreceived` count (see [`RunShared::drain_unreceived`]).
+/// its `unreceived` count (see [`Net::drain_unreceived`]).
 #[allow(clippy::type_complexity)]
 fn collect_outcomes<T>(
     shared: &RunShared,
@@ -915,7 +830,7 @@ fn collect_outcomes<T>(
                 .expect("outcome slot poisoned")
                 .expect("every rank reports exactly once");
             if let Ok((_, stats, _)) = &mut outcome {
-                stats.unreceived += shared.drain_unreceived(rank);
+                stats.unreceived += shared.net.drain_unreceived(rank);
             }
             outcome
         })
@@ -1045,9 +960,9 @@ mod tests {
     use crate::engine::message::tag;
     use crate::fault::LinkFaults;
 
-    /// Pinned to the threaded engine: these tests cover its channels,
-    /// `StatusBoard`, spin-before-park and host-timeout diagnosis (and
-    /// are the reference side of the event smoke tests below).
+    /// Pinned to the threaded engine: these tests cover the shared
+    /// network under truly concurrent ranks (and are the reference side
+    /// of the event smoke tests below).
     fn unit_machine(p: usize) -> Machine {
         Machine::new(Topology::fully_connected(p), CostModel::unit())
             .with_engine(EngineKind::Threaded)
@@ -1388,9 +1303,7 @@ mod tests {
 
     #[test]
     fn fail_stop_death_is_classified() {
-        let m = unit_machine(4)
-            .with_deadlock_timeout(std::time::Duration::from_millis(300))
-            .with_fault_plan(FaultPlan::new(0).with_death(2, 10.0));
+        let m = unit_machine(4).with_fault_plan(FaultPlan::new(0).with_death(2, 10.0));
         let err = m.try_run(|proc| proc.compute(100.0)).unwrap_err();
         assert_eq!(err, SimError::RankDied { rank: 2, t: 10.0 });
     }
@@ -1399,9 +1312,7 @@ mod tests {
     fn death_outranks_the_deadlock_it_provokes() {
         // Rank 1 dies before sending; rank 0 blocks on it and the other
         // ranks finish.  The diagnosis must be the death, not the wait.
-        let m = unit_machine(3)
-            .with_deadlock_timeout(std::time::Duration::from_millis(300))
-            .with_fault_plan(FaultPlan::new(0).with_death(1, 5.0));
+        let m = unit_machine(3).with_fault_plan(FaultPlan::new(0).with_death(1, 5.0));
         let err = m
             .try_run(|proc| match proc.rank() {
                 0 => {
@@ -1431,9 +1342,7 @@ mod tests {
 
     #[test]
     fn plain_drop_becomes_diagnosed_deadlock() {
-        let m = unit_machine(2)
-            .with_deadlock_timeout(std::time::Duration::from_millis(300))
-            .with_fault_plan(FaultPlan::new(9).with_drop_rate(1.0));
+        let m = unit_machine(2).with_fault_plan(FaultPlan::new(9).with_drop_rate(1.0));
         let err = m
             .try_run(|proc| {
                 if proc.rank() == 0 {
@@ -1568,7 +1477,7 @@ mod tests {
 
     #[test]
     fn deadlock_waiters_are_all_collected() {
-        let m = unit_machine(3).with_deadlock_timeout(std::time::Duration::from_millis(300));
+        let m = unit_machine(3);
         let err = m
             .try_run(|proc| {
                 if proc.rank() > 0 {
@@ -1583,41 +1492,6 @@ mod tests {
                 waiters: vec![1, 2]
             }
         );
-    }
-
-    #[test]
-    fn deadlock_timeout_parsing() {
-        // The pure parser carries the env-var semantics; the cached
-        // process-global read in `default_deadlock_timeout` only feeds
-        // it, so no test needs to mutate (and race on) the environment.
-        assert_eq!(
-            parse_deadlock_timeout(Some("1234")),
-            std::time::Duration::from_millis(1234)
-        );
-        assert_eq!(
-            parse_deadlock_timeout(Some(" 250 ")),
-            std::time::Duration::from_millis(250)
-        );
-        assert_eq!(
-            parse_deadlock_timeout(None),
-            std::time::Duration::from_secs(10)
-        );
-        for junk in ["abc", "-5", "1.5", "", "0"] {
-            let result = std::panic::catch_unwind(|| parse_deadlock_timeout(Some(junk)));
-            assert!(result.is_err(), "{junk:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn deadlock_timeout_is_read_once_and_injectable() {
-        // The process-global default is stable across machines (cached
-        // first read) and per-machine injection still overrides it.
-        let d1 = default_deadlock_timeout();
-        let d2 = default_deadlock_timeout();
-        assert_eq!(d1, d2);
-        assert_eq!(unit_machine(2).recv_timeout, d1);
-        let m = unit_machine(2).with_deadlock_timeout(std::time::Duration::from_millis(77));
-        assert_eq!(m.recv_timeout, std::time::Duration::from_millis(77));
     }
 
     #[test]
@@ -1723,7 +1597,6 @@ mod tests {
 
     #[test]
     fn event_engine_collects_deadlock_waiters() {
-        // No timeout needed: the scheduler proves no-progress directly.
         let err = event_machine(3)
             .try_run(|proc| {
                 if proc.rank() > 0 {
@@ -1742,9 +1615,8 @@ mod tests {
     #[test]
     fn event_engine_diagnoses_cyclic_deadlock() {
         // A true cycle: every rank waits for its left neighbour and no
-        // one ever sends.  The threaded engine needs its host timeout
-        // to fire; the event scheduler sees the empty ready queue and
-        // diagnoses instantly with the same waiter list.
+        // one ever sends.  The last park elects the lowest rank, whose
+        // diagnosis unwinds the rest of the cycle.
         let err = event_machine(3)
             .try_run(|proc| {
                 let p = proc.p();

@@ -1,14 +1,12 @@
 //! The per-processor execution context handed to algorithm closures.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use crate::cost::{CostModel, Ports};
 use crate::engine::error::{CorruptionPayload, DeadlockPayload, DiedPayload};
-use crate::engine::event::{EventNet, Wait};
-use crate::engine::message::{Envelope, Message, Tag};
+use crate::engine::message::{Message, Tag};
+use crate::engine::net::{Net, RankStatus, Wait};
 use crate::engine::payload::Payload;
 use crate::engine::RankTable;
 use crate::fault::{Fate, FaultPlan, TrafficClass};
@@ -25,9 +23,8 @@ use crate::Word;
 pub(crate) struct RunShared {
     pub(crate) topology: Topology,
     pub(crate) cost: CostModel,
-    /// Engine-specific message transport + termination tracking.
-    pub(crate) net: NetShared,
-    pub(crate) recv_timeout: std::time::Duration,
+    /// Mailboxes, terminal statuses and parked receives (both engines).
+    pub(crate) net: Net,
     pub(crate) fault: Option<Arc<FaultPlan>>,
     /// Local-rank → physical-rank translation and fail-stop schedule,
     /// hoisted into the [`crate::Machine`] at construction/partition
@@ -43,172 +40,15 @@ pub(crate) struct RunShared {
     pub(crate) ckpt_log: Vec<Mutex<Option<CkptRecord>>>,
 }
 
-/// A virtual processor's terminal state, as published on the board.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RankStatus {
-    /// Still executing its closure.
-    Running = 0,
-    /// Finished normally (or self-diagnosed a deadlock — either way it
-    /// will never send again).
-    Done = 1,
-    /// Panicked; blocked peers that provably cannot proceed abort.
-    Poisoned = 2,
-    /// Fail-stopped by an injected fault; survivors keep running and
-    /// self-diagnose receives the dead rank can no longer satisfy.
-    Died = 3,
-}
-
-/// Shared termination board for one run.
-///
-/// Statuses are monotonic (written once, `Running → terminal`), so a
-/// receiver's failure diagnosis is a pure function of *which* peers have
-/// terminated and *how* — never of the host-scheduling order in which
-/// the news arrives.  Publishing costs O(1) plus one [`Envelope::Wake`]
-/// per peer currently parked in a receive, replacing the per-peer
-/// `Done`/`Poison`/`Died` envelope storm that cost O(p) sends per rank
-/// (O(p²) per run — the dominant host cost of large fan-out runs).
-pub(crate) struct StatusBoard {
-    status: Vec<AtomicU8>,
-    /// Ranks currently parked inside a blocking receive.  Advisory: a
-    /// stale `true` only costs a spurious wake, and the publish/park
-    /// ordering protocol below makes a missed wake impossible.
-    blocked: Vec<AtomicBool>,
-    /// Number of terminal statuses published so far.
-    terminated: AtomicUsize,
-}
-
-impl StatusBoard {
-    pub(crate) fn new(p: usize) -> Self {
-        Self {
-            status: (0..p)
-                .map(|_| AtomicU8::new(RankStatus::Running as u8))
-                .collect(),
-            blocked: (0..p).map(|_| AtomicBool::new(false)).collect(),
-            terminated: AtomicUsize::new(0),
-        }
-    }
-
-    fn status_of(&self, rank: usize) -> RankStatus {
-        match self.status[rank].load(Ordering::SeqCst) {
-            0 => RankStatus::Running,
-            1 => RankStatus::Done,
-            2 => RankStatus::Poisoned,
-            _ => RankStatus::Died,
-        }
-    }
-
-    /// Lowest-ranked peer with the given terminal status, if any —
-    /// used to attribute aborts and list fail-stopped peers without
-    /// depending on arrival order.
-    fn ranks_with(&self, wanted: RankStatus) -> Vec<usize> {
-        (0..self.status.len())
-            .filter(|&r| self.status_of(r) == wanted)
-            .collect()
-    }
-}
-
-/// The engine-specific half of [`RunShared`]: how messages travel and
-/// how terminations are published.  Everything above this layer — cost
-/// arithmetic, fault fates, diagnosis attribution — is shared between
-/// the engines, which is what makes their virtual time bit-identical.
-pub(crate) enum NetShared {
-    /// One pooled OS thread per rank: mpsc channels + the atomic
-    /// [`StatusBoard`] with its park/wake protocol.
-    Threaded {
-        senders: Vec<Sender<Envelope>>,
-        board: StatusBoard,
-        /// Each rank's inbox while no `Proc` holds it: before its rank
-        /// starts, and from its normal return until the run-end count
-        /// (`RunShared::drain_unreceived`).  A slot left empty by a rank
-        /// that died or panicked closes its channel, so later sends to
-        /// it are swallowed.
-        inboxes: Vec<Mutex<Option<Receiver<Envelope>>>>,
-    },
-    /// Fiber-per-rank event scheduler (see [`crate::engine::event`]):
-    /// per-rank mailboxes + a virtual-time ready queue.
-    Event(EventNet),
-}
-
-impl NetShared {
-    /// Peers currently holding `wanted` terminal status, in rank order.
-    fn ranks_with(&self, wanted: RankStatus) -> Vec<usize> {
-        match self {
-            NetShared::Threaded { board, .. } => board.ranks_with(wanted),
-            NetShared::Event(net) => net.ranks_with(wanted),
-        }
-    }
-}
-
-/// A `Proc`'s private receive endpoint, matching the run's [`NetShared`]
-/// flavour.
-pub(crate) enum Port {
-    /// The rank's channel inbox (threaded engine).
-    Threaded(Receiver<Envelope>),
-    /// Event-engine ranks receive straight from their shared mailbox.
-    Event,
-}
-
-impl RunShared {
-    /// Publish `rank`'s terminal status and wake every peer currently
-    /// parked in a receive so it re-reads the termination facts.
-    ///
-    /// On the threaded engine, the publish order (status first, then
-    /// read the blocked flags) mirrors the receiver's park order (set
-    /// blocked first, then read statuses): sequential consistency
-    /// guarantees at least one side sees the other, so a receiver can
-    /// never park after missing a termination it needed to observe.
-    /// The event engine's scheduler lock makes the same guarantee
-    /// trivially.
-    pub(crate) fn announce_termination(&self, rank: usize, status: RankStatus) {
-        match &self.net {
-            NetShared::Threaded { senders, board, .. } => {
-                board.status[rank].store(status as u8, Ordering::SeqCst);
-                board.terminated.fetch_add(1, Ordering::SeqCst);
-                for (peer, sender) in senders.iter().enumerate() {
-                    if peer != rank && board.blocked[peer].load(Ordering::SeqCst) {
-                        // Peer may have unparked since — a spurious wake
-                        // is drained and ignored.
-                        let _ = sender.send(Envelope::Wake);
-                    }
-                }
-            }
-            NetShared::Event(net) => net.announce(rank, status),
-        }
-    }
-
-    /// Count and discard the application messages still addressed to
-    /// `rank` once every rank has returned.  Counting at run end rather
-    /// than at the rank's own return is what makes the count a function
-    /// of the program: a peer's send that lands after `rank` returned is
-    /// counted whichever order the host ran the two in.
-    pub(crate) fn drain_unreceived(&self, rank: usize) -> u64 {
-        match &self.net {
-            NetShared::Threaded { inboxes, .. } => inboxes[rank]
-                .lock()
-                .expect("inbox slot poisoned")
-                .take()
-                .map_or(0, |inbox| {
-                    // Spurious Wake control signals are the engine's
-                    // business, not unreceived messages.
-                    inbox
-                        .try_iter()
-                        .filter(|envelope| matches!(envelope, Envelope::App(_)))
-                        .count() as u64
-                }),
-            NetShared::Event(net) => net.drain_unreceived(rank),
-        }
-    }
-}
-
 /// Handle through which a virtual processor computes and communicates.
 ///
-/// One `Proc` lives on each leased engine worker.  All methods advance
-/// the processor's **virtual clock** according to the machine's
+/// One `Proc` lives on each rank's fiber or pooled thread.  All methods
+/// advance the processor's **virtual clock** according to the machine's
 /// [`CostModel`]; see the crate docs for the accounting rules.
 ///
 /// Sends are *eager* (buffered, non-blocking), like small-message MPI
 /// sends: a ring of processors may all send before any of them receives
-/// without deadlocking.  Receives block the host thread until a matching
+/// without deadlocking.  Receives block the rank until a matching
 /// message exists, but *virtual* waiting is determined purely by message
 /// timestamps.
 ///
@@ -228,11 +68,6 @@ pub struct Proc {
     /// Copy of the run's cost model (hot path; `CostModel` is `Copy`).
     cost: CostModel,
     shared: Arc<RunShared>,
-    port: Port,
-    /// Messages received from the channel but not yet matched by a recv
-    /// (always empty on the event engine — unmatched messages stay in
-    /// the shared mailbox).
-    pending: Vec<Message>,
     /// Event timeline, populated only when tracing is enabled.
     timeline: Option<Timeline>,
     /// This rank's fail-stop instant (from the machine's rank table).
@@ -276,24 +111,12 @@ fn next_seq(seqs: &mut HashMap<usize, u64>, peer: usize) -> u64 {
 }
 
 impl Proc {
-    pub(crate) fn new(rank: usize, shared: Arc<RunShared>, inbox: Receiver<Envelope>) -> Self {
-        Self::with_port(rank, shared, Port::Threaded(inbox))
-    }
-
-    /// An event-engine processor: no private inbox — receives pull from
-    /// the run's shared mailboxes and park on the fiber scheduler.
-    pub(crate) fn new_event(rank: usize, shared: Arc<RunShared>) -> Self {
-        Self::with_port(rank, shared, Port::Event)
-    }
-
-    fn with_port(rank: usize, shared: Arc<RunShared>, port: Port) -> Self {
+    pub(crate) fn new(rank: usize, shared: Arc<RunShared>) -> Self {
         Self {
             rank,
             clock: 0.0,
             stats: ProcStats::default(),
             cost: shared.cost,
-            port,
-            pending: Vec::new(),
             timeline: shared.trace.then(Vec::new),
             death_at: shared.table.death_at[rank],
             plain_seq: HashMap::new(),
@@ -592,24 +415,11 @@ impl Proc {
             hops,
             corrupted,
         };
-        match &self.shared.net {
-            NetShared::Threaded { senders, .. } => {
-                if senders[dst].send(Envelope::App(msg)).is_err() {
-                    // The destination has terminated and its inbox is
-                    // gone: a fail-stopped peer can never receive, and
-                    // a finished peer would never have matched this
-                    // message.  The network swallows the message like a
-                    // drop — the sender already paid the injection cost
-                    // and the traffic counters — so a straggler send
-                    // races no one and panics nowhere.  Blocked
-                    // receives still diagnose the termination via the
-                    // board.
-                }
-            }
-            // Same swallow rule for terminated destinations, applied
-            // inside `deliver`.
-            NetShared::Event(net) => net.deliver(msg),
-        }
+        // A dead or poisoned destination swallows the message inside
+        // `deliver`, like a drop: the sender already paid the injection
+        // cost and the traffic counters, so a straggler send races no
+        // one and panics nowhere.
+        self.shared.net.deliver(msg);
     }
 
     /// Receive the message with the given `(src, tag)`, blocking until it
@@ -677,165 +487,26 @@ impl Proc {
         self.recv(src, tag).payload
     }
 
+    /// Blocking receive from the run's network; a receive that can
+    /// never match becomes its diagnosis panic.
     fn take_matching(&mut self, src: usize, tag: Tag) -> Message {
-        match self.port {
-            Port::Threaded(_) => self.take_matching_threaded(src, tag),
-            Port::Event => self.take_matching_event(src, tag),
-        }
-    }
-
-    /// Event-engine blocking receive: the scheduler scans the shared
-    /// mailbox and parks the fiber while nothing matches; its verdict
-    /// on a receive that can never match maps onto the same diagnosis
-    /// panics the threaded path raises — the conditions are identical
-    /// (awaited peer's status + the all-terminated flag), only the
-    /// waiting mechanics differ.  No
-    /// deferred `terminal_seen` drain is needed: deliveries are
-    /// synchronous with the sender's fiber, so when a termination is
-    /// visible every message that peer ever sent is already in the
-    /// mailbox.
-    fn take_matching_event(&mut self, src: usize, tag: Tag) -> Message {
-        let NetShared::Event(net) = &self.shared.net else {
-            unreachable!("event receive on a threaded machine")
-        };
-        match net.recv(self.rank, src, tag, self.clock) {
+        match self.shared.net.recv(self.rank, src, tag, self.clock) {
             Ok(msg) => msg,
             Err(Wait::SrcDied) => self.panic_waiting_on_dead(src, tag),
             Err(Wait::SrcPoisoned) => panic!("{ABORT_MSG} (rank {src})"),
             Err(Wait::SrcDone) => self.panic_waiting_on_done(src, tag),
             Err(Wait::AllTerminated) => self.panic_all_terminated(src, tag),
-            Err(Wait::Timeout) => {
-                // The scheduler proved global no-progress — the
-                // condition the threaded engine's host timeout
-                // approximates — and elected this rank to diagnose
-                // it.  Same payload, same message, no host stall.
+            Err(Wait::Deadlock) => {
                 let message = format!(
-                    "rank {}: no message for {:?} while waiting for (src {src}, tag {tag:#x}) — \
-                     live deadlock (cyclic mutual wait) in the simulated algorithm",
-                    self.rank, self.shared.recv_timeout
+                    "rank {}: deadlock — every unfinished rank is blocked in a receive while \
+                     this one waits for (src {src}, tag {tag:#x}): a live cyclic wait in the \
+                     simulated algorithm",
+                    self.rank
                 );
                 std::panic::panic_any(DeadlockPayload {
                     rank: self.rank,
                     message,
                 });
-            }
-        }
-    }
-
-    fn take_matching_threaded(&mut self, src: usize, tag: Tag) -> Message {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|m| m.src == src && m.tag == tag)
-        {
-            return self.pending.remove(pos);
-        }
-        let NetShared::Threaded { board, .. } = &self.shared.net else {
-            unreachable!("threaded receive on an event machine")
-        };
-        let Port::Threaded(inbox) = &self.port else {
-            unreachable!("threaded receive without an inbox")
-        };
-        // On an oversubscribed host a few yields often let the awaited
-        // sender run and enqueue, turning a futex park + wake pair
-        // (two syscalls and a forced reschedule of the sender) into a
-        // plain queue pop.  Bounded, so a genuinely idle wait still
-        // parks almost immediately.
-        const SPIN_YIELDS: u32 = 3;
-        let mut spins = 0;
-        // Set when a board read observes a terminal condition (awaited
-        // peer Died/Poisoned, or every peer terminated).  Diagnosis is
-        // deferred by one iteration: a peer's sends all happen-before
-        // its terminal-status store, so only a drain performed *after*
-        // the observation proves the awaited message can never arrive.
-        // Panicking straight off the observation would race — the peer
-        // can enqueue the match after our drain yet publish its status
-        // before our board read, and the message would sit undelivered
-        // while we misdiagnose a deadlock.  Statuses are monotonic, so
-        // a condition observed once still holds on the next iteration.
-        let mut terminal_seen = false;
-        loop {
-            // Publish intent to park *before* the final drain: a peer
-            // that terminates after our drain sees the flag and sends a
-            // wake, and one that terminated before is already visible on
-            // the board below — so the park can never miss a terminal
-            // transition (same argument as announce_termination).
-            board.blocked[self.rank].store(true, Ordering::SeqCst);
-            let mut matched = None;
-            while let Ok(envelope) = inbox.try_recv() {
-                match envelope {
-                    Envelope::App(msg) if matched.is_none() && msg.src == src && msg.tag == tag => {
-                        matched = Some(msg);
-                    }
-                    Envelope::App(msg) => self.pending.push(msg),
-                    Envelope::Wake => {}
-                }
-            }
-            if let Some(msg) = matched {
-                board.blocked[self.rank].store(false, Ordering::SeqCst);
-                return msg;
-            }
-            // Channel fully drained with no match: read the board's
-            // monotonic facts.  A terminal condition seen for the first
-            // time triggers one more drain-and-recheck round instead of
-            // an immediate panic (see `terminal_seen` above); a drain
-            // that still finds no match after a prior observation is
-            // proof, and which peer's status landed first no longer
-            // matters — every diagnosis stays order-independent.
-            let src_status = board.status_of(src);
-            let all_terminated = board.terminated.load(Ordering::SeqCst) >= self.p() - 1;
-            if src_status != RankStatus::Running || all_terminated {
-                if terminal_seen {
-                    // This drain started strictly after the previous
-                    // iteration observed the condition, so it contained
-                    // every message the terminated peers ever sent.
-                    match src_status {
-                        RankStatus::Died => self.panic_waiting_on_dead(src, tag),
-                        RankStatus::Poisoned => panic!("{ABORT_MSG} (rank {src})"),
-                        // A cleanly-terminated peer will never send
-                        // again, and its sends all happen-before its
-                        // status store — the post-observation drain
-                        // proves the awaited message does not exist.
-                        RankStatus::Done if !all_terminated => self.panic_waiting_on_done(src, tag),
-                        // `src` alive or Done, so the flag came from
-                        // (still-monotonic) full termination.
-                        RankStatus::Running | RankStatus::Done => {
-                            self.panic_all_terminated(src, tag)
-                        }
-                    }
-                }
-                terminal_seen = true;
-                continue;
-            }
-            if spins < SPIN_YIELDS {
-                spins += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            match inbox.recv_timeout(self.shared.recv_timeout) {
-                Ok(envelope) => {
-                    board.blocked[self.rank].store(false, Ordering::SeqCst);
-                    spins = 0;
-                    match envelope {
-                        Envelope::App(msg) if msg.src == src && msg.tag == tag => return msg,
-                        Envelope::App(msg) => self.pending.push(msg),
-                        Envelope::Wake => {}
-                    }
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    let message = format!(
-                        "rank {}: no message for {:?} while waiting for (src {src}, tag {tag:#x}) — \
-                         live deadlock (cyclic mutual wait) in the simulated algorithm",
-                        self.rank, self.shared.recv_timeout
-                    );
-                    std::panic::panic_any(DeadlockPayload {
-                        rank: self.rank,
-                        message,
-                    });
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("engine channels cannot close while processors hold senders")
-                }
             }
         }
     }
@@ -852,10 +523,9 @@ impl Proc {
         });
     }
 
-    /// The awaited peer terminated cleanly and the post-observation drain
-    /// found no match.  Its sends all happen-before its `Done` store, so
-    /// the message provably does not exist — diagnose immediately instead
-    /// of stalling until the host timeout.
+    /// The awaited peer terminated cleanly and its mailbox holds no
+    /// match.  Its sends were all delivered before its `Done` status was
+    /// published, so the message provably does not exist.
     fn panic_waiting_on_done(&self, src: usize, tag: Tag) -> ! {
         let message = format!(
             "rank {}: deadlock — peer {src} terminated without sending the awaited \
@@ -868,10 +538,10 @@ impl Proc {
         });
     }
 
-    /// Every peer has terminated and the drained channel holds no match:
-    /// nothing can unblock this receive.  Abort if any peer panicked
-    /// (attributed to the lowest-ranked poisoner — a board fact, not an
-    /// arrival order), else diagnose the deadlock.
+    /// Every peer has terminated and the mailbox holds no match: nothing
+    /// can unblock this receive.  Abort if any peer panicked (attributed
+    /// to the lowest-ranked poisoner — a status fact, not an arrival
+    /// order), else diagnose the deadlock.
     fn panic_all_terminated(&self, src: usize, tag: Tag) -> ! {
         let poisoners = self.shared.net.ranks_with(RankStatus::Poisoned);
         if let Some(&poisoner) = poisoners.first() {
@@ -1197,18 +867,10 @@ impl Proc {
     }
 
     /// Final accounting of a rank that returned normally.  `unreceived`
-    /// holds only the messages this rank took off its channel and never
-    /// matched; what is still in flight to it is added once every rank
-    /// has returned ([`RunShared::drain_unreceived`]), so the threaded
-    /// inbox goes back to its slot and stays open for late senders.
+    /// is added once every rank has returned ([`Net::drain_unreceived`]),
+    /// so the mailbox stays open for late senders.
     pub(crate) fn into_final_parts(mut self) -> (ProcStats, Timeline) {
         self.stats.clock = self.clock;
-        self.stats.unreceived = self.pending.len() as u64;
-        if let (Port::Threaded(inbox), NetShared::Threaded { inboxes, .. }) =
-            (self.port, &self.shared.net)
-        {
-            *inboxes[self.rank].lock().expect("inbox slot poisoned") = Some(inbox);
-        }
         (self.stats, self.timeline.unwrap_or_default())
     }
 }

@@ -30,6 +30,12 @@
 //!   (`tests/engine_differential.rs`), which pins virtual-time results
 //!   bit-identical between the two at every overlapping p.
 //!
+//! Both engines deliver into the same per-rank mailboxes and diagnose
+//! failures the same way: a receive that can never match panics with a
+//! structured diagnosis once its peer has terminated, or once every
+//! unfinished rank is blocked.  No host clock is read, so a slow host
+//! can delay a run but never change its outcome.
+//!
 //! ## Virtual time
 //!
 //! Every processor carries a virtual clock:

@@ -15,25 +15,20 @@
 //!   retransmission, payload corruption, duplication, fail-stop deaths
 //!   with spare failover, and lossy heartbeat detection.
 //! * **Diagnosis parity** on raw machines: cyclic deadlocks,
-//!   starvation deadlocks, deaths without spares, and unreceived-
-//!   message accounting must classify to equal [`SimError`] values
-//!   even though the engines discover them by different mechanisms
-//!   (wall-clock recv timeouts vs. virtual-time stuck-resolution).
+//!   starvation deadlocks, deaths without spares, unreceived-message
+//!   accounting and a host-stalled rank must classify to equal
+//!   [`SimError`] values.
 //!
-//! The threaded side holds a short deadlock timeout so that genuinely
-//! stuck sweeps diagnose quickly; the event side never waits on the
-//! wall clock at all, which is exactly the asymmetry this suite pins.
+//! Both engines share one network (mailboxes, statuses, the deadlock
+//! election); what differs is who runs the ranks.  So this suite checks
+//! that network under free host interleaving (threaded ranks race on
+//! real threads) against the event engine's fiber order.
 
 use std::time::Duration;
 
 use algos::common::{AlgoError, SimOutcome};
 use dense::{gen, Matrix};
-use mmsim::{CostModel, EngineKind, FaultPlan, Machine, Proc, Topology};
-
-/// Wall-clock deadlock budget for the *threaded* engine only: long
-/// enough that a loaded CI box never spuriously diagnoses a live run,
-/// short enough that intentionally-stuck sweeps finish fast.
-const TIMEOUT: Duration = Duration::from_millis(4_000);
+use mmsim::{CostModel, EngineKind, FaultPlan, Machine, Proc, RunReport, SimError, Topology};
 
 /// The standard sweep cost model (shared with the resilience matrix).
 fn cost() -> CostModel {
@@ -78,7 +73,8 @@ where
 
 /// Raw-machine differential: identical closure under both engines,
 /// comparing `try_run` verbatim (results, `T_p` bits, stats, errors).
-fn check_raw<T, F>(label: &str, machine: &Machine, f: F)
+/// Returns the (equal) outcome.
+fn check_raw<T, F>(label: &str, machine: &Machine, f: F) -> Result<RunReport<T>, SimError>
 where
     T: Send + PartialEq + std::fmt::Debug,
     F: Fn(&mut Proc) -> T + Sync,
@@ -91,7 +87,7 @@ where
         .clone()
         .with_engine(EngineKind::Event)
         .try_run(|p| f(p));
-    match (threaded, event) {
+    match (&threaded, &event) {
         (Ok(t), Ok(e)) => {
             assert_eq!(t.results, e.results, "{label}: results diverge");
             assert_eq!(
@@ -106,6 +102,7 @@ where
             panic!("{label}: engines disagree on success:\n  threaded: {t:?}\n  event:    {e:?}")
         }
     }
+    threaded
 }
 
 /// One fault-free sweep point: every algorithm applicable at this `p`
@@ -196,7 +193,6 @@ fn fault_free_cube_families() {
 /// matrix does: fully-connected fabric, `p + spares` ranks.
 fn sweep_machine(p: usize, spares: usize, plan: FaultPlan) -> Machine {
     Machine::new(Topology::fully_connected(p + spares), cost())
-        .with_deadlock_timeout(TIMEOUT)
         .with_fault_plan(plan)
         .with_spares(spares)
 }
@@ -259,34 +255,57 @@ fn faults_spares_and_detection() {
 }
 
 /// Cyclic deadlock (every rank receives from its successor, nobody
-/// sends): the threaded engine discovers it by wall-clock timeout on
-/// every rank, the event engine by electing the lowest stuck rank and
-/// cascading terminal diagnoses — the `SimError` must be equal.
+/// sends): on both engines the last rank to park elects the lowest
+/// parked rank, whose diagnosis is a termination that unwinds the rest
+/// of the cycle — the `SimError` must be equal.
 #[test]
 fn cyclic_deadlock_diagnosis_is_equal() {
     for p in [4usize, 16] {
-        let machine = Machine::new(Topology::fully_connected(p), cost())
-            .with_deadlock_timeout(Duration::from_millis(300));
-        check_raw(&format!("cycle p={p}"), &machine, |proc| {
+        let machine = Machine::new(Topology::fully_connected(p), cost());
+        let err = check_raw(&format!("cycle p={p}"), &machine, |proc| {
             let from = (proc.rank() + 1) % proc.p();
             let _ = proc.recv(from, 7);
-        });
+        })
+        .unwrap_err();
+        let waiters = (0..p).collect();
+        assert_eq!(err, SimError::Deadlock { waiters });
     }
+    // Two independent cycles, {0, 1} and {2, 3}, and a rank 4 that
+    // returns at once.  The run is stuck only once rank 4 has announced
+    // its termination, so the first election can come from the
+    // termination path (always, on the event engine, which runs rank 4
+    // last); the second cycle is elected from the termination of the
+    // first.
+    let machine = Machine::new(Topology::fully_connected(5), cost());
+    let err = check_raw("two cycles p=5", &machine, |proc| {
+        if proc.rank() != 4 {
+            let _ = proc.recv(proc.rank() ^ 1, 7);
+        }
+    })
+    .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::Deadlock {
+            waiters: vec![0, 1, 2, 3]
+        }
+    );
 }
 
 /// Starvation deadlock: rank 0 exits immediately; everyone else waits
-/// on it forever. The event engine diagnoses this with no timeout at
-/// all (terminal-status cascade); the error must still be equal.
+/// on it forever.  Rank 0's termination wakes every waiter on it into
+/// the same terminal diagnosis on both engines.
 #[test]
 fn starvation_deadlock_diagnosis_is_equal() {
     for p in [4usize, 16] {
-        let machine = Machine::new(Topology::fully_connected(p), cost())
-            .with_deadlock_timeout(Duration::from_millis(300));
-        check_raw(&format!("starve p={p}"), &machine, |proc| {
+        let machine = Machine::new(Topology::fully_connected(p), cost());
+        let err = check_raw(&format!("starve p={p}"), &machine, |proc| {
             if proc.rank() != 0 {
                 let _ = proc.recv(0, 3);
             }
-        });
+        })
+        .unwrap_err();
+        let waiters = (1..p).collect();
+        assert_eq!(err, SimError::Deadlock { waiters });
     }
 }
 
@@ -296,9 +315,8 @@ fn starvation_deadlock_diagnosis_is_equal() {
 fn death_attribution_is_equal() {
     for p in [4usize, 16] {
         let machine = Machine::new(Topology::fully_connected(p), cost())
-            .with_deadlock_timeout(TIMEOUT)
             .with_fault_plan(FaultPlan::new(9).with_death(1, 1.5));
-        check_raw(&format!("death p={p}"), &machine, |proc| {
+        let _ = check_raw(&format!("death p={p}"), &machine, |proc| {
             let (rank, p) = (proc.rank(), proc.p());
             for round in 0..4u64 {
                 proc.compute(1.0);
@@ -309,12 +327,12 @@ fn death_attribution_is_equal() {
     }
 }
 
-/// Unreceived-message accounting: the engines count leftovers by
-/// different mechanisms (inbox drain vs. mailbox scan) and must agree.
+/// Unreceived-message accounting: the run-end mailbox count must agree
+/// whichever order the host ran the ranks in.
 #[test]
 fn unreceived_accounting_is_equal() {
     let machine = Machine::new(Topology::fully_connected(4), cost());
-    check_raw("unreceived", &machine, |proc| {
+    let report = check_raw("unreceived", &machine, |proc| {
         if proc.rank() == 0 {
             proc.send(1, 0, vec![1.0]);
             proc.send(1, 1, vec![2.0]);
@@ -326,7 +344,9 @@ fn unreceived_accounting_is_equal() {
         } else {
             Vec::new()
         }
-    });
+    })
+    .expect("healthy run");
+    assert_eq!(report.stats[1].unreceived, 2);
 }
 
 /// A send that lands after its destination returned still counts as
@@ -370,4 +390,24 @@ fn send_after_the_destination_returned_is_counted() {
         });
         assert_eq!(report.stats[0].unreceived, 1, "{engine:?}");
     }
+}
+
+/// A host stall is not a deadlock.  On a ring, rank 0 sleeps 200 ms of
+/// host time before its send while its peers are parked waiting on the
+/// ring: every other rank is parked, but rank 0 is running, so nothing
+/// is elected and the run completes.  Equal reports on both engines.
+#[test]
+fn host_stall_is_not_a_deadlock() {
+    let machine = Machine::new(Topology::fully_connected(4), cost());
+    let ring = |proc: &mut Proc| {
+        let (rank, p) = (proc.rank(), proc.p());
+        if rank == 0 {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        proc.send((rank + 1) % p, 1, vec![rank as f64]);
+        proc.recv_payload((rank + p - 1) % p, 1)[0]
+    };
+    let report = check_raw("host stall", &machine, ring)
+        .unwrap_or_else(|e| panic!("a host stall became {e}"));
+    assert_eq!(report.results, vec![3.0, 0.0, 1.0, 2.0]);
 }

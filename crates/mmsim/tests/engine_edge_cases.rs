@@ -117,16 +117,15 @@ fn now_reflects_virtual_not_host_time() {
 #[test]
 fn terminal_status_never_outraces_the_final_message() {
     // Regression for a TOCTOU in the receive path: a peer that sends
-    // its last message and immediately terminates could publish its
-    // terminal status between the receiver's (empty) inbox drain and
-    // the receiver's status-board read, tricking the receiver into a
-    // spurious deadlock/dead-peer diagnosis while the message sat
-    // undelivered in its inbox.  Diagnosis is now deferred until a
-    // drain performed *after* the observation still finds no match.
-    // Stress the window: the sender's send→terminate gap is a few
-    // instructions, and the stagger varies which part of the
-    // receiver's drain/park cycle it lands in.  The window exists only
-    // between host threads, so the engine is pinned.
+    // its last message and immediately terminates must never be seen
+    // terminated by a receiver that has not yet seen the message, or
+    // the receiver raises a spurious deadlock/dead-peer diagnosis.
+    // Deliveries and status publications share the receiver's lock, so
+    // the window is closed by construction; stress it anyway: the
+    // sender's send→terminate gap is a few instructions, and the
+    // stagger varies which part of the receiver's check/park cycle it
+    // lands in.  The window exists only between host threads, so the
+    // engine is pinned.
     let machine = Machine::new(Topology::fully_connected(2), CostModel::unit())
         .with_engine(EngineKind::Threaded);
     for round in 0..300u32 {

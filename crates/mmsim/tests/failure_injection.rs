@@ -88,16 +88,14 @@ fn deadlock_message_names_the_waiting_rank() {
 fn mutual_wait_on_wrong_tags_is_diagnosed() {
     // Both wait for a tag the other never uses: a classic tag bug.
     // Nobody terminates, so the Done-counting cannot fire; the
-    // host-time receive timeout is the backstop for live cycles.
+    // network's election diagnoses the live cycle once both are parked.
     panics_with(
         || {
-            Machine::new(Topology::fully_connected(2), CostModel::unit())
-                .with_deadlock_timeout(std::time::Duration::from_millis(200))
-                .run(|proc| {
-                    let other = 1 - proc.rank();
-                    proc.send(other, 1, vec![1.0]);
-                    proc.recv(other, 2); // wrong tag
-                });
+            Machine::new(Topology::fully_connected(2), CostModel::unit()).run(|proc| {
+                let other = 1 - proc.rank();
+                proc.send(other, 1, vec![1.0]);
+                proc.recv(other, 2); // wrong tag
+            });
         },
         "deadlock",
     );

@@ -82,17 +82,9 @@ proptest! {
         death_pick in 0usize..100,
         death_t in 1.0f64..200.0,
     ) {
-        // A short diagnosis timeout keeps the worst case fast, but it is
-        // wall-clock: too short and a host-starved (not deadlocked) rank
-        // gets misdiagnosed, which breaks the reproducibility assertion
-        // below when the whole workspace's tests run in parallel.  1.5 s
-        // is far beyond any scheduling hiccup while keeping genuinely
-        // deadlocked cases quick.  The env var is process-global, which
-        // is fine — every test in this binary tolerates early diagnosis.
-        // Only the threaded engine diagnoses by timeout, so both
-        // machines pin it; `engine_differential.rs` holds the event
-        // engine to the same diagnoses.
-        std::env::set_var("MMSIM_DEADLOCK_TIMEOUT_MS", "1500");
+        // Both machines pin the threaded engine, whose ranks race on
+        // real threads; `engine_differential.rs` holds the event engine
+        // to the same diagnoses.
         let mut plan = FaultPlan::new(seed)
             .with_drop_rate(drop)
             .with_corrupt_rate(corrupt);

@@ -115,8 +115,7 @@ fn nested_partitions_compose() {
 fn fault_plan_death_is_keyed_by_physical_rank() {
     // Physical rank 5 dies; in the partition [4, 5] it is local rank 1.
     let m = Machine::new(Topology::fully_connected(8), CostModel::unit())
-        .with_fault_plan(FaultPlan::new(0).with_death(5, 10.0))
-        .with_deadlock_timeout(std::time::Duration::from_millis(300));
+        .with_fault_plan(FaultPlan::new(0).with_death(5, 10.0));
     let err = m
         .partition(&[4, 5])
         .try_run(|proc| proc.compute(100.0))

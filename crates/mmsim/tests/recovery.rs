@@ -2,12 +2,8 @@
 //! results, replay byte-identically, price recovery in virtual time,
 //! and degrade to the spare-less diagnosis when the budget runs out.
 
-use std::time::Duration;
-
 use mmsim::{Checkpoint, CostModel, FaultPlan, Machine, Proc, RunReport, SimError, Topology};
 use proptest::prelude::*;
-
-const TIMEOUT: Duration = Duration::from_millis(2_000);
 
 /// A checkpointed ring workload: `steps` rounds of (compute, shift right
 /// over the reliable transport, checkpoint the accumulated state every
@@ -44,7 +40,6 @@ fn machine(p_logical: usize, spares: usize, plan: FaultPlan) -> Machine {
         Topology::fully_connected(p_logical + spares),
         CostModel::new(10.0, 2.0),
     )
-    .with_deadlock_timeout(TIMEOUT)
     .with_fault_plan(plan)
     .with_spares(spares)
 }
@@ -504,7 +499,6 @@ proptest! {
         let victim = victim % p;
         let plan = FaultPlan::new(seed).with_death(victim, t_death);
         let bare = Machine::new(Topology::fully_connected(p), CostModel::new(10.0, 2.0))
-            .with_deadlock_timeout(TIMEOUT)
             .with_fault_plan(plan);
         match run_ring(&bare, 4) {
             Ok(r) => {

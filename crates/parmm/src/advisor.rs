@@ -601,8 +601,7 @@ mod tests {
     fn resilient_dispatch_covers_both_fox_formulations() {
         use mmsim::FaultPlan;
         let machine = Machine::new(Topology::fully_connected(4), CostModel::cm5())
-            .with_fault_plan(FaultPlan::new(23).with_drop_rate(0.15))
-            .with_deadlock_timeout(std::time::Duration::from_millis(4_000));
+            .with_fault_plan(FaultPlan::new(23).with_drop_rate(0.15));
         let (a, b) = dense::gen::random_pair(8, 17);
         for alg in [Algorithm::FoxHypercube, Algorithm::FoxPipelined] {
             let rec = Recommendation {
