@@ -54,7 +54,7 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
             limit: "Berntsen's algorithm requires p ≤ n^{3/2}".into(),
         });
     }
-    if n % (s * s) != 0 {
+    if !n.is_multiple_of(s * s) {
         return Err(AlgoError::BadMatrixSize {
             n,
             requirement: format!("p^{{2/3}} = {} must divide n", s * s),

@@ -213,7 +213,7 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
         p,
         requirement: "Cannon's algorithm needs a perfect-square processor count".into(),
     })?;
-    if n % q != 0 {
+    if !n.is_multiple_of(q) {
         return Err(AlgoError::BadMatrixSize {
             n,
             requirement: format!("mesh side {q} must divide n"),

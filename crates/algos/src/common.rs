@@ -215,7 +215,7 @@ pub fn exact_cbrt_pow2(p: usize) -> Option<usize> {
         return None;
     }
     let bits = p.trailing_zeros();
-    (bits % 3 == 0).then(|| 1usize << (bits / 3))
+    bits.is_multiple_of(3).then(|| 1usize << (bits / 3))
 }
 
 /// Row-major mesh coordinates of `rank` on a `q × q` mesh.

@@ -38,7 +38,7 @@ use collectives::{broadcast_on, reduce_sum_on, Group};
 /// (so the internal meshes are square and the spread trees are
 /// hypercube-shaped); returns `r`.
 pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
-    if n == 0 || p % (n * n) != 0 {
+    if n == 0 || !p.is_multiple_of(n * n) {
         return Err(AlgoError::BadProcessorCount {
             p,
             requirement: format!("the DNS algorithm needs p = n²·r (n = {n})"),
@@ -58,7 +58,7 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
             limit: "the DNS algorithm uses at most n³ processors".into(),
         });
     }
-    if n % r != 0 {
+    if !n.is_multiple_of(r) {
         return Err(AlgoError::BadMatrixSize {
             n,
             requirement: format!("r = {r} must divide n"),

@@ -56,7 +56,7 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
             limit: "the GK algorithm uses at most n³ processors".into(),
         });
     }
-    if n % s != 0 {
+    if !n.is_multiple_of(s) {
         return Err(AlgoError::BadMatrixSize {
             n,
             requirement: format!("cube side {s} must divide n"),
@@ -242,7 +242,7 @@ pub(crate) fn gk_on<X: Transport>(
 pub fn improved_applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
     let s = applicability(n, p)?;
     let block_words = (n / s) * (n / s);
-    if s > 1 && block_words % s != 0 {
+    if s > 1 && !block_words.is_multiple_of(s) {
         return Err(AlgoError::BadMatrixSize {
             n,
             requirement: format!(

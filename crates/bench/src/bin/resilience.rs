@@ -214,7 +214,7 @@ fn main() -> ExitCode {
     });
     push_grid("dns", dns_ps, DNS_N, &|p| {
         let r = p / (DNS_N * DNS_N);
-        r.is_power_of_two() && DNS_N % r == 0 && p == DNS_N * DNS_N * r
+        r.is_power_of_two() && DNS_N.is_multiple_of(r) && p == DNS_N * DNS_N * r
     });
 
     let outcomes = parallel_sweep(points, |point| {

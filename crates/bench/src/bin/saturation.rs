@@ -26,8 +26,8 @@ fn main() {
     let mut sim_pts = Vec::new();
     for &(p, s_model) in &curve {
         let p_usize = p as usize;
-        let sim =
-            (p_usize as f64).sqrt().fract() == 0.0 && n % (p_usize as f64).sqrt() as usize == 0;
+        let sim = (p_usize as f64).sqrt().fract() == 0.0
+            && n.is_multiple_of((p_usize as f64).sqrt() as usize);
         let s_sim = if sim {
             let (a, b) = gen::random_pair(n, 17);
             let machine = Machine::new(Topology::square_torus_for(p_usize), CostModel::ncube2());

@@ -533,7 +533,7 @@ pub fn scatter(
         let half = 1usize << t;
         if let Some(flat) = bundle
             .as_mut()
-            .filter(|_| vidx % (2 * half) == 0 && vidx + half < g)
+            .filter(|_| vidx.is_multiple_of(2 * half) && vidx + half < g)
         {
             // Send the upper sub-bundle [vidx+half, vidx+extent).
             let keep_pieces = half.min(extent);
@@ -583,7 +583,7 @@ pub fn gather(
             proc.send(to_rank(vidx - half), tag(phase, t), bundle);
             return None;
         }
-        if vidx % (2 * half) == 0 && vidx + half < g {
+        if vidx.is_multiple_of(2 * half) && vidx + half < g {
             let incoming = proc.recv_payload(to_rank(vidx + half), tag(phase, t));
             bundle.extend_from_slice(&incoming);
             extent += incoming.len() / piece_len.max(1);

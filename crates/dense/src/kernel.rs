@@ -60,17 +60,23 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Rows of C one register tile covers.
+/// Rows and columns of C one AVX2 register tile covers: 4 rows of two
+/// 4-lane registers.
 const TILE_ROWS: usize = 4;
-/// Columns of C one register tile covers.
 const TILE_COLS: usize = 8;
+/// Rows and columns of C one AVX-512 register tile covers: 8 rows of
+/// two 8-lane registers.  Split chunks are a multiple of its height.
+const WIDE_ROWS: usize = 8;
+const WIDE_COLS: usize = 16;
 
 /// Fewest multiply-adds, and fewest rows of C, a lending thread splits
 /// across helper threads.  Below it a split cannot pay: on 2 vCPUs with
-/// AVX2 a 64³ call (2^18) takes ~16 µs on one core, and waking a parked
-/// helper takes 8–15 µs.  Splitting the 128³ calls (2^21) took the
-/// event engine's Cannon at p = 16, n = 512 from 14.6–14.9 ms to
-/// 6.6–7.7 ms (retained heap included).
+/// AVX-512 a 64³ call (2^18) takes 20–25 µs on one core in 8×16 tiles,
+/// and waking a parked helper takes 8–15 µs.  Measured there with the
+/// helpers spinning, splitting 64³–96³ calls ran 1.2–1.5× slower than
+/// serial, 64×128×128 (2^20) broke even (0.9–1.1×), and 128³ (2^21)
+/// and 192³ calls split ran 1.3–1.7× faster whenever the second vCPU
+/// was free.
 const SPLIT_MIN_WORK: usize = 1 << 20;
 const SPLIT_MIN_ROWS: usize = 8;
 /// Chunks a split call cuts C's rows into.
@@ -84,9 +90,11 @@ pub(crate) const SPLIT_CHUNKS: usize = 8;
 /// Every C element receives `a[i][l] * b[l][j]` for ascending `l`, as a
 /// separate multiply and add (never fused), skipping the `l` where
 /// `a[i][l] == 0.0`: results are bit-identical to the plain i-k-j loop
-/// whichever path runs.  On an x86-64 host with AVX2, blocks of at least
-/// 4×8 take the register-tiled path (`accumulate_tiled_avx2`); every
-/// other block, host and target takes the row-pair loop.  Inside
+/// whichever path runs.  On an x86-64 host, blocks of at least 8×16 take
+/// 8×16 register tiles compiled for AVX-512 (`accumulate_tiled_avx512`)
+/// where the host has AVX-512F, other blocks of at least 4×8 take 4×8
+/// tiles compiled for AVX2 (`accumulate_tiled_avx2`) where it has AVX2,
+/// and every other block, host and target takes the row-pair loop.  Inside
 /// [`with_idle_cores`](crate::with_idle_cores), calls of at least 2^20
 /// multiply-adds and 8 rows split C's rows across helper threads
 /// (`accumulate_split`), each chunk taking the same path on its rows.
@@ -119,8 +127,8 @@ pub fn matmul_accumulate(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     accumulate_serial(cv, av, bv, m, k, n);
 }
 
-/// `C: m×n += A: m×k · B: k×n` on the calling thread: the tile where it
-/// fits, the row-pair loop otherwise.
+/// `C: m×n += A: m×k · B: k×n` on the calling thread: the tiles where
+/// they fit, the row-pair loop otherwise.
 #[inline(always)]
 fn accumulate_serial(cv: &mut [f64], av: &[f64], bv: &[f64], m: usize, k: usize, n: usize) {
     // Blocks smaller than one tile never reach the feature check.
@@ -134,13 +142,14 @@ fn accumulate_serial(cv: &mut [f64], av: &[f64], bv: &[f64], m: usize, k: usize,
 
 /// [`accumulate_serial`] over chunks of C's rows, shared with whichever
 /// helper threads are free (see `lend`).  A chunk is a multiple of the
-/// tile's 4 rows (the last one may be shorter), and rows are independent:
-/// each C element is still computed by one thread, in ascending `l`, so
-/// the result is bit-identical to the serial call for any shape.
+/// wide tile's 8 rows (the last one may be shorter), and rows are
+/// independent: each C element is still computed by one thread, in
+/// ascending `l`, so the result is bit-identical to the serial call for
+/// any shape.
 #[cold]
 #[inline(never)]
 fn accumulate_split(cv: &mut [f64], av: &[f64], bv: &[f64], m: usize, k: usize, n: usize) {
-    let rows = m.div_ceil(SPLIT_CHUNKS).next_multiple_of(TILE_ROWS);
+    let rows = m.div_ceil(SPLIT_CHUNKS).next_multiple_of(WIDE_ROWS);
     if rows * n == 0 {
         return; // C is empty
     }
@@ -159,16 +168,23 @@ fn accumulate_split(cv: &mut [f64], av: &[f64], bv: &[f64], m: usize, k: usize, 
     });
 }
 
-/// Out-of-line entry to the tiled path.  `#[cold]` is a layout hint only:
-/// it keeps the row-pair path above a straight fall-through, so tiny
-/// blocks pay nothing for the tile's existence; a tiled call does enough
-/// work to hide one extra jump.
+/// Out-of-line entry to the tiled paths, for blocks of at least one
+/// 4×8 tile on an AVX2 host: the widest tiles the host and the block's
+/// shape allow.  `#[cold]` is a layout hint only: it keeps the row-pair
+/// path above a straight fall-through, so tiny blocks pay nothing for
+/// the tiles' existence; a tiled call does enough work to hide one
+/// extra jump.
 #[cfg(target_arch = "x86_64")]
 #[cold]
 #[inline(never)]
 fn accumulate_tiled(cv: &mut [f64], av: &[f64], bv: &[f64], m: usize, k: usize, n: usize) {
-    // SAFETY: the only caller has checked that the host supports AVX2.
-    unsafe { accumulate_tiled_avx2(cv, av, bv, m, k, n) };
+    if m >= WIDE_ROWS && n >= WIDE_COLS && is_x86_feature_detected!("avx512f") {
+        // SAFETY: the host supports AVX-512F, checked just above.
+        unsafe { accumulate_tiled_avx512(cv, av, bv, m, k, n) };
+    } else {
+        // SAFETY: the only caller has checked that the host supports AVX2.
+        unsafe { accumulate_tiled_avx2(cv, av, bv, m, k, n) };
+    }
 }
 
 /// `C[rows, cols] += A[rows, :]·B[:, cols]` for row-major `C: ·×n`,
@@ -231,18 +247,12 @@ fn accumulate_row_pairs(
     }
 }
 
-/// [`matmul_accumulate`]'s fast path for `C: m×n += A: m×k · B: k×n`,
-/// compiled for AVX2 (and deliberately not FMA, which would round each
-/// multiply-add once instead of twice).
-///
-/// C is covered by 4×8 register tiles: a tile keeps its 32 C values in
-/// registers for the whole `k` loop and streams one 8-wide row of B per
-/// `k`, instead of loading and storing C once per `k`.  A 4-row strip
-/// of A holding an exact zero, the columns past the last full 8 and the
-/// rows past the last full 4 go through [`accumulate_row_pairs`], so the
-/// zero skip and the ascending-`k` order are exactly the plain loop's.
-/// Correct for any shape; [`matmul_accumulate`] calls it only for blocks
-/// of at least one tile.
+/// [`matmul_accumulate`]'s tiled path for `C: m×n += A: m×k · B: k×n`
+/// with 4×8 tiles, compiled for AVX2 (and deliberately not FMA, which
+/// would round each multiply-add once instead of twice).  What the
+/// tiles leave goes through the row-pair loop (see [`accumulate_tiles`]).
+/// Correct for any shape; [`matmul_accumulate`] calls it only for
+/// blocks of at least one tile.
 ///
 /// # Safety
 /// The host must support AVX2 (`is_x86_feature_detected!("avx2")`).
@@ -257,29 +267,87 @@ unsafe fn accumulate_tiled_avx2(
     k: usize,
     n: usize,
 ) {
-    let m4 = m - m % TILE_ROWS;
-    let n8 = n - n % TILE_COLS;
-    for i in (0..m4).step_by(TILE_ROWS) {
-        let strip = &av[i * k..(i + TILE_ROWS) * k];
+    let narrow = |cv: &mut [f64], rows, cols| row_pairs_outlined(cv, av, bv, k, n, rows, cols);
+    accumulate_tiles::<TILE_ROWS, TILE_COLS>(cv, av, bv, k, n, 0..m, 0..n, &narrow);
+}
+
+/// [`matmul_accumulate`]'s tiled path for `C: m×n += A: m×k · B: k×n`
+/// with 8×16 tiles, compiled for AVX-512F.  What the wide tiles leave
+/// (an 8-row strip of A holding an exact zero, the columns past the last
+/// full 16, the rows past the last full 8) goes to the same code with
+/// 4×8 tiles, whose own remainders go through the row-pair loop.
+///
+/// `avx512f` implies `fma` in rustc, but safe Rust never asks for a
+/// fused multiply-add: each `*cx += aval * bx` stays a multiply and an
+/// add, rounded twice, as on every other path.  Correct for any shape;
+/// [`matmul_accumulate`] calls it only for blocks of at least 8×16.
+///
+/// # Safety
+/// The host must support AVX-512F (`is_x86_feature_detected!("avx512f")`).
+/// The body itself is safe code: every index is bounds-checked.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn accumulate_tiled_avx512(
+    cv: &mut [f64],
+    av: &[f64],
+    bv: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let narrow = |cv: &mut [f64], rows, cols| row_pairs_outlined(cv, av, bv, k, n, rows, cols);
+    let rest = |cv: &mut [f64], rows, cols| {
+        accumulate_tiles::<TILE_ROWS, TILE_COLS>(cv, av, bv, k, n, rows, cols, &narrow);
+    };
+    accumulate_tiles::<WIDE_ROWS, WIDE_COLS>(cv, av, bv, k, n, 0..m, 0..n, &rest);
+}
+
+/// `C[rows, cols] += A[rows, :]·B[:, cols]` in R×C register tiles, for
+/// row-major `C: ·×n`, `A: ·×k`, `B: k×n`.
+///
+/// A tile keeps its R·C values of C in registers for the whole `k` loop
+/// and streams one C-wide row of B per `k`, instead of loading and
+/// storing C once per `k`.  An R-row strip of A holding an exact zero,
+/// the columns past the last full C and the rows past the last full R
+/// go to `rest`, which must compute its rectangle as the plain i-k-j
+/// loop does; so the zero skip and the ascending-`k` order are exactly
+/// the plain loop's.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn accumulate_tiles<const R: usize, const C: usize>(
+    cv: &mut [f64],
+    av: &[f64],
+    bv: &[f64],
+    k: usize,
+    n: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    rest: &impl Fn(&mut [f64], Range<usize>, Range<usize>),
+) {
+    let i_end = rows.end - rows.len() % R;
+    let j_end = cols.end - cols.len() % C;
+    for i in (rows.start..i_end).step_by(R) {
+        let strip = &av[i * k..(i + R) * k];
         if strip.contains(&0.0) {
-            row_pairs_outlined(cv, av, bv, k, n, i..i + TILE_ROWS, 0..n);
+            rest(cv, i..i + R, cols.clone());
             continue;
         }
-        for j in (0..n8).step_by(TILE_COLS) {
-            accumulate_tile(cv, strip, bv, k, n, i, j);
+        for j in (cols.start..j_end).step_by(C) {
+            accumulate_tile::<R, C>(cv, strip, bv, k, n, i, j);
         }
-        if n8 < n {
-            row_pairs_outlined(cv, av, bv, k, n, i..i + TILE_ROWS, n8..n);
+        if j_end < cols.end {
+            rest(cv, i..i + R, j_end..cols.end);
         }
     }
-    if m4 < m {
-        row_pairs_outlined(cv, av, bv, k, n, m4..m, 0..n);
+    if i_end < rows.end {
+        rest(cv, i_end..rows.end, cols);
     }
 }
 
 /// [`accumulate_row_pairs`] as a function of its own, for the tiled
-/// path's fallbacks: compiled for the baseline target rather than inlined
-/// into the AVX2 function, it runs the short column remainders (1–7
+/// paths' fallbacks: compiled for the baseline target rather than inlined
+/// into a tiled function, it runs the short column remainders (1–7
 /// wide) faster than an AVX2 copy does.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
@@ -295,11 +363,11 @@ fn row_pairs_outlined(
     accumulate_row_pairs(cv, av, bv, k, n, rows, cols);
 }
 
-/// One 4×8 tile of C at `(i, j)`: `C[i..i+4, j..j+8] += strip · B[:, j..j+8]`,
-/// where `strip` is rows `i..i+4` of A (no exact zeros).
+/// One R×C tile of C at `(i, j)`: `C[i..i+R, j..j+C] += strip · B[:, j..j+C]`,
+/// where `strip` is rows `i..i+R` of A (no exact zeros).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn accumulate_tile(
+fn accumulate_tile<const R: usize, const C: usize>(
     cv: &mut [f64],
     strip: &[f64],
     bv: &[f64],
@@ -308,13 +376,13 @@ fn accumulate_tile(
     i: usize,
     j: usize,
 ) {
-    let arows: [&[f64]; TILE_ROWS] = std::array::from_fn(|r| &strip[r * k..(r + 1) * k]);
-    let mut acc = [[0.0; TILE_COLS]; TILE_ROWS];
+    let arows: [&[f64]; R] = std::array::from_fn(|r| &strip[r * k..(r + 1) * k]);
+    let mut acc = [[0.0; C]; R];
     for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&cv[(i + r) * n + j..(i + r) * n + j + TILE_COLS]);
+        row.copy_from_slice(&cv[(i + r) * n + j..(i + r) * n + j + C]);
     }
     for l in 0..k {
-        let brow = &bv[l * n + j..l * n + j + TILE_COLS];
+        let brow = &bv[l * n + j..l * n + j + C];
         for (row, arow) in acc.iter_mut().zip(arows) {
             let aval = arow[l];
             for (cx, bx) in row.iter_mut().zip(brow) {
@@ -323,7 +391,7 @@ fn accumulate_tile(
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        cv[(i + r) * n + j..(i + r) * n + j + TILE_COLS].copy_from_slice(row);
+        cv[(i + r) * n + j..(i + r) * n + j + C].copy_from_slice(row);
     }
 }
 
@@ -425,11 +493,21 @@ mod tests {
         // The register-blocked kernel must reproduce the plain i-k-j
         // reference bit for bit — virtual-time golden files depend on
         // local results being deterministic across kernel revisions.
-        for (m, k, n, seed) in [(5, 7, 9, 1u64), (8, 8, 8, 2), (1, 4, 3, 3), (6, 1, 5, 4)] {
+        // (13, 9, 27) is wide enough for the 16-column tiles.
+        let shapes = [
+            (5, 7, 9, 1u64),
+            (8, 8, 8, 2),
+            (1, 4, 3, 3),
+            (6, 1, 5, 4),
+            (13, 9, 27, 5),
+        ];
+        for ((m, k, n, seed), zeros) in shapes.into_iter().flat_map(|s| [(s, false), (s, true)]) {
             let mut a = gen::random(m, k, seed);
             let b = gen::random(k, n, seed + 100);
-            // Exercise the zero-skip path too.
-            if k > 1 {
+            // Exercise the zero-skip path too.  A zero in every row sends
+            // every strip to the row-pair loop, so each shape also runs
+            // without.
+            if zeros && k > 1 {
                 for i in 0..m {
                     a[(i, i % k)] = 0.0;
                 }
@@ -521,8 +599,9 @@ mod tests {
             matmul_accumulate(&mut got, &a, &b);
             prop_assert!(same_bits(&got, &want), "matmul_accumulate {shape:?}");
 
-            // The tiled path directly, whatever the shape, so an AVX2
-            // host checks both paths on every case.
+            // The tiled paths directly, whatever the shape, so an AVX2
+            // host checks the 4×8 tiles and the row pairs on every case,
+            // and an AVX-512 host the 8×16 tiles too.
             #[cfg(target_arch = "x86_64")]
             if is_x86_feature_detected!("avx2") {
                 let (m, k, n) = shape;
@@ -532,6 +611,16 @@ mod tests {
                     accumulate_tiled_avx2(tiled.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
                 }
                 prop_assert!(same_bits(&tiled, &want), "accumulate_tiled_avx2 {shape:?}");
+            }
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx512f") {
+                let (m, k, n) = shape;
+                let mut wide = c0.clone();
+                // SAFETY: the host supports AVX-512F, checked just above.
+                unsafe {
+                    accumulate_tiled_avx512(wide.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
+                }
+                prop_assert!(same_bits(&wide, &want), "accumulate_tiled_avx512 {shape:?}");
             }
 
             // The split path directly, whatever the shape, so every case

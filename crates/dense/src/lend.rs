@@ -27,10 +27,11 @@ use std::sync::{Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a helper polls for the next job before parking.  A kernel-
-/// bound event run issues its calls ~10 µs apart (Cannon at p = 16,
-/// n = 512: 0.8 ms outside the kernel over 64 calls), and waking a
-/// parked helper takes 8–15 µs (2 vCPUs), so spinning is what makes a
-/// split pay.
+/// bound event run issues its calls 14–20 µs apart (Cannon at p = 16,
+/// n = 512: 0.9–1.25 ms outside the kernel over 64 calls, with 4×8 and
+/// 8×16 tiles alike; the faster tile shortens the calls, not the gaps),
+/// and waking a parked helper takes 8–15 µs (2 vCPUs), so spinning is
+/// what makes a split pay.
 const SPIN: Duration = Duration::from_micros(200);
 
 /// Most helpers worth having: a split never has more chunks than this

@@ -125,7 +125,7 @@ impl PartitionManager {
     #[must_use]
     pub fn is_block_free(&self, base: usize, size: usize) -> bool {
         assert!(
-            size > 0 && size.is_power_of_two() && base % size == 0,
+            size > 0 && size.is_power_of_two() && base.is_multiple_of(size),
             "block [{base}, {base}+{size}) is not an aligned buddy block"
         );
         let want = size.trailing_zeros() as usize;

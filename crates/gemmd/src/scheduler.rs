@@ -391,9 +391,10 @@ impl<'m> Scheduler<'m> {
             // on change only, so the series stays compact and two runs
             // of one trace produce identical points).
             let busy_ranks = pm.in_use();
-            if timeline.last().map_or(true, |l| {
-                l.busy_ranks != busy_ranks || l.queued != queue.len()
-            }) {
+            if timeline
+                .last()
+                .is_none_or(|l| l.busy_ranks != busy_ranks || l.queued != queue.len())
+            {
                 timeline.push(crate::report::TimePoint {
                     t: now,
                     busy_ranks,
@@ -411,7 +412,7 @@ impl<'m> Scheduler<'m> {
             let arrival = jobs.get(next_arrival).map(|j| j.arrival);
 
             match (next_done, arrival) {
-                (Some((i, t)), a) if a.map_or(true, |ta| t <= ta) => {
+                (Some((i, t)), a) if a.is_none_or(|ta| t <= ta) => {
                     now = t;
                     let done = running.swap_remove(i);
                     match done.outcome {

@@ -346,7 +346,7 @@ pub fn analyze(report: &ServiceReport, classes: &JobClasses, slos: &[Slo]) -> Sl
                 slo: slo.clone(),
                 jobs,
                 observed,
-                attained: observed.map_or(true, |x| x <= slo.target),
+                attained: observed.is_none_or(|x| x <= slo.target),
                 violations,
             }
         })

@@ -319,7 +319,7 @@ impl BurstSchedule {
             return false;
         };
         while self.boundaries.last().copied().unwrap_or(0.0) <= t {
-            let off_phase = self.boundaries.len() % 2 == 0;
+            let off_phase = self.boundaries.len().is_multiple_of(2);
             let mean = if off_phase { b.mean_off } else { b.mean_on };
             let gap = -mean * (1.0 - self.rng.next_f64()).ln();
             let last = self.boundaries.last().copied().unwrap_or(0.0);
