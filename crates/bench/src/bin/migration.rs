@@ -116,9 +116,11 @@ fn run_mode(m: &Machine, jobs: &[JobSpec], migration_streak: u32) -> ServiceRepo
         migration_streak,
         ..Config::default()
     };
-    Scheduler::new(m, cfg)
+    let report = Scheduler::new(m, cfg)
         .run(jobs, &Fifo)
-        .unwrap_or_else(|e| panic!("service run failed: {e}"))
+        .unwrap_or_else(|e| panic!("service run failed: {e}"));
+    report.check(jobs.len());
+    report
 }
 
 fn main() -> ExitCode {

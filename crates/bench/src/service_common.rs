@@ -186,8 +186,9 @@ impl ServiceRow {
 /// `service` sweep, whose goldens predate it).
 ///
 /// # Panics
-/// Panics on an unknown policy name or a failed service run — those
-/// are bugs, not measurements.
+/// Panics on an unknown policy name, a failed service run or a report
+/// that fails [`gemmd::ServiceReport::check`] — those are bugs, not
+/// measurements.
 #[must_use]
 pub fn run_point(
     sweep: &ServiceSweep,
@@ -212,6 +213,7 @@ pub fn run_point(
     let report = Scheduler::new(&machine, config)
         .run(&trace, policy.as_ref())
         .unwrap_or_else(|e| panic!("{variant} on {mix}@{gap}: {e}"));
+    report.check(trace.len());
     ServiceRow {
         gap,
         mix,

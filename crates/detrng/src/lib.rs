@@ -24,6 +24,9 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The Weyl increment added to the state before every output.
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Seed the generator.  Identical seeds give identical streams.
     #[must_use]
     pub fn new(seed: u64) -> Self {
@@ -32,13 +35,23 @@ impl SplitMix64 {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         finalize(self.state)
+    }
+
+    /// Word `k` (counting from 0) of the stream seeded with `seed`, with
+    /// no generator to step: after `k + 1` draws the state is
+    /// `seed + (k+1)·γ`, so this is the value the `(k+1)`-th
+    /// [`SplitMix64::next_u64`] of `SplitMix64::new(seed)` returns.
+    #[inline(always)]
+    #[must_use]
+    pub fn word_at(seed: u64, k: u64) -> u64 {
+        finalize(seed.wrapping_add(k.wrapping_add(1).wrapping_mul(Self::GAMMA)))
     }
 
     /// Uniform `f64` in `[0, 1)` (53 mantissa bits of entropy).
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -67,11 +80,20 @@ impl SplitMix64 {
 /// The SplitMix64 output finalizer: a high-quality 64-bit mixer
 /// (variant of Stafford's Mix13).  Bijective, so distinct inputs give
 /// distinct outputs.
+#[inline(always)]
 #[must_use]
 pub fn finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// A raw word's top 53 bits as a uniform `f64` in `[0, 1)`: the
+/// conversion behind [`SplitMix64::next_f64`].
+#[inline(always)]
+#[must_use]
+pub fn unit_f64(w: u64) -> f64 {
+    (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Stateless keyed hash: mixes a sequence of words into one 64-bit
@@ -89,7 +111,7 @@ pub fn mix(words: &[u64]) -> u64 {
 /// `mix` folded into `[0, 1)` — used for per-event probability draws.
 #[must_use]
 pub fn mix_unit_f64(words: &[u64]) -> f64 {
-    (mix(words) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit_f64(mix(words))
 }
 
 #[cfg(test)]
@@ -156,11 +178,30 @@ mod tests {
     }
 
     #[test]
+    fn word_at_index_is_the_kth_draw() {
+        for seed in [0, 1, 42, 1 << 63, u64::MAX] {
+            let mut g = SplitMix64::new(seed);
+            for k in 0..1000 {
+                assert_eq!(
+                    SplitMix64::word_at(seed, k),
+                    g.next_u64(),
+                    "seed {seed}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn splitmix_reference_vector() {
         // Reference values from the canonical splitmix64.c with seed 0.
         let mut g = SplitMix64::new(0);
         assert_eq!(g.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(g.next_u64(), 0x6E78_9E6A_A1B9_65F4);
         assert_eq!(g.next_u64(), 0x06C4_5D18_8009_454F);
+        // The same words as floats: the top 53 bits over 2^53.
+        let mut g = SplitMix64::new(0);
+        assert_eq!(g.next_f64().to_bits(), 0x3FEC_4415_072F_63B9);
+        assert_eq!(g.next_f64().to_bits(), 0x3FDB_9E27_9AA8_6E58);
+        assert_eq!(g.next_f64().to_bits(), 0x3F9B_1174_6200_2500);
     }
 }

@@ -23,7 +23,7 @@
 //! per-sub-job requeue plumbing that solo placements get for free, so
 //! a lossy machine simply falls back to solo placement everywhere.
 
-use crate::policy::QueuedJob;
+use crate::policy::{Key, Queue, QueuedJob};
 
 /// Batching configuration (see the module docs for the economics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,30 +67,30 @@ impl Batching {
         k.div_ceil(self.depth.max(1)).next_power_of_two()
     }
 
-    /// Queue indices of the batch the policy-`selected` job would
-    /// anchor: every admitted job of the same `n` (the selected one
-    /// included), in job-id order, capped at [`Batching::limit`].
-    /// `None` when the selected job itself is not batchable or no
-    /// sibling is queued — a batch of one is just a solo placement
-    /// with extra bookkeeping.
+    /// Keys of the batch the queue's head (the policy's pick)
+    /// would anchor: every admitted job of the same `n` (the anchor
+    /// included), in job-id order, capped at [`Batching::limit`].  `None`
+    /// when the queue is empty, the anchor itself is not batchable or
+    /// no sibling is queued — a batch of one is just a solo placement
+    /// with extra bookkeeping.  One scan of the queue.
     #[must_use]
-    pub fn gather(&self, queue: &[QueuedJob], selected: usize) -> Option<Vec<usize>> {
-        if !self.admits(&queue[selected]) {
+    pub(crate) fn gather(&self, queue: &Queue) -> Option<Vec<Key>> {
+        let (&key, anchor) = queue.first_key_value()?;
+        if !self.admits(anchor) {
             return None;
         }
-        let n = queue[selected].spec.n;
-        let mut members: Vec<usize> = (0..queue.len())
-            .filter(|&i| queue[i].spec.n == n && self.admits(&queue[i]))
+        let mut members: Vec<Key> = queue
+            .iter()
+            .filter(|(_, j)| j.spec.n == anchor.spec.n && self.admits(j))
+            .map(|(&k, _)| k)
             .collect();
-        members.sort_by_key(|&i| queue[i].id);
-        if let Some(pos) = members.iter().position(|&i| i == selected) {
-            if pos >= self.limit {
-                // The anchor must ride its own batch (head-of-line
-                // semantics): keep the first limit−1 siblings and it.
-                members.truncate(self.limit - 1);
-                members.push(selected);
-                members.sort_by_key(|&i| queue[i].id);
-            }
+        members.sort_unstable_by_key(|&(_, id)| id);
+        let pos = members.iter().position(|&k| k == key);
+        if pos.expect("the anchor is its own sibling") >= self.limit {
+            // The anchor must ride its own batch (head-of-line
+            // semantics): keep the first limit−1 siblings and it.
+            members.truncate(self.limit - 1);
+            members.push(key);
         }
         members.truncate(self.limit.max(2));
         (members.len() >= 2).then_some(members)
@@ -101,6 +101,7 @@ impl Batching {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use crate::policy::{key, Fifo};
     use crate::sizing::Sizing;
     use model::MachineParams;
     use parmm::Advisor;
@@ -154,29 +155,41 @@ mod tests {
         assert!(!b.admits(&migrated), "migrated jobs stay solo");
     }
 
+    /// A queue holding `jobs` in the given order (FIFO keys).
+    fn fifo(jobs: impl IntoIterator<Item = QueuedJob>) -> Queue {
+        (1..)
+            .zip(jobs)
+            .map(|(seq, j)| (key(&Fifo, &j, seq), j))
+            .collect()
+    }
+
+    /// The job ids of a gathered batch.
+    fn ids(members: Option<Vec<Key>>) -> Option<Vec<usize>> {
+        members.map(|m| m.into_iter().map(|(_, id)| id).collect())
+    }
+
     #[test]
     fn gather_collects_same_shape_siblings_in_id_order() {
         let b = Batching::default();
         // Queue order ≠ id order on purpose.
-        let queue = vec![
+        let queue = fifo([
             queued(3, 8, 1),
             queued(1, 8, 1),
             queued(2, 16, 1), // different shape: excluded
             queued(0, 8, 1),
             queued(4, 8, 4), // multi-rank: excluded
-        ];
-        let members = b.gather(&queue, 0).unwrap();
-        assert_eq!(members, vec![3, 1, 0], "indices sorted by job id 0,1,3");
-        let ids: Vec<usize> = members.iter().map(|&i| queue[i].id).collect();
-        assert_eq!(ids, vec![0, 1, 3]);
+        ]);
+        assert_eq!(ids(b.gather(&queue)), Some(vec![0, 1, 3]));
     }
 
     #[test]
     fn gather_declines_solo_and_unbatchable_anchors() {
         let b = Batching::default();
-        let queue = vec![queued(0, 8, 1), queued(1, 32, 1)];
-        assert_eq!(b.gather(&queue, 0), None, "no sibling to pair with");
-        assert_eq!(b.gather(&queue, 1), None, "anchor too large");
+        assert_eq!(b.gather(&fifo([])), None, "empty queue");
+        let small_first = fifo([queued(0, 8, 1), queued(1, 32, 1)]);
+        assert_eq!(b.gather(&small_first), None, "no sibling to pair with");
+        let large_first = fifo([queued(1, 32, 1), queued(0, 8, 1), queued(2, 8, 1)]);
+        assert_eq!(b.gather(&large_first), None, "anchor too large");
     }
 
     #[test]
@@ -185,15 +198,10 @@ mod tests {
             limit: 3,
             ..Batching::default()
         };
-        let queue: Vec<QueuedJob> = (0..6).map(|id| queued(id, 8, 1)).collect();
-        assert_eq!(b.gather(&queue, 0).unwrap(), vec![0, 1, 2]);
+        let queue = fifo((0..6).map(|id| queued(id, 8, 1)));
+        assert_eq!(ids(b.gather(&queue)), Some(vec![0, 1, 2]));
         // Anchor id 5 sits past the cap: it displaces the last sibling.
-        let ids: Vec<usize> = b
-            .gather(&queue, 5)
-            .unwrap()
-            .iter()
-            .map(|&i| queue[i].id)
-            .collect();
-        assert_eq!(ids, vec![0, 1, 5]);
+        let queue = fifo([5, 0, 1, 2, 3, 4].map(|id| queued(id, 8, 1)));
+        assert_eq!(ids(b.gather(&queue)), Some(vec![0, 1, 5]));
     }
 }

@@ -1,11 +1,13 @@
 //! Pluggable queue-ordering policies.
 //!
-//! A policy only *orders* the queue: it picks which waiting job the
-//! scheduler should try to place next.  Placement itself (is a block
-//! of that size free?) stays in the scheduler, and the selected job
-//! blocks the queue until its partition frees up — deterministic
-//! head-of-line semantics for every policy, so two runs of the same
-//! trace schedule identically.
+//! A policy only *orders* the queue: it keys each waiting job once, when
+//! it is enqueued, and the scheduler tries the lowest key next.
+//! Placement itself (is a block of that size free?) stays in the
+//! scheduler, and the head job blocks the queue until its partition
+//! frees up — deterministic head-of-line semantics for every policy, so
+//! two runs of the same trace schedule identically.
+
+use std::collections::BTreeMap;
 
 use crate::job::JobSpec;
 use crate::sizing::Sizing;
@@ -47,18 +49,46 @@ pub struct QueuedJob {
     pub done: f64,
 }
 
-/// Queue-ordering policy: pick the index of the next job to place.
+/// Queue-ordering policy: a key that orders the waiting jobs.
 pub trait Policy {
     /// Stable name for reports.
     fn name(&self) -> &'static str;
 
-    /// Index into `queue` of the job to place next; `None` on an empty
-    /// queue.  Implementations must be deterministic and must break
-    /// ties towards the lowest job id.
-    fn select(&self, queue: &[QueuedJob]) -> Option<usize>;
+    /// The job's key: lower keys are placed first, and equal keys break
+    /// towards the lower job id.  `seq` numbers the run's enqueues (a
+    /// requeued job gets a fresh one).  Called once per enqueue, and
+    /// twice per victim a preemption probe weighs (the victim as seq 0,
+    /// the waiting job as seq 1), so the key must depend only on `job`
+    /// and `seq`.
+    fn rank(&self, job: &QueuedJob, seq: u64) -> u64;
 }
 
-/// First come, first served (queue order = arrival order).
+/// `x` as a `u64` whose unsigned order is exactly [`f64::total_cmp`]'s:
+/// negative values (and −NaN) flip every bit, the rest only the sign.
+#[must_use]
+pub fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// A waiting job's place in the [`Queue`]: the policy's rank of the
+/// job, then its id.
+pub(crate) type Key = (u64, usize);
+
+/// The waiting jobs under their [`Key`]s: the first entry is the job to
+/// place next, and lookup, insertion and removal are `O(log q)`.
+pub(crate) type Queue = BTreeMap<Key, QueuedJob>;
+
+/// `job`'s [`Key`] under `policy` as the run's `seq`-th enqueue.
+pub(crate) fn key(policy: &dyn Policy, job: &QueuedJob, seq: u64) -> Key {
+    (policy.rank(job, seq), job.id)
+}
+
+/// First come, first served (queue order = enqueue order).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fifo;
 
@@ -67,8 +97,8 @@ impl Policy for Fifo {
         "fifo"
     }
 
-    fn select(&self, queue: &[QueuedJob]) -> Option<usize> {
-        (!queue.is_empty()).then_some(0)
+    fn rank(&self, _: &QueuedJob, seq: u64) -> u64 {
+        seq
     }
 }
 
@@ -82,18 +112,8 @@ impl Policy for ShortestPredictedTime {
         "spt"
     }
 
-    fn select(&self, queue: &[QueuedJob]) -> Option<usize> {
-        queue
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.sizing
-                    .rec
-                    .predicted_time
-                    .total_cmp(&b.sizing.rec.predicted_time)
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(|(i, _)| i)
+    fn rank(&self, job: &QueuedJob, _: u64) -> u64 {
+        total_order_key(job.sizing.rec.predicted_time)
     }
 }
 
@@ -112,16 +132,8 @@ impl Policy for EarliestDeadlineFirst {
         "edf"
     }
 
-    fn select(&self, queue: &[QueuedJob]) -> Option<usize> {
-        queue
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let da = a.spec.deadline.unwrap_or(f64::INFINITY);
-                let db = b.spec.deadline.unwrap_or(f64::INFINITY);
-                da.total_cmp(&db).then(a.id.cmp(&b.id))
-            })
-            .map(|(i, _)| i)
+    fn rank(&self, job: &QueuedJob, _: u64) -> u64 {
+        total_order_key(job.spec.deadline.unwrap_or(f64::INFINITY))
     }
 }
 
@@ -139,7 +151,7 @@ pub fn policy_by_name(name: &str) -> Option<Box<dyn Policy + Send + Sync>> {
     }
 }
 
-/// Highest priority first; ties fall back to arrival order.
+/// Highest priority first; ties fall back to the lower id.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PriorityFirst;
 
@@ -148,12 +160,8 @@ impl Policy for PriorityFirst {
         "priority"
     }
 
-    fn select(&self, queue: &[QueuedJob]) -> Option<usize> {
-        queue
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| b.spec.priority.cmp(&a.spec.priority).then(a.id.cmp(&b.id)))
-            .map(|(i, _)| i)
+    fn rank(&self, job: &QueuedJob, _: u64) -> u64 {
+        u64::from(u8::MAX - job.spec.priority)
     }
 }
 
@@ -162,6 +170,21 @@ mod tests {
     use super::*;
     use model::MachineParams;
     use parmm::Advisor;
+    use proptest::prelude::*;
+
+    /// A [`Queue`] as `Scheduler::run` keeps it, enqueues numbered from 1.
+    #[derive(Default)]
+    struct Enqueued {
+        jobs: Queue,
+        seq: u64,
+    }
+
+    impl Enqueued {
+        fn push(&mut self, policy: &dyn Policy, job: QueuedJob) {
+            self.seq += 1;
+            self.jobs.insert(key(policy, &job, self.seq), job);
+        }
+    }
 
     fn queued(id: usize, n: usize, priority: u8, p: usize) -> QueuedJob {
         let advisor = Advisor::new(MachineParams::ncube2());
@@ -182,29 +205,99 @@ mod tests {
         }
     }
 
+    /// The id `policy` places first out of `jobs`, enqueued in order.
+    fn head_of(policy: &dyn Policy, jobs: Vec<QueuedJob>) -> Option<usize> {
+        let mut q = Enqueued::default();
+        for j in jobs {
+            q.push(policy, j);
+        }
+        q.jobs.values().next().map(|j| j.id)
+    }
+
+    /// The per-event `O(q)` scans the keyed queue replaced: the index of
+    /// the job to place next in an enqueue-ordered queue.
+    fn oracle_select(policy: &str, queue: &[QueuedJob]) -> Option<usize> {
+        let by = |key: &dyn Fn(&QueuedJob, &QueuedJob) -> std::cmp::Ordering| {
+            queue
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| key(a, b).then(a.id.cmp(&b.id)))
+                .map(|(i, _)| i)
+        };
+        match policy {
+            "fifo" => (!queue.is_empty()).then_some(0),
+            "spt" => by(&|a, b| {
+                a.sizing
+                    .rec
+                    .predicted_time
+                    .total_cmp(&b.sizing.rec.predicted_time)
+            }),
+            "edf" => by(&|a, b| {
+                let da = a.spec.deadline.unwrap_or(f64::INFINITY);
+                let db = b.spec.deadline.unwrap_or(f64::INFINITY);
+                da.total_cmp(&db)
+            }),
+            "priority" => by(&|a, b| b.spec.priority.cmp(&a.spec.priority)),
+            other => unreachable!("no policy {other}"),
+        }
+    }
+
+    /// Values that tie, straddle zero and sort around the NaNs.
+    const SPECIAL: [f64; 10] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        1.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        2.5e6,
+    ];
+
     #[test]
     fn fifo_takes_the_head() {
         let q = vec![queued(0, 32, 0, 16), queued(1, 8, 9, 4)];
-        assert_eq!(Fifo.select(&q), Some(0));
-        assert_eq!(Fifo.select(&[]), None);
+        assert_eq!(head_of(&Fifo, q), Some(0));
+        assert_eq!(head_of(&Fifo, vec![]), None);
     }
 
     #[test]
     fn spt_prefers_the_quick_job() {
         let q = vec![queued(0, 64, 0, 16), queued(1, 8, 0, 4)];
-        assert_eq!(ShortestPredictedTime.select(&q), Some(1));
+        assert_eq!(head_of(&ShortestPredictedTime, q), Some(1));
     }
 
     #[test]
     fn spt_breaks_ties_by_id() {
-        let q = vec![queued(0, 16, 0, 4), queued(1, 16, 0, 4)];
-        assert_eq!(ShortestPredictedTime.select(&q), Some(0));
+        let q = vec![queued(1, 16, 0, 4), queued(0, 16, 0, 4)];
+        assert_eq!(head_of(&ShortestPredictedTime, q), Some(0));
     }
 
     #[test]
     fn priority_first_prefers_urgent_then_oldest() {
-        let q = vec![queued(0, 32, 1, 16), queued(1, 8, 3, 4), queued(2, 8, 3, 4)];
-        assert_eq!(PriorityFirst.select(&q), Some(1));
+        let q = vec![queued(0, 32, 1, 16), queued(2, 8, 3, 4), queued(1, 8, 3, 4)];
+        assert_eq!(head_of(&PriorityFirst, q), Some(1));
+    }
+
+    #[test]
+    fn priority_first_orders_all_256_priorities() {
+        let base = queued(0, 8, 0, 1);
+        let jobs: Vec<QueuedJob> = (0..=255u8)
+            .map(|priority| {
+                let mut j = base.clone();
+                j.id = usize::from(priority);
+                j.spec.priority = priority;
+                j
+            })
+            .collect();
+        let mut q = Enqueued::default();
+        for j in jobs {
+            q.push(&PriorityFirst, j);
+        }
+        let order: Vec<usize> = q.jobs.values().map(|j| j.id).collect();
+        assert_eq!(order, (0..=255).rev().collect::<Vec<usize>>());
     }
 
     #[test]
@@ -214,19 +307,37 @@ mod tests {
             q.spec.deadline = d;
             q
         };
+        let edf = &EarliestDeadlineFirst;
         let q = vec![
             with_deadline(0, None),
             with_deadline(1, Some(9_000.0)),
             with_deadline(2, Some(2_000.0)),
         ];
-        assert_eq!(EarliestDeadlineFirst.select(&q), Some(2));
+        assert_eq!(head_of(edf, q), Some(2));
         // Only deadline-free jobs left: lowest id wins.
         let q = vec![with_deadline(5, None), with_deadline(3, None)];
-        assert_eq!(EarliestDeadlineFirst.select(&q), Some(1));
-        assert_eq!(EarliestDeadlineFirst.select(&[]), None);
+        assert_eq!(head_of(edf, q), Some(3));
+        assert_eq!(head_of(edf, vec![]), None);
         // Deadline ties break by id.
         let q = vec![with_deadline(7, Some(100.0)), with_deadline(4, Some(100.0))];
-        assert_eq!(EarliestDeadlineFirst.select(&q), Some(1));
+        assert_eq!(head_of(edf, q), Some(4));
+    }
+
+    #[test]
+    fn rank_orders_floats_exactly_as_total_cmp() {
+        let mut xs: Vec<f64> = SPECIAL.to_vec();
+        xs.extend([f64::MAX, f64::MIN, -f64::MIN_POSITIVE, 5e-324, -5e-324]);
+        let mut bits = detrng::SplitMix64::new(11);
+        xs.extend((0..200).map(|_| f64::from_bits(bits.next_u64())));
+        for &a in &xs {
+            for &b in &xs {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -235,5 +346,61 @@ mod tests {
             assert_eq!(policy_by_name(name).unwrap().name(), name);
         }
         assert!(policy_by_name("lifo").is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every built-in policy's keyed queue places jobs in the order
+        /// the old per-event scans picked them, through arrivals, head
+        /// placements, removals from the middle (sheds, batch members)
+        /// and requeues (a FIFO requeue goes to the back).
+        #[test]
+        fn keyed_queue_heads_match_the_scans(
+            ops in proptest::collection::vec((0u32..4, 0usize..10_000, 0usize..10, 0u32..256), 1..160)
+        ) {
+            let base = queued(0, 8, 0, 1);
+            for name in ["fifo", "spt", "edf", "priority"] {
+                let policy = policy_by_name(name).unwrap();
+                let mut scanned: Vec<QueuedJob> = Vec::new();
+                let mut keyed = Enqueued::default();
+                let mut next_id = 0;
+                for &(op, pick, value, priority) in &ops {
+                    match op {
+                        // Arrival: a tied, signed-zero or NaN key, a
+                        // missing deadline, any of the 256 priorities.
+                        0 | 1 => {
+                            let mut j = base.clone();
+                            j.id = next_id;
+                            next_id += 1;
+                            j.sizing.rec.predicted_time = SPECIAL[value];
+                            j.spec.deadline = (value != 9).then_some(SPECIAL[value]);
+                            j.spec.priority = priority as u8;
+                            scanned.push(j.clone());
+                            keyed.push(policy.as_ref(), j);
+                        }
+                        // Place the head, and requeue it on an odd pick.
+                        2 => {
+                            let want = oracle_select(name, &scanned).map(|i| scanned.remove(i));
+                            let got = keyed.jobs.pop_first().map(|(_, j)| j);
+                            prop_assert_eq!(want.as_ref().map(|j| j.id), got.as_ref().map(|j| j.id));
+                            if let Some(j) = got.filter(|_| pick % 2 == 1) {
+                                scanned.push(j.clone());
+                                keyed.push(policy.as_ref(), j);
+                            }
+                        }
+                        // Remove any job from the middle.
+                        _ if !scanned.is_empty() => {
+                            let id = scanned.remove(pick % scanned.len()).id;
+                            keyed.jobs.retain(|_, j| j.id != id);
+                        }
+                        _ => {}
+                    }
+                    let want = oracle_select(name, &scanned).map(|i| scanned[i].id);
+                    prop_assert_eq!(want, keyed.jobs.values().next().map(|j| j.id), "{}", name);
+                    prop_assert_eq!(scanned.len(), keyed.jobs.len());
+                }
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@ pub struct ShedRecord {
 }
 
 /// Everything the service measured over one run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceReport {
     /// Policy name (see [`crate::policy::Policy::name`]).
     pub policy: String,
@@ -296,6 +296,45 @@ impl ServiceReport {
         }
         line
     }
+
+    /// Assert what every report over `jobs` submitted jobs satisfies:
+    /// each job ends once (completed, rejected or shed); no two records
+    /// hold a rank over overlapping `[start, finish)`; arrival ≤ start ≤
+    /// finish; the timeline never steps back; `makespan` is the latest
+    /// finish.  [`crate::Scheduler::run`] calls it in debug builds.
+    ///
+    /// # Panics
+    /// On the first broken invariant, naming it.
+    pub fn check(&self, jobs: usize) {
+        let ended = self.records.len() + self.rejected.len() + self.shed.len();
+        assert_eq!(ended, jobs, "{ended} terminal states for {jobs} jobs");
+        let mut ids: Vec<usize> = self.records.iter().map(|r| r.id).collect();
+        ids.extend(self.shed.iter().map(|s| s.id));
+        ids.sort_unstable();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "a job ends twice");
+        let mut held = Vec::new();
+        for r in &self.records {
+            let id = r.id;
+            assert!(
+                r.spec.arrival <= r.start,
+                "job {id} starts before it arrives"
+            );
+            assert!(r.start <= r.finish, "job {id} finishes before it starts");
+            held.extend((r.base..r.base + r.p).map(|rank| (rank, r.start, r.finish, id)));
+        }
+        held.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        for w in held.windows(2) {
+            let ((rank, _, finish, a), (next, start, _, b)) = (w[0], w[1]);
+            assert!(
+                rank != next || start >= finish,
+                "jobs {a} and {b} overlap on rank {rank}"
+            );
+        }
+        let steps_back = self.timeline.windows(2).any(|w| w[1].t < w[0].t);
+        assert!(!steps_back, "the timeline steps back");
+        let last = self.records.iter().map(|r| r.finish).fold(0.0, f64::max);
+        assert_eq!(self.makespan, last, "makespan is not the latest finish");
+    }
 }
 
 #[cfg(test)]
@@ -354,6 +393,52 @@ mod tests {
             preemption_transfer_words: 0,
             grows: 0,
             shrinks: 0,
+        }
+    }
+
+    /// [`report`] with job 1 moved onto ranks of its own: a report
+    /// every check accepts.
+    fn consistent() -> ServiceReport {
+        let mut r = report();
+        r.records[1].base = 4;
+        r
+    }
+
+    #[test]
+    fn check_accepts_a_consistent_report() {
+        consistent().check(2);
+        let mut back_to_back = consistent();
+        back_to_back.records[1].base = 0;
+        back_to_back.records[1].start = 100.0;
+        back_to_back.records[1].finish = 150.0;
+        back_to_back.makespan = 150.0;
+        back_to_back.check(2);
+    }
+
+    #[test]
+    fn check_refuses_every_broken_invariant() {
+        type Break = fn(&mut ServiceReport);
+        let cases: [(&str, Break); 7] = [
+            ("terminal states", |r| r.records.truncate(1)),
+            ("ends twice", |r| r.records[1].id = 0),
+            ("overlap on rank 2", |r| r.records[1].base = 2),
+            ("starts before it arrives", |r| {
+                r.records[0].spec.arrival = 1.0
+            }),
+            ("finishes before it starts", |r| r.records[0].finish = -1.0),
+            ("timeline steps back", |r| r.timeline[1].t = -1.0),
+            ("makespan", |r| r.makespan = 120.0),
+        ];
+        for (what, breaks) in cases {
+            let mut r = consistent();
+            breaks(&mut r);
+            let panic = std::panic::catch_unwind(|| r.check(2)).expect_err(what);
+            let msg = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default();
+            assert!(msg.contains(what), "{what}: {msg}");
         }
     }
 

@@ -5,15 +5,19 @@
 //! taken from the simulator's run of the job on its partition).  At
 //! every event the scheduler first retires due completions — released
 //! partitions merge back in the buddy pool — then admits due arrivals
-//! (subject to the queue cap), then repeatedly asks the policy for the
-//! next job and places it if a block of its size is free.  A selected
-//! job that does not fit blocks the queue (head-of-line semantics), so
-//! the schedule is a pure function of the trace.
+//! (subject to the queue cap), then repeatedly places the queue's head
+//! (the lowest policy key) if a block of its size is free.  A head that
+//! does not fit blocks the queue (head-of-line semantics), so the
+//! schedule is a pure function of the trace.
 //!
 //! Completions are processed before arrivals at equal times, and equal
 //! completion times break towards the lower job id — the tie rules
 //! that make two runs of one trace byte-identical.
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+
+use algos::{AlgoError, SimOutcome};
 use mmsim::{Machine, StateTransfer, TopologyKind};
 use model::time::NetworkModel;
 use model::MachineParams;
@@ -21,7 +25,7 @@ use parmm::{detection_of, fault_rates_of, run_recommendation, Advisor, Recommend
 
 use crate::job::{JobRecord, JobSpec};
 use crate::partition::{Partition, PartitionManager};
-use crate::policy::{Policy, QueuedJob};
+use crate::policy::{key, total_order_key, Key, Policy, Queue, QueuedJob};
 use crate::report::{ServiceReport, ShedRecord};
 use crate::sizing::{right_size, Sizing, SizingMode};
 use crate::GemmdError;
@@ -192,6 +196,13 @@ enum Outcome {
     },
 }
 
+impl Outcome {
+    /// A pause whose block is still draining: at most one is in flight.
+    fn draining(&self) -> bool {
+        matches!(self, Outcome::Preempted { .. } | Outcome::Resized { .. })
+    }
+}
+
 impl<'m> Scheduler<'m> {
     /// A service over `machine`, with the advisor derived from the
     /// machine's own cost model, network kind and fault plan (exactly
@@ -255,25 +266,25 @@ impl<'m> Scheduler<'m> {
             }
         }
         let mut pm = PartitionManager::new(self.machine.p())?;
-        let mut queue: Vec<QueuedJob> = Vec::new();
+        let mut queue = Queue::new();
+        let mut enqueues = 0;
+        let mut enqueue = |queue: &mut Queue, job: QueuedJob| {
+            enqueues += 1;
+            queue.insert(key(policy, &job, enqueues), job);
+        };
+        // Sizing depends only on `n` once the run is fixed: one advisor
+        // walk per distinct order, not one per arrival.
+        let mut sizings: BTreeMap<usize, Option<Sizing>> = BTreeMap::new();
         let mut running: Vec<Running> = Vec::new();
-        let mut records: Vec<JobRecord> = Vec::new();
-        let mut rejected: Vec<JobSpec> = Vec::new();
-        let mut timeline: Vec<crate::report::TimePoint> = Vec::new();
+        let mut report = ServiceReport {
+            policy: policy.name().into(),
+            sizing: self.config.sizing.label(),
+            machine_p: self.machine.p(),
+            ..ServiceReport::default()
+        };
         let mut next_arrival = 0usize;
         let mut now = 0.0f64;
-        let mut makespan = 0.0f64;
-        let mut requeues = 0usize;
-        let mut unquarantined = 0usize;
-        let mut wasted_rank_time = 0.0f64;
-        let mut migrations = 0usize;
-        let mut migration_words = 0u64;
         let mut batch_seq = 0usize;
-        let mut shed: Vec<ShedRecord> = Vec::new();
-        let mut preemptions = 0usize;
-        let mut preemption_words = 0u64;
-        let mut grows = 0usize;
-        let mut shrinks = 0usize;
 
         loop {
             // Un-quarantine blocks whose death schedules have fully
@@ -281,7 +292,7 @@ impl<'m> Scheduler<'m> {
             // absolute service times, so once `now` is strictly beyond
             // every member rank's scheduled death the block is safe
             // again (a future job's rebased plan drops past deaths).
-            unquarantined += pm.release_quarantined(|part| {
+            report.unquarantined_ranks += pm.release_quarantined(|part| {
                 part.ranks().iter().all(|&r| {
                     !self
                         .machine
@@ -293,7 +304,7 @@ impl<'m> Scheduler<'m> {
 
             // Place as many queued jobs as the policy and the free
             // blocks allow, head of line first.
-            while let Some(i) = policy.select(&queue) {
+            while let Some((&key, head)) = queue.first_key_value() {
                 // Batch attempt first: coalesce the selected job with
                 // its queued same-shape siblings onto one placement
                 // (fault-plan machines always place solo — see
@@ -302,7 +313,7 @@ impl<'m> Scheduler<'m> {
                     .config
                     .batching
                     .filter(|_| self.machine.fault_plan().is_none())
-                    .and_then(|b| b.gather(&queue, i))
+                    .and_then(|b| b.gather(&queue))
                 {
                     let b = self.config.batching.expect("gather implies batching");
                     // Wide-to-narrow, then shrink-to-fit: prefer
@@ -317,64 +328,44 @@ impl<'m> Scheduler<'m> {
                         // A batch can hold more members than the
                         // machine has ranks — the widest block to try
                         // is still capped by the machine itself.
-                        let mut size = members.len().next_power_of_two().min(self.machine.p());
+                        let size = members.len().next_power_of_two().min(self.machine.p());
                         let floor = b.block_for(members.len()).min(self.machine.p());
-                        let got = loop {
-                            if let Some(p) = pm.alloc(size) {
-                                break Some(p);
-                            }
-                            if size <= floor {
-                                break None;
-                            }
-                            size /= 2;
-                        };
-                        if got.is_some() {
+                        let mut sizes =
+                            std::iter::successors(Some(size), |&s| (s > floor).then_some(s / 2));
+                        let got = sizes.find_map(|s| pm.alloc(s));
+                        if got.is_some() || members.len() <= 2 {
                             break got;
-                        }
-                        if members.len() <= 2 {
-                            break None;
                         }
                         let drop_at = members
                             .iter()
-                            .rposition(|&idx| idx != i)
+                            .rposition(|&k| k != key)
                             .expect("a batch holds at least one non-anchor member");
                         members.remove(drop_at);
                     };
                     if let Some(partition) = partition {
-                        // Drain members by descending queue index so
-                        // removals do not shift pending ones, then
-                        // restore id order for the rank round-robin.
-                        members.sort_unstable_by(|a, b| b.cmp(a));
-                        let mut batch: Vec<QueuedJob> =
-                            members.into_iter().map(|idx| queue.remove(idx)).collect();
-                        batch.sort_by_key(|j| j.id);
+                        // Members come in id order, the order of the
+                        // rank round-robin.
+                        let batch = members
+                            .iter()
+                            .map(|k| queue.remove(k).expect("a gathered key is queued"))
+                            .collect();
                         batch_seq += 1;
-                        let placed = self.start_batch(batch, partition, now, batch_seq)?;
-                        if let Outcome::Batch(recs) = &placed.outcome {
-                            for r in recs {
-                                makespan = makespan.max(r.finish);
-                            }
-                        }
-                        running.push(placed);
+                        running.push(self.start_batch(batch, partition, now, batch_seq)?);
                         continue;
                     }
                     // Not even a pair fits: fall through to solo.
                 }
-                let (block, spares) = self.provision(queue[i].sizing.p);
+                let (block, spares) = self.provision(head.sizing.p);
                 let Some(partition) = pm.alloc(block) else {
                     // No free block: the preemptor may assemble one by
                     // checkpointing less-urgent running jobs.  Either
                     // way the selected job blocks the queue until
                     // space frees up (head-of-line semantics).
-                    self.try_preempt(&pm, &mut running, &queue[i], block, now, policy);
+                    self.try_preempt(&pm, &mut running, head, block, now, policy);
                     break;
                 };
-                let job = queue.remove(i);
-                let placed = self.start_job(job, partition, spares, now)?;
-                if let Outcome::Completed(record) = &placed.outcome {
-                    makespan = makespan.max(record.finish);
-                }
-                running.push(placed);
+                let job = queue.remove(&key).expect("the head is queued");
+                running.push(self.start_job(job, partition, spares, now)?);
             }
 
             // Elastic grow: with the queue starved, one running job
@@ -391,11 +382,12 @@ impl<'m> Scheduler<'m> {
             // on change only, so the series stays compact and two runs
             // of one trace produce identical points).
             let busy_ranks = pm.in_use();
-            if timeline
+            if report
+                .timeline
                 .last()
                 .is_none_or(|l| l.busy_ranks != busy_ranks || l.queued != queue.len())
             {
-                timeline.push(crate::report::TimePoint {
+                report.timeline.push(crate::report::TimePoint {
                     t: now,
                     busy_ranks,
                     queued: queue.len(),
@@ -418,18 +410,18 @@ impl<'m> Scheduler<'m> {
                     match done.outcome {
                         Outcome::Completed(record) => {
                             pm.release(done.partition);
-                            records.push(record);
+                            report.records.push(record);
                         }
                         Outcome::Batch(mut recs) => {
                             pm.release(done.partition);
-                            records.append(&mut recs);
+                            report.records.append(&mut recs);
                         }
                         Outcome::Lost { mut job, rank, t } => {
                             // A scheduled death belongs to the physical
                             // rank: the block would kill the job again,
                             // so it leaves the pool for good and the
                             // job retries on a fresh partition.
-                            wasted_rank_time += done.partition.size() as f64 * t;
+                            report.wasted_rank_time += done.partition.size() as f64 * t;
                             pm.quarantine(done.partition);
                             job.attempts += 1;
                             if job.attempts > self.config.retry_budget {
@@ -442,8 +434,8 @@ impl<'m> Scheduler<'m> {
                                     ),
                                 });
                             }
-                            requeues += 1;
-                            queue.push(job);
+                            report.requeues += 1;
+                            enqueue(&mut queue, job);
                         }
                         Outcome::Preempted { job } => {
                             // The block is healthy — hand it straight
@@ -452,9 +444,9 @@ impl<'m> Scheduler<'m> {
                             // wasted and nothing is redone; the job
                             // requeues without burning an attempt.
                             pm.release(done.partition);
-                            preemptions += 1;
-                            preemption_words += 3 * (job.spec.n as u64).pow(2);
-                            queue.push(job);
+                            report.preemptions += 1;
+                            report.preemption_transfer_words += 3 * (job.spec.n as u64).pow(2);
+                            enqueue(&mut queue, job);
                         }
                         Outcome::Resized { job } => {
                             // Releasing the old block merges it with
@@ -463,8 +455,8 @@ impl<'m> Scheduler<'m> {
                             // (or queues it if an arrival stole the
                             // buddy meanwhile).
                             pm.release(done.partition);
-                            grows += 1;
-                            queue.push(job);
+                            report.grows += 1;
+                            enqueue(&mut queue, job);
                         }
                         Outcome::Migrated { mut job, t } => {
                             // The degrading block is sidelined exactly
@@ -477,11 +469,11 @@ impl<'m> Scheduler<'m> {
                             // with the job, so nothing is wasted and
                             // nothing is redone.
                             pm.quarantine(done.partition);
-                            migrations += 1;
-                            migration_words += 3 * (job.spec.n as u64).pow(2);
+                            report.migrations += 1;
+                            report.migration_transfer_words += 3 * (job.spec.n as u64).pow(2);
                             job.migrations += 1;
                             job.credit += t;
-                            queue.push(job);
+                            enqueue(&mut queue, job);
                         }
                     }
                 }
@@ -497,19 +489,16 @@ impl<'m> Scheduler<'m> {
                         // place it now, freeing a queue slot.
                         let mut relieved = false;
                         if self.config.elastic {
-                            if let Some(i) = policy.select(&queue) {
-                                if let Some((p_s, rec)) = self.shrink_candidate(&pm, &queue[i]) {
+                            if let Some((&key, head)) = queue.first_key_value() {
+                                if let Some((p_s, rec)) = self.shrink_candidate(&pm, head) {
                                     let (block, spares) = self.provision(p_s);
                                     if let Some(partition) = pm.alloc(block) {
-                                        let mut job = queue.remove(i);
+                                        let mut job =
+                                            queue.remove(&key).expect("the head is queued");
                                         job.sizing = Sizing { p: p_s, rec };
                                         job.resizes += 1;
-                                        let placed = self.start_job(job, partition, spares, now)?;
-                                        if let Outcome::Completed(record) = &placed.outcome {
-                                            makespan = makespan.max(record.finish);
-                                        }
-                                        running.push(placed);
-                                        shrinks += 1;
+                                        running.push(self.start_job(job, partition, spares, now)?);
+                                        report.shrinks += 1;
                                         relieved = true;
                                     }
                                 }
@@ -517,7 +506,7 @@ impl<'m> Scheduler<'m> {
                         }
                         if !relieved {
                             if !self.config.shed {
-                                rejected.push(spec);
+                                report.rejected.push(spec);
                                 continue;
                             }
                             // Policy-aware shedding: drop the lowest-
@@ -525,12 +514,12 @@ impl<'m> Scheduler<'m> {
                             // as a structured outcome, never silently.
                             match Self::shed_victim(&queue, &spec, id) {
                                 None => {
-                                    shed.push(ShedRecord { id, spec, t: now });
+                                    report.shed.push(ShedRecord { id, spec, t: now });
                                     continue;
                                 }
                                 Some(v) => {
-                                    let out = queue.remove(v);
-                                    shed.push(ShedRecord {
+                                    let out = queue.remove(&v).expect("the victim is queued");
+                                    report.shed.push(ShedRecord {
                                         id: out.id,
                                         spec: out.spec,
                                         t: now,
@@ -539,10 +528,14 @@ impl<'m> Scheduler<'m> {
                             }
                         }
                     }
-                    let sizing =
-                        right_size(&self.advisor, spec.n, self.machine.p(), self.config.sizing)
-                            .ok_or(GemmdError::Unschedulable { n: spec.n })?;
-                    queue.push(QueuedJob {
+                    let sizing = sizings
+                        .entry(spec.n)
+                        .or_insert_with(|| {
+                            right_size(&self.advisor, spec.n, self.machine.p(), self.config.sizing)
+                        })
+                        .clone()
+                        .ok_or(GemmdError::Unschedulable { n: spec.n })?;
+                    let job = QueuedJob {
                         id,
                         spec,
                         sizing,
@@ -552,7 +545,8 @@ impl<'m> Scheduler<'m> {
                         preemptions: 0,
                         resizes: 0,
                         done: 0.0,
-                    });
+                    };
+                    enqueue(&mut queue, job);
                 }
                 _ => break,
             }
@@ -561,9 +555,9 @@ impl<'m> Scheduler<'m> {
         // No events left but jobs still queued: quarantine has eaten
         // every block that could host them.  Surface the stuck job
         // instead of hanging or dropping it silently.
-        if let Some(i) = policy.select(&queue) {
+        if let Some(stuck) = queue.values().next() {
             return Err(GemmdError::Execution {
-                id: queue[i].id,
+                id: stuck.id,
                 detail: format!(
                     "no allocatable partition remains ({} of {} ranks quarantined)",
                     pm.quarantined(),
@@ -576,28 +570,16 @@ impl<'m> Scheduler<'m> {
         // carry individual finish stamps: re-establish global
         // completion order (a no-op for solo-only runs, whose push
         // order already matches the event order).
+        let records = &mut report.records;
         records.sort_by(|a, b| a.finish.total_cmp(&b.finish).then(a.id.cmp(&b.id)));
-
-        Ok(ServiceReport {
-            policy: policy.name().into(),
-            sizing: self.config.sizing.label(),
-            machine_p: self.machine.p(),
-            records,
-            rejected,
-            timeline,
-            makespan,
-            requeues,
-            quarantined_ranks: pm.quarantined(),
-            unquarantined_ranks: unquarantined,
-            wasted_rank_time,
-            migrations,
-            migration_transfer_words: migration_words,
-            shed,
-            preemptions,
-            preemption_transfer_words: preemption_words,
-            grows,
-            shrinks,
-        })
+        // The last retired record, not the last placement: a placement
+        // paused mid-flight (preempted, grown) never finishes as placed.
+        report.makespan = records.last().map_or(0.0, |r| r.finish);
+        report.quarantined_ranks = pm.quarantined();
+        if cfg!(debug_assertions) {
+            report.check(jobs.len());
+        }
+        Ok(report)
     }
 
     /// Decide the buddy block and spare count for a compute partition
@@ -645,15 +627,13 @@ impl<'m> Scheduler<'m> {
         if let Some(plan) = plan.clone() {
             sub = sub.with_fault_plan(plan);
         }
-        let sub = sub.with_spares(spares);
-        let (a, b) = dense::gen::random_pair(job.spec.n, job.spec.seed);
-        let run = run_recommendation(&job.sizing.rec, &sub, &a, &b);
+        let run = self.simulate(&job, &sub.with_spares(spares));
         // The mover only gets to act on alarms that precede the run's
         // natural end — completion or death, whichever the simulator
         // reported.
         let horizon = match &run {
             Ok(out) => out.t_parallel,
-            Err(algos::AlgoError::Sim(mmsim::SimError::RankDied { t, .. })) => *t,
+            Err(AlgoError::Sim(mmsim::SimError::RankDied { t, .. })) => *t,
             Err(_) => 0.0,
         };
         if let Some(t) = self.migration_alarm(
@@ -672,7 +652,7 @@ impl<'m> Scheduler<'m> {
         }
         let out = match run {
             Ok(out) => out,
-            Err(algos::AlgoError::Sim(mmsim::SimError::RankDied { rank, t })) => {
+            Err(AlgoError::Sim(mmsim::SimError::RankDied { rank, t })) => {
                 return Ok(Running {
                     finish: begin + t,
                     id: job.id,
@@ -688,14 +668,6 @@ impl<'m> Scheduler<'m> {
                 });
             }
         };
-        if self.config.verify {
-            let reference = &a * &b;
-            assert!(
-                out.c.approx_eq(&reference, 1e-8),
-                "job {} produced a wrong product",
-                job.id
-            );
-        }
         // A resumed job — migrated, preempted, or elastically resized
         // with progress — pays the state transfer (`t_s + t_w·3n²/p`,
         // see [`StateTransfer`]) once, then only re-executes what its
@@ -727,27 +699,8 @@ impl<'m> Scheduler<'m> {
             raw: out.t_parallel,
             surcharge: resume_surcharge,
         };
-        let queue_wait = begin - job.spec.arrival;
-        let record = JobRecord {
-            id: job.id,
-            spec: job.spec,
-            p: partition.size(),
-            base: partition.base(),
-            algorithm: job.sizing.rec.algorithm,
-            resilient: job.sizing.rec.resilient,
-            predicted_time: job.sizing.rec.predicted_time,
-            actual_time,
-            attempts: job.attempts + 1,
-            recoveries: out.stats.iter().map(|s| s.recoveries).sum(),
-            migrations: job.migrations,
-            preemptions: job.preemptions,
-            resizes: job.resizes,
-            heartbeat_words: out.stats.iter().map(|s| s.heartbeat_words).sum(),
-            batch: 0,
-            queue_wait,
-            start: begin,
-            finish: begin + actual_time,
-        };
+        let block = (partition.base(), partition.size());
+        let record = Self::record(job, &out, block, begin, actual_time, 0);
         Ok(Running {
             finish: record.finish,
             id: record.id,
@@ -781,45 +734,16 @@ impl<'m> Scheduler<'m> {
         for (slot, job) in jobs.into_iter().enumerate() {
             let rank = ranks[slot % ranks.len()];
             let sub = self.machine.partition(&[rank]).with_spares(0);
-            let (a, b) = dense::gen::random_pair(job.spec.n, job.spec.seed);
-            let out = run_recommendation(&job.sizing.rec, &sub, &a, &b).map_err(|e| {
-                GemmdError::Execution {
+            let out = self
+                .simulate(&job, &sub)
+                .map_err(|e| GemmdError::Execution {
                     id: job.id,
                     detail: e.to_string(),
-                }
-            })?;
-            if self.config.verify {
-                let reference = &a * &b;
-                assert!(
-                    out.c.approx_eq(&reference, 1e-8),
-                    "batched job {} produced a wrong product",
-                    job.id
-                );
-            }
+                })?;
             let start = rank_clock[slot % ranks.len()];
-            let finish = start + out.t_parallel;
-            rank_clock[slot % ranks.len()] = finish;
-            let queue_wait = start - job.spec.arrival;
-            records.push(JobRecord {
-                id: job.id,
-                spec: job.spec,
-                p: 1,
-                base: rank,
-                algorithm: job.sizing.rec.algorithm,
-                resilient: job.sizing.rec.resilient,
-                predicted_time: job.sizing.rec.predicted_time,
-                actual_time: out.t_parallel,
-                attempts: job.attempts + 1,
-                recoveries: 0,
-                migrations: job.migrations,
-                preemptions: job.preemptions,
-                resizes: job.resizes,
-                heartbeat_words: out.stats.iter().map(|s| s.heartbeat_words).sum(),
-                batch: batch_no,
-                queue_wait,
-                start,
-                finish,
-            });
+            let record = Self::record(job, &out, (rank, 1), start, out.t_parallel, batch_no);
+            rank_clock[slot % ranks.len()] = record.finish;
+            records.push(record);
         }
         let end = rank_clock.iter().fold(begin, |acc, &t| acc.max(t));
         Ok(Running {
@@ -829,6 +753,53 @@ impl<'m> Scheduler<'m> {
             outcome: Outcome::Batch(records),
             pause: None,
         })
+    }
+
+    /// Run `job` on `sub` with its operands, checking the product
+    /// against the serial kernel under [`Config::verify`].
+    fn simulate(&self, job: &QueuedJob, sub: &Machine) -> Result<SimOutcome, AlgoError> {
+        let (a, b) = dense::gen::random_pair(job.spec.n, job.spec.seed);
+        let out = run_recommendation(&job.sizing.rec, sub, &a, &b)?;
+        if self.config.verify {
+            let id = job.id;
+            assert!(
+                out.c.approx_eq(&(&a * &b), 1e-8),
+                "job {id} produced a wrong product"
+            );
+        }
+        Ok(out)
+    }
+
+    /// `job`'s record for a run of `actual_time` from `start` on the
+    /// `(base, p)` block of ranks, in coalesced batch `batch` (0: solo).
+    fn record(
+        job: QueuedJob,
+        out: &SimOutcome,
+        (base, p): (usize, usize),
+        start: f64,
+        actual_time: f64,
+        batch: usize,
+    ) -> JobRecord {
+        JobRecord {
+            id: job.id,
+            queue_wait: start - job.spec.arrival,
+            spec: job.spec,
+            p,
+            base,
+            algorithm: job.sizing.rec.algorithm,
+            resilient: job.sizing.rec.resilient,
+            predicted_time: job.sizing.rec.predicted_time,
+            actual_time,
+            attempts: job.attempts + 1,
+            recoveries: out.stats.iter().map(|s| s.recoveries).sum(),
+            migrations: job.migrations,
+            preemptions: job.preemptions,
+            resizes: job.resizes,
+            heartbeat_words: out.stats.iter().map(|s| s.heartbeat_words).sum(),
+            batch,
+            start,
+            finish: start + actual_time,
+        }
     }
 
     /// The earliest sustained-degradation alarm on this placement's
@@ -918,12 +889,7 @@ impl<'m> Scheduler<'m> {
         }
         // One gang at a time: while a drain is in flight the waiting
         // job re-tries its allocation at every event anyway.
-        if running.iter().any(|r| {
-            matches!(
-                r.outcome,
-                Outcome::Preempted { .. } | Outcome::Resized { .. }
-            )
-        }) {
+        if running.iter().any(|r| r.outcome.draining()) {
             return;
         }
         'blocks: for base in (0..pm.capacity()).step_by(needed) {
@@ -948,8 +914,10 @@ impl<'m> Scheduler<'m> {
                         if r.finish - now <= pause {
                             continue 'blocks; // about to finish anyway
                         }
-                        let probe = [ps.job.clone(), waiting.clone()];
-                        if policy.select(&probe) != Some(1) {
+                        // The victim ranks as enqueued first (seq 0), so
+                        // under FIFO nothing outranks it.
+                        let victim = (policy.rank(&ps.job, 0), ps.job.id);
+                        if (policy.rank(waiting, 1), waiting.id) >= victim {
                             continue 'blocks; // waiting does not outrank it
                         }
                         victims.push(j);
@@ -982,12 +950,7 @@ impl<'m> Scheduler<'m> {
     /// current placement out — then checkpoint it off its block.  At
     /// most one resize initiates per placement pass.
     fn try_grow(&self, pm: &PartitionManager, running: &mut [Running], now: f64) {
-        if running.iter().any(|r| {
-            matches!(
-                r.outcome,
-                Outcome::Preempted { .. } | Outcome::Resized { .. }
-            )
-        }) {
+        if running.iter().any(|r| r.outcome.draining()) {
             return;
         }
         let mut order: Vec<usize> = (0..running.len()).collect();
@@ -1078,26 +1041,16 @@ impl<'m> Scheduler<'m> {
     /// deadline (no deadline = latest of all), then the youngest
     /// (highest id).  `None` means the arrival itself is the least
     /// valuable — the historical bounce, now structured.
-    fn shed_victim(queue: &[QueuedJob], arrival: &JobSpec, arrival_id: usize) -> Option<usize> {
-        use std::cmp::Ordering;
-        let sheds_before = |sa: &JobSpec, ia: usize, sb: &JobSpec, ib: usize| -> Ordering {
-            let da = sa.deadline.unwrap_or(f64::INFINITY);
-            let db = sb.deadline.unwrap_or(f64::INFINITY);
-            sa.priority
-                .cmp(&sb.priority)
-                .then(db.total_cmp(&da))
-                .then(ib.cmp(&ia))
+    fn shed_victim(queue: &Queue, arrival: &JobSpec, arrival_id: usize) -> Option<Key> {
+        let value = |s: &JobSpec, id: usize| {
+            let deadline = s.deadline.unwrap_or(f64::INFINITY);
+            (s.priority, Reverse(total_order_key(deadline)), Reverse(id))
         };
-        let mut victim: Option<usize> = None; // None = the arrival
-        let (mut vs, mut vi) = (arrival, arrival_id);
-        for (idx, q) in queue.iter().enumerate() {
-            if sheds_before(&q.spec, q.id, vs, vi) == Ordering::Less {
-                victim = Some(idx);
-                vs = &q.spec;
-                vi = q.id;
-            }
-        }
-        victim
+        let victim = queue
+            .iter()
+            .min_by_key(|(_, q)| value(&q.spec, q.id))
+            .filter(|(_, q)| value(&q.spec, q.id) < value(arrival, arrival_id));
+        victim.map(|(&k, _)| k)
     }
 }
 
@@ -1813,6 +1766,36 @@ mod tests {
         assert!(shed_rows[0].starts_with("2,16,") && shed_rows[0].ends_with(",0,1"));
         assert!(shed_rows[1].starts_with("1,16,") && shed_rows[1].ends_with(",na,1"));
         assert!(report.summary().contains("2 shed"));
+    }
+
+    #[test]
+    fn policy_ranks_once_per_enqueue_never_per_placement_pass() {
+        /// EDF that counts its `rank` calls.
+        struct Counting(std::cell::Cell<usize>);
+        impl Policy for Counting {
+            fn name(&self) -> &'static str {
+                "counting"
+            }
+            fn rank(&self, job: &QueuedJob, seq: u64) -> u64 {
+                self.0.set(self.0.get() + 1);
+                crate::policy::EarliestDeadlineFirst.rank(job, seq)
+            }
+        }
+        // 40 jobs at once on 16 ranks: a deep queue that every one of
+        // the ≥ 40 completion events re-examines.
+        let m = machine();
+        let jobs: Vec<JobSpec> = (0..40)
+            .map(|i| JobSpec {
+                seed: i,
+                deadline: Some(1e6 - i as f64),
+                ..JobSpec::new([8, 16, 32][i as usize % 3], 0.0)
+            })
+            .collect();
+        let policy = Counting(std::cell::Cell::new(0));
+        let report = Scheduler::new(&m, config()).run(&jobs, &policy).unwrap();
+        assert_eq!(report.records.len(), 40);
+        assert!(report.timeline.len() > 40, "many placement passes");
+        assert_eq!(policy.0.get(), 40, "one rank per enqueue");
     }
 
     #[test]
