@@ -1,6 +1,7 @@
-//! Shared driver for the Figure 4/5 CM-5 replication binaries.
+//! The Figure 4/5 CM-5 series: executed simulations next to the
+//! model, and the crossover bracket the `cm5` subcommand prints.
 
-use crate::{fmt_opt, parallel_sweep, ResultTable};
+use crate::parallel_sweep;
 use dense::gen;
 use mmsim::{CostModel, Machine, Topology};
 use model::{cm5, MachineParams};
@@ -51,83 +52,6 @@ pub fn cm5_series(p_cannon: usize, p_gk: usize, sizes: &[usize]) -> Vec<Cm5Point
             gk_model: cm5::gk_cm5_efficiency(n as f64, p_gk as f64, m),
         }
     })
-}
-
-/// Print and persist one figure.
-pub fn run_cm5_figure(figure: &str, p_cannon: usize, p_gk: usize, sizes: &[usize]) {
-    let m = MachineParams::cm5();
-    println!(
-        "=== {figure}: efficiency vs matrix size (Cannon p = {p_cannon}, GK p = {p_gk}) ===\n\
-         CM-5 constants: t_s = {:.2}, t_w = {:.3} (normalised to 1.53 µs per multiply-add)\n",
-        m.t_s, m.t_w
-    );
-
-    let series = cm5_series(p_cannon, p_gk, sizes);
-    let mut t = ResultTable::new(
-        "E = n³/(p·T_p); sim = executed on the virtual CM-5, model = Eq. (3)/(18)",
-        &["n", "E_cannon_sim", "E_cannon_eq3", "E_gk_sim", "E_gk_eq18"],
-    );
-    for pt in &series {
-        t.push_row(vec![
-            pt.n.to_string(),
-            fmt_opt(pt.cannon_sim),
-            format!("{:.3}", pt.cannon_model),
-            fmt_opt(pt.gk_sim),
-            format!("{:.3}", pt.gk_model),
-        ]);
-    }
-    println!("{}", t.render());
-    let path = t.save_csv(&figure.to_lowercase().replace(' ', "_"));
-    println!("CSV written to {}", path.display());
-
-    // Terminal plot of the simulated curves (the paper's figure shape).
-    let cannon_pts: Vec<(f64, f64)> = series
-        .iter()
-        .filter_map(|pt| pt.cannon_sim.map(|e| (pt.n as f64, e)))
-        .collect();
-    let gk_pts: Vec<(f64, f64)> = series
-        .iter()
-        .filter_map(|pt| pt.gk_sim.map(|e| (pt.n as f64, e)))
-        .collect();
-    let series_named = [
-        crate::plot::Series::new("cannon (sim)", cannon_pts),
-        crate::plot::Series::new("gk (sim)", gk_pts),
-        crate::plot::Series::new(
-            "cannon Eq.3",
-            series
-                .iter()
-                .map(|pt| (pt.n as f64, pt.cannon_model))
-                .collect(),
-        ),
-        crate::plot::Series::new(
-            "gk Eq.18",
-            series.iter().map(|pt| (pt.n as f64, pt.gk_model)).collect(),
-        ),
-    ];
-    println!(
-        "\n{}",
-        crate::plot::render(
-            &format!("{figure}: efficiency vs n (simulated)"),
-            &series_named[..2],
-            72,
-            18,
-        )
-    );
-    let svg = crate::svg::line_chart(
-        &format!("{figure}: efficiency vs matrix size"),
-        &series_named,
-        760,
-        460,
-    );
-    let svg_path = crate::svg::save_svg(&figure.to_lowercase().replace(' ', "_"), &svg);
-    println!("SVG written to {}", svg_path.display());
-
-    if let Some(n_star) = cm5::crossover_n(p_gk as f64, m) {
-        println!("\nmodel crossover (equal overheads): n ≈ {n_star:.0}");
-    }
-    if let Some((lo, hi)) = simulated_crossover(&series) {
-        println!("simulated crossover bracket: n in [{lo}, {hi}]");
-    }
 }
 
 /// Bracket the simulated crossover: the last size where GK's simulated

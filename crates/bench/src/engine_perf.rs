@@ -1,11 +1,6 @@
 //! E-PERF: engine golden harness — runs representative sweeps through
-//! the simulator hot path and gates them on golden virtual-time CSVs.
-//!
-//! ```sh
-//! cargo run --release -p bench --bin engine_perf            # full slices
-//! cargo run --release -p bench --bin engine_perf -- --smoke # CI slices
-//! cargo run --release -p bench --bin engine_perf -- --bless # rewrite goldens
-//! ```
+//! the simulator hot path and gates them on golden virtual-time CSVs
+//! (`--smoke` runs the CI-sized slices).
 //!
 //! Five slices exercise the paths the headline artefacts spend their
 //! time in.  `cm5_64`, `cm5_512` and `workload` pin
@@ -27,16 +22,19 @@
 //! `t_parallel`, per-rank [`mmsim::ProcStats`], message/word counts,
 //! region letters, the workload table — formatted with exact float
 //! bit patterns and compared byte-for-byte against committed goldens
-//! in `crates/bench/goldens/`.
+//! in `crates/bench/goldens/` (`{smoke,full}_{runs,ranks,regions,
+//! workload}.csv`; the `workload` subcommand's own goldens are
+//! `workload.csv` and `workload_smoke.csv`).
 
 use std::fmt::Write as _;
 
-use bench::workload_common::{run_workload_sweep_on, WorkloadSweep};
-use bench::{bits, check_golden};
+use bench::{bits, Args, Fail, Report};
 use dense::gen;
 use mmsim::{CostModel, EngineKind, Machine, ProcStats, Topology};
 use model::regions::RegionMap;
 use model::MachineParams;
+
+use crate::workload::{run_workload_sweep, WorkloadSweep};
 
 /// One simulated run reduced to its virtual-time observables.
 fn run_row(slice: &str, algo: &str, p: usize, n: usize, out: &algos::SimOutcome) -> String {
@@ -148,23 +146,17 @@ fn run_event4k_slice(points: &[(usize, usize)], runs_csv: &mut String) {
 /// metrics table.
 fn run_workload_slice(csv: &mut String) {
     let sweep = WorkloadSweep::smoke(0xE6E);
-    csv.push_str(&run_workload_sweep_on(&sweep, EngineKind::Threaded).to_csv());
+    csv.push_str(&run_workload_sweep(&sweep, EngineKind::Threaded).to_csv());
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(bad) = args
-        .iter()
-        .find(|a| !matches!(a.as_str(), "--smoke" | "--bless"))
-    {
-        eprintln!("engine_perf: unknown argument `{bad}`");
-        eprintln!("usage: engine_perf [--smoke] [--bless]");
-        std::process::exit(1);
-    }
-    let has = |f: &str| args.iter().any(|a| a == f);
-    let (smoke, bless) = (has("--smoke"), has("--bless"));
+/// The five slices, each reduced to its golden CSV.
+pub fn engine_perf(args: &Args) -> Result<Report, Fail> {
+    let smoke = args.smoke;
     let mode = if smoke { "smoke" } else { "full" };
-    println!("=== engine_perf: simulator hot-path goldens ({mode} slices) ===\n");
+    let mut r = Report::default();
+    r.print(format_args!(
+        "=== engine_perf: simulator hot-path goldens ({mode} slices) ==="
+    ));
 
     let mut runs_csv = String::from(RUN_HEADER);
     let mut ranks_csv = String::from(RANK_HEADER);
@@ -173,11 +165,8 @@ fn main() {
 
     // Region-map slice: full = the exact Figure 1–3 grids; smoke = a
     // coarse grid.
-    if smoke {
-        run_regions_slice(24, 10, &mut regions_csv);
-    } else {
-        run_regions_slice(96, 40, &mut regions_csv);
-    }
+    let (cols, rows) = if smoke { (24, 10) } else { (96, 40) };
+    run_regions_slice(cols, rows, &mut regions_csv);
 
     // CM-5 p = 64 curve (Figure 4 shape): Cannon q = 8, GK s = 4.
     let cm5_64: Vec<(&str, usize, usize)> = if smoke {
@@ -234,17 +223,13 @@ fn main() {
     // the CI smoke sweep).
     run_workload_slice(&mut workload_csv);
 
-    let golden = |kind: &str, csv: &str| {
-        check_golden("engine_perf", &format!("{mode}_{kind}.csv"), csv, bless)
-    };
-    // `&`, not `&&`: every golden is compared (and parked) even after a mismatch.
-    let ok = golden("runs", &runs_csv)
-        & golden("ranks", &ranks_csv)
-        & golden("regions", &regions_csv)
-        & golden("workload", &workload_csv);
-    if !ok {
-        eprintln!("\nFAIL: golden virtual-time output drifted");
-        std::process::exit(1);
+    for (kind, csv) in [
+        ("runs", runs_csv),
+        ("ranks", ranks_csv),
+        ("regions", regions_csv),
+        ("workload", workload_csv),
+    ] {
+        r.golden(format!("{mode}_{kind}.csv"), csv);
     }
-    println!("\nengine_perf: all checks passed");
+    Ok(r)
 }

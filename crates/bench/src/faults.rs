@@ -1,17 +1,15 @@
-//! Resilience sweep: efficiency degradation of **all six** resilient
-//! variants (Cannon, GK, block DNS, and the tree/pipelined/aliased Fox
-//! formulations) as link fault rates rise, plus spare-rank failover
-//! under injected fail-stop deaths — with and without heartbeat-priced
-//! failure detection.
+//! Fault-tolerance experiments: the resilience sweep of all six
+//! resilient variants under link faults and fail-stop deaths, and
+//! proactive live migration against reactive recovery in `gemmd`.
 //!
-//! For each algorithm × processor count × fault level the same
-//! multiplication runs under a seeded [`mmsim::FaultPlan`] whose drop
-//! and corruption rates scale with the level; the table reports the
-//! simulated parallel time, the efficiency, the degradation relative
-//! to the fault-free reliable run, and the recovery effort
+//! **Resilience.** For each algorithm × processor count × fault level
+//! the same multiplication runs under a seeded [`mmsim::FaultPlan`]
+//! whose drop and corruption rates scale with the level; the table
+//! reports the simulated parallel time, the efficiency, the degradation
+//! relative to the fault-free reliable run, and the recovery effort
 //! (retransmissions, backoff idle time).  The death rows additionally
 //! provision spares (`Machine::with_spares`) and fail-stop one rank
-//! halfway through the fault-free schedule: the binary *asserts* that
+//! halfway through the fault-free schedule: every run *asserts* that
 //! the product stays bit-identical to the fault-free run and that the
 //! promotion shows up in the `recoveries` / `recovery_idle` columns.
 //! The detection rows repeat each death point under a
@@ -20,37 +18,37 @@
 //! `heartbeat_words` and `detection_latency` — the priced replacement
 //! of the free death oracle.  Heartbeats ride the same lossy links as
 //! data, so detection rows may also record spurious failovers
-//! (`false_positives` / `wasted_promotion_idle`): a live rank accused
-//! by a run of dropped beats, a spare pointlessly promoted and
-//! reconciled away.
+//! (`false_positives` / `wasted_promotion_idle`).  `--smoke` shrinks
+//! the sweep to one processor count per algorithm and two fault
+//! levels; `--enforce` requires that every planned sweep point produced
+//! a row (no silent inapplicability skips).
 //!
-//! ```sh
-//! cargo run -p bench --release --bin resilience \
-//!     [-- --n 24 --seed 7 --smoke --bless --enforce]
-//! ```
-//!
-//! `--smoke` shrinks the sweep to a CI-sized subset (one processor
-//! count per algorithm, two fault levels) with the same assertions.
-//! A run at the default `--n`/`--seed` is reduced to a bit-exact
-//! golden CSV compared byte-for-byte against
-//! `crates/bench/goldens/<mode>_resilience.csv` (`--bless` rewrites
-//! it — same scheme as `engine_perf`), so stale rows fail CI; custom
-//! parameters skip the golden (every row legitimately changes) and
-//! refuse `--bless`.  `--enforce` additionally requires that every
-//! planned sweep point produced a row (no silent inapplicability
-//! skips).
+//! **Migration.** A 16-rank machine serves a stream of n = 32 GEMMs
+//! (each right-sized to a 4-rank block) while two ranks degrade — their
+//! outgoing heartbeat links drop half their frames — and then fail-stop
+//! mid-run.  The *reactive* service rides each doomed placement into
+//! its death and redoes the job on a fresh partition; the *proactive*
+//! service (`Config::migration_streak`) reads a sustained missed-beat
+//! streak below the death threshold as an evacuation alarm and
+//! live-migrates the job (a buddy-checkpoint transfer of `3n²` words)
+//! before the death lands.  One rank carries a per-link detection
+//! override ([`mmsim::FaultPlan::with_link_detection`]) that beats four
+//! times faster than the base period.  `--enforce` requires the
+//! proactive service to waste strictly less rank time with a no-worse
+//! makespan, with at least one migration and one reactive loss.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::process::ExitCode;
 
 use algos::{
     cannon_resilient, dns_resilient, fox_pipelined_resilient, fox_tree_resilient, gk_resilient,
     SimOutcome,
 };
-use bench::{bits, check_golden, parallel_sweep, GoldenArgs, ResultTable};
+use bench::{bits, parallel_sweep, Args, Fail, Report, ResultTable};
 use dense::gen;
-use mmsim::{CostModel, FaultPlan, Machine, Topology};
+use gemmd::policy::Fifo;
+use gemmd::{Config, JobSpec, Scheduler, ServiceReport};
+use mmsim::{CostModel, FaultPlan, LinkFaults, Machine, Topology};
 
 /// Fault levels swept: the drop rate per transmission attempt; the
 /// corruption rate rides along at half of it.
@@ -70,19 +68,25 @@ const DETECT_MULTIPLE: u32 = 2;
 /// the mesh algorithms' `--n`.
 const DNS_N: usize = 4;
 
-/// The sweep the goldens pin.  A custom `--n`/`--seed` legitimately
-/// changes every row, so the golden comparison only runs (and
-/// `--bless` is only accepted) at these defaults.
-const DEFAULT_N: usize = 24;
-const DEFAULT_SEED: u64 = 7;
+/// Migration machine geometry: 16 ranks, n = 32 jobs right-size to p = 4 under
+/// the default isoefficiency rule on the nCUBE2-like constants.
+const JOB_N: usize = 32;
 
-/// The switches plus `--n` and `--seed`.
-fn parse_args() -> Result<(GoldenArgs, usize, u64), String> {
-    let flags = GoldenArgs::parse(std::env::args().skip(1))?;
-    let n = flags.value("n", DEFAULT_N)?;
-    let seed = flags.value("seed", DEFAULT_SEED)?;
-    Ok((flags, n, seed))
-}
+/// Base heartbeat period and death threshold; the migration alarm
+/// fires at a 2-beat streak, half the detector's 4-beat threshold.
+const MIGRATION_DETECT_PERIOD: f64 = 500.0;
+const MIGRATION_DETECT_MULTIPLE: u32 = 4;
+const MIGRATION_STREAK: u32 = 2;
+
+/// Rank 0's monitor link beats faster than the base period (the
+/// per-link override the Advisor prices as the tightest period).  Kept
+/// moderate: the duty-cycle surcharge feeds the right-sizer, and a
+/// much tighter period would shrink every partition to a single rank —
+/// which has no heartbeat ring to read an alarm from.
+const TIGHT_PERIOD: f64 = 400.0;
+
+/// Arrival gap of the Poisson-free deterministic stream.
+const ARRIVAL_GAP: f64 = 3_000.0;
 
 /// One sweep point: algorithm name, processor count, operand size,
 /// drop rate, and — for the failover rows — a death scheduled at
@@ -152,24 +156,11 @@ struct Row {
     out: SimOutcome,
 }
 
-fn main() -> ExitCode {
-    let (args, n, seed) = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: resilience [--n <size>] [--seed <plan seed>] [--smoke] [--bless] [--enforce]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let default_sweep = (n, seed) == (DEFAULT_N, DEFAULT_SEED);
-    if args.bless && !default_sweep {
-        eprintln!(
-            "error: --bless requires the default --n/--seed (the golden pins the default sweep)"
-        );
-        return ExitCode::FAILURE;
-    }
+/// The resilience sweep: `--n` sizes the mesh algorithms' operands,
+/// `--seed` the fault plans.
+pub fn resilience(args: &Args) -> Result<Report, Fail> {
+    let n: usize = args.value("n")?;
+    let seed: u64 = args.value("seed")?;
     let mode = if args.smoke { "smoke" } else { "full" };
     let drop_rates: &[f64] = if args.smoke {
         &SMOKE_DROP_RATES
@@ -205,12 +196,12 @@ fn main() -> ExitCode {
                 }
             }
         };
-    let square_divides = |p: usize| n % ((p as f64).sqrt().round() as usize) == 0;
+    let square_divides = |p: usize| n.is_multiple_of((p as f64).sqrt().round() as usize);
     push_grid("cannon", mesh_ps, n, &square_divides);
     push_grid("fox_tree", fox_ps, n, &square_divides);
     push_grid("fox_pipelined", fox_ps, n, &square_divides);
     push_grid("gk", gk_ps, n, &|p| {
-        n % ((p as f64).cbrt().round() as usize) == 0
+        n.is_multiple_of((p as f64).cbrt().round() as usize)
     });
     push_grid("dns", dns_ps, DNS_N, &|p| {
         let r = p / (DNS_N * DNS_N);
@@ -228,25 +219,19 @@ fn main() -> ExitCode {
             out,
         })
     });
-    let mut rows: Vec<Row> = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            Ok(row) => rows.push(row),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if args.enforce && rows.len() != planned {
-        eprintln!(
-            "error: --enforce: only {} of {} planned sweep points produced rows \
+    let mut rows = outcomes
+        .into_iter()
+        .collect::<Result<Vec<Row>, String>>()
+        .map_err(Fail::Check)?;
+    let gate = if rows.len() == planned {
+        Ok(format!("all {planned} planned sweep points produced rows"))
+    } else {
+        Err(format!(
+            "only {} of {planned} planned sweep points produced rows \
              (inapplicable (alg, p, n) combinations were skipped silently)",
-            rows.len(),
-            planned
-        );
-        return ExitCode::FAILURE;
-    }
+            rows.len()
+        ))
+    };
 
     // Failover rows: kill logical rank 1 halfway through the fault-free
     // schedule of each (alg, p) and let a spare absorb it — once under
@@ -293,47 +278,9 @@ fn main() -> ExitCode {
         })
     });
     for outcome in death_rows {
-        match outcome {
-            Ok(row) => {
-                let reference = fault_free
-                    .iter()
-                    .find(|(a, q, _, _)| *a == row.alg && *q == row.p)
-                    .map(|(_, _, _, o)| o)
-                    .expect("death point without a fault-free reference");
-                let recoveries: u64 = row.out.stats.iter().map(|s| s.recoveries).sum();
-                if row.out.c != reference.c {
-                    eprintln!(
-                        "error: {} p={} death run product diverged from fault-free run",
-                        row.alg, row.p
-                    );
-                    return ExitCode::FAILURE;
-                }
-                if recoveries == 0 {
-                    eprintln!(
-                        "error: {} p={} death row recorded no spare promotion",
-                        row.alg, row.p
-                    );
-                    return ExitCode::FAILURE;
-                }
-                if row.detection_period.is_some() {
-                    let beats: u64 = row.out.stats.iter().map(|s| s.heartbeat_words).sum();
-                    let latency: f64 = row.out.stats.iter().map(|s| s.detection_latency).sum();
-                    if beats == 0 || latency <= 0.0 {
-                        eprintln!(
-                            "error: {} p={} detection row shows no heartbeat traffic \
-                             ({beats} beats) or no detection latency ({latency})",
-                            row.alg, row.p
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-                rows.push(row);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let row = outcome.map_err(Fail::Check)?;
+        check_death_row(&row, &fault_free).map_err(Fail::Check)?;
+        rows.push(row);
     }
 
     let mut table = ResultTable::new(
@@ -424,22 +371,154 @@ fn main() -> ExitCode {
         );
     }
 
-    println!("{}", table.render());
-    let path = table.save_csv("resilience");
-    println!("CSV written to {}", path.display());
+    let mut r = Report::default();
+    r.print(table.render());
+    r.file("resilience.csv", table.to_csv());
+    r.golden(format!("{mode}_resilience.csv"), golden);
+    r.gate = gate;
+    Ok(r)
+}
 
-    if default_sweep {
-        if !check_golden(
-            "resilience",
-            &format!("{mode}_resilience.csv"),
-            &golden,
-            args.bless,
-        ) {
-            eprintln!("\nFAIL: resilience golden drifted (stale rows)");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        println!("golden check skipped (non-default --n/--seed)");
+/// A death row's invariants: the product bit-identical to the
+/// fault-free run, a spare promoted, and — with detection on —
+/// heartbeat traffic and a detection latency actually priced.
+fn check_death_row(
+    row: &Row,
+    fault_free: &[(&str, usize, usize, SimOutcome)],
+) -> Result<(), String> {
+    let reference = fault_free
+        .iter()
+        .find(|(a, q, _, _)| *a == row.alg && *q == row.p)
+        .map(|(_, _, _, o)| o)
+        .expect("death point without a fault-free reference");
+    if row.out.c != reference.c {
+        return Err(format!(
+            "{} p={} death run product diverged from fault-free run",
+            row.alg, row.p
+        ));
     }
-    ExitCode::SUCCESS
+    if row.out.stats.iter().map(|s| s.recoveries).sum::<u64>() == 0 {
+        return Err(format!(
+            "{} p={} death row recorded no spare promotion",
+            row.alg, row.p
+        ));
+    }
+    if row.detection_period.is_some() {
+        let beats: u64 = row.out.stats.iter().map(|s| s.heartbeat_words).sum();
+        let latency: f64 = row.out.stats.iter().map(|s| s.detection_latency).sum();
+        if beats == 0 || latency <= 0.0 {
+            return Err(format!(
+                "{} p={} detection row shows no heartbeat traffic \
+                 ({beats} beats) or no detection latency ({latency})",
+                row.alg, row.p
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The degradation-heavy machine: base 2% loss everywhere, ranks 0 and
+/// 4 with half-dead outgoing links (their heartbeat paths), deaths on
+/// both a third of the way into the jobs that land on them, and a
+/// tight per-link detector on rank 0.
+fn machine(seed: u64) -> Machine {
+    let degraded = LinkFaults {
+        drop: 0.5,
+        corrupt: 0.0,
+        duplicate: 0.0,
+        tw_factor: 1.0,
+    };
+    let plan = FaultPlan::new(seed)
+        .with_drop_rate(0.02)
+        .with_link(0, 1, degraded)
+        .with_link(4, 5, degraded)
+        .with_death(0, 10_000.0)
+        .with_death(4, 12_000.0)
+        .with_detection(MIGRATION_DETECT_PERIOD, MIGRATION_DETECT_MULTIPLE)
+        .with_link_detection(0, TIGHT_PERIOD);
+    Machine::new(Topology::hypercube(4), CostModel::ncube2()).with_fault_plan(plan)
+}
+
+fn stream(jobs: usize) -> Vec<JobSpec> {
+    (0..jobs)
+        .map(|i| JobSpec {
+            seed: i as u64,
+            ..JobSpec::new(JOB_N, i as f64 * ARRIVAL_GAP)
+        })
+        .collect()
+}
+
+fn run_mode(m: &Machine, jobs: &[JobSpec], migration_streak: u32) -> ServiceReport {
+    let cfg = Config {
+        verify: true,
+        migration_streak,
+        ..Config::default()
+    };
+    let report = Scheduler::new(m, cfg)
+        .run(jobs, &Fifo)
+        .unwrap_or_else(|e| panic!("service run failed: {e}"));
+    report.check(jobs.len());
+    report
+}
+
+/// Proactive migration vs reactive recovery on the same stream:
+/// `--jobs` GEMMs, `--seed` the fault plan.
+pub fn migration(args: &Args) -> Result<Report, Fail> {
+    let mode = if args.smoke { "smoke" } else { "full" };
+    let m = machine(args.value("seed")?);
+    let jobs = stream(args.value("jobs")?);
+    let reactive = run_mode(&m, &jobs, 0);
+    let proactive = run_mode(&m, &jobs, MIGRATION_STREAK);
+
+    let mut r = Report::default();
+    let mut golden = String::from(
+        "mode,jobs,requeues,migrations,migration_transfer_words,heartbeat_words,\
+         wasted_rank_time_bits,makespan_bits,mean_wait_bits\n",
+    );
+    for (label, report) in [("reactive", &reactive), ("proactive", &proactive)] {
+        r.print(format_args!(
+            "{label:>9}: {} | wasted_rank_time {:.1}, makespan {:.1}, mean wait {:.1}, \
+             heartbeat words {}",
+            report.summary(),
+            report.wasted_rank_time,
+            report.makespan,
+            report.mean_wait(),
+            report.heartbeat_words(),
+        ));
+        let _ = writeln!(
+            golden,
+            "{label},{},{},{},{},{},{},{},{}",
+            report.records.len(),
+            report.requeues,
+            report.migrations,
+            report.migration_transfer_words,
+            report.heartbeat_words(),
+            bits(report.wasted_rank_time),
+            bits(report.makespan),
+            bits(report.mean_wait()),
+        );
+    }
+    r.golden(format!("{mode}_migration.csv"), golden);
+    r.gate = if reactive.requeues == 0 {
+        Err("the reactive service lost no placement — the stream is not degradation-heavy".into())
+    } else if proactive.migrations == 0 {
+        Err("the proactive service never migrated".into())
+    } else if proactive.wasted_rank_time >= reactive.wasted_rank_time {
+        Err(format!(
+            "proactive wasted_rank_time {:.1} must beat reactive {:.1}",
+            proactive.wasted_rank_time, reactive.wasted_rank_time
+        ))
+    } else if proactive.makespan > reactive.makespan {
+        Err(format!(
+            "proactive makespan {:.1} must not exceed reactive {:.1}",
+            proactive.makespan, reactive.makespan
+        ))
+    } else {
+        Ok(format!(
+            "proactive migration saved {:.1} rank-time units and {:.1} makespan units",
+            reactive.wasted_rank_time - proactive.wasted_rank_time,
+            reactive.makespan - proactive.makespan
+        ))
+    };
+    Ok(r)
 }

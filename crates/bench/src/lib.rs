@@ -1,23 +1,20 @@
-//! Shared harness for the experiment binaries and Criterion benches:
-//! result tables, CSV emission, parallel sweeps, and the golden-CSV
-//! gate (`--smoke/--bless/--enforce` flags, [`check_golden`]) of the
-//! five byte-identity benches.
+//! Shared vocabulary of the `bench` reproduction driver: result tables,
+//! the parsed command line of a subcommand ([`Args`]), what a
+//! subcommand hands back to the runner ([`Report`]) and parallel
+//! sweeps.
 //!
-//! Every table and figure of the paper has one binary in `src/bin/`
-//! that regenerates it (see DESIGN.md's per-experiment index) and one
-//! Criterion bench group in `benches/` that measures the machinery
-//! behind it.
+//! Every table and figure of the paper is one subcommand of the one
+//! binary, `cargo run -p bench --release -- <subcommand>` (see
+//! DESIGN.md's per-experiment index); the runner in `src/runner.rs`
+//! owns argument parsing, `--smoke/--bless/--enforce`, the golden
+//! comparison and the exit code.
 
 pub mod cm5_common;
 pub mod plot;
-pub mod regions_common;
 pub mod service_common;
 pub mod svg;
-pub mod workload_common;
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::fs;
+use std::fmt::{Display, Write as _};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -98,19 +95,6 @@ impl ResultTable {
         }
         out
     }
-
-    /// Write the CSV into `results/<name>.csv` under the workspace
-    /// root; returns the path.
-    ///
-    /// # Panics
-    /// Panics if the results directory cannot be created or written.
-    pub fn save_csv(&self, name: &str) -> PathBuf {
-        let dir = results_dir();
-        fs::create_dir_all(&dir).expect("create results dir");
-        let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, self.to_csv()).expect("write csv");
-        path
-    }
 }
 
 /// `<workspace>/results` (next to the top-level Cargo.toml).
@@ -124,6 +108,12 @@ pub fn results_dir() -> PathBuf {
         .join("results")
 }
 
+/// `crates/bench/goldens`, where the committed golden CSVs live.
+#[must_use]
+pub fn goldens_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
+}
+
 /// Exact-bit float formatting for the goldens: decimal is for the
 /// human, bits for the byte-identity gate.
 #[must_use]
@@ -131,105 +121,253 @@ pub fn bits(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-/// `crates/bench/goldens`, where the committed golden CSVs live.
+/// Format an efficiency / ratio to three decimals, or `-`.
 #[must_use]
-pub fn goldens_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("goldens")
+pub fn fmt_opt(x: Option<f64>) -> String {
+    x.map_or_else(|| "-".to_string(), |v| format!("{v:.3}"))
 }
 
-/// Compare `actual` against the committed golden `name`, or rewrite it
-/// under `--bless`.  On mismatch the actual bytes are parked in
-/// `results/<name>.actual` for inspection and the caller (the `bench`
-/// binary named in the message) exits nonzero.
-///
-/// # Panics
-/// Panics if the golden is missing (run with `--bless`) or a file
-/// cannot be written.
-#[must_use]
-pub fn check_golden(bench: &str, name: &str, actual: &str, bless: bool) -> bool {
-    let path = goldens_dir().join(name);
-    if bless {
-        fs::create_dir_all(goldens_dir()).expect("create goldens dir");
-        fs::write(&path, actual).expect("write golden");
-        println!("blessed {}", path.display());
-        return true;
+/// One `--name <value>` option of a subcommand, with its default in
+/// the full sweep and under `--smoke`.
+#[derive(Debug, Clone, Copy)]
+pub struct Opt {
+    /// The option name, without the leading `--`.
+    pub name: &'static str,
+    /// Default of the full sweep.
+    pub full: &'static str,
+    /// Default under `--smoke`.
+    pub smoke: &'static str,
+}
+
+impl Opt {
+    /// An option whose default is the same in both sweeps.
+    #[must_use]
+    pub const fn new(name: &'static str, default: &'static str) -> Self {
+        Self::with_smoke(name, default, default)
     }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {} ({e}); run with --bless", path.display()));
-    if expected == actual {
-        println!("golden {name}: byte-identical");
-        true
-    } else {
-        let park = results_dir().join(format!("{name}.actual"));
-        fs::create_dir_all(results_dir()).expect("create results dir");
-        fs::write(&park, actual).expect("park actual");
-        eprintln!(
-            "golden {name}: MISMATCH — {bench} output drifted; actual parked at {}",
-            park.display()
-        );
-        false
+
+    /// An option whose `--smoke` default differs.
+    #[must_use]
+    pub const fn with_smoke(name: &'static str, full: &'static str, smoke: &'static str) -> Self {
+        Self { name, full, smoke }
     }
 }
 
-/// The command line of a golden-checked bench: the three switches plus
-/// any `--name value` options.
-#[derive(Debug, Clone, Default)]
-pub struct GoldenArgs {
+/// What a subcommand takes on its command line besides `--smoke`,
+/// `--bless` and `--enforce`.
+#[derive(Debug, Clone, Copy)]
+pub struct Syntax {
+    /// Its `--name <value>` options.
+    pub options: &'static [Opt],
+    /// Its extra value-less switches (`--sim`).
+    pub switches: &'static [&'static str],
+    /// Usage of its positional arguments; empty when it takes none.
+    pub positional: &'static str,
+}
+
+impl Syntax {
+    /// No options, switches or positional arguments.
+    pub const NONE: Self = Self::options(&[]);
+
+    /// Only `--name <value>` options.
+    #[must_use]
+    pub const fn options(options: &'static [Opt]) -> Self {
+        Self {
+            options,
+            switches: &[],
+            positional: "",
+        }
+    }
+
+    /// The usage line after `bench <subcommand>`, without the three
+    /// shared switches.
+    #[must_use]
+    pub fn usage(&self) -> String {
+        let mut out = self.positional.to_string();
+        for o in self.options {
+            let _ = write!(out, " [--{} <{}>]", o.name, o.full);
+        }
+        for s in self.switches {
+            let _ = write!(out, " [--{s}]");
+        }
+        out
+    }
+}
+
+/// Why a subcommand produced no report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fail {
+    /// A malformed command line: the runner adds the usage text.
+    Usage(String),
+    /// A broken invariant, which fails the run with or without
+    /// `--enforce`.
+    Check(String),
+}
+
+/// The parsed command line of one subcommand.
+#[derive(Debug, Clone)]
+pub struct Args {
     /// `--smoke`: the reduced sweep CI runs.
     pub smoke: bool,
-    /// `--bless`: rewrite the golden instead of comparing against it.
+    /// `--bless`: rewrite the goldens instead of comparing against them.
     pub bless: bool,
-    /// `--enforce`: fail on the bench's acceptance thresholds.
+    /// `--enforce`: fail on the subcommand's acceptance gate.
     pub enforce: bool,
-    values: HashMap<String, String>,
+    /// Positional arguments, in order.
+    pub positional: Vec<String>,
+    options: &'static [Opt],
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
 }
 
-impl GoldenArgs {
-    /// Parse an argument list (without the program name).
+impl Args {
+    /// Parse an argument list (without the program and subcommand
+    /// names) against a subcommand's syntax.
     ///
     /// # Errors
-    /// A `--name` with no value after it, or a bare word.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut out = Self::default();
-        let mut args = args.into_iter();
+    /// An undeclared `--name`, a `--name` with no value after it, or a
+    /// bare word where the subcommand takes no positional arguments.
+    pub fn parse(args: &[String], syntax: &Syntax) -> Result<Self, String> {
+        let mut out = Self {
+            smoke: false,
+            bless: false,
+            enforce: false,
+            positional: Vec::new(),
+            options: syntax.options,
+            switches: Vec::new(),
+            values: Vec::new(),
+        };
+        let mut args = args.iter();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--smoke" => out.smoke = true,
-                "--bless" => out.bless = true,
-                "--enforce" => out.enforce = true,
-                _ => {
-                    if let Some(name) = arg.strip_prefix("--") {
-                        let value = args
-                            .next()
-                            .ok_or_else(|| format!("missing value for --{name}"))?;
-                        out.values.insert(name.to_string(), value);
-                    } else {
-                        return Err(format!("unexpected argument {arg:?}"));
-                    }
+            let Some(name) = arg.strip_prefix("--") else {
+                if syntax.positional.is_empty() {
+                    return Err(format!("unexpected argument {arg:?}"));
                 }
+                out.positional.push(arg.clone());
+                continue;
+            };
+            match name {
+                "smoke" => out.smoke = true,
+                "bless" => out.bless = true,
+                "enforce" => out.enforce = true,
+                _ if syntax.switches.contains(&name) => out.switches.push(name.to_string()),
+                _ if syntax.options.iter().any(|o| o.name == name) => {
+                    let value = args
+                        .next()
+                        .ok_or_else(|| format!("missing value for --{name}"))?;
+                    out.values.push((name.to_string(), value.clone()));
+                }
+                _ => return Err(format!("unknown option {arg:?}")),
             }
         }
         Ok(out)
     }
 
-    /// The value of `--name`, or `default` when the option is absent.
+    /// Whether the switch `--name` was given.
+    #[must_use]
+    pub fn switch(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
+    /// The text of `--name`: the last value given, or the default of
+    /// the sweep in force.
+    ///
+    /// # Panics
+    /// Panics if the subcommand does not declare `--name`.
+    #[must_use]
+    pub fn text(&self, name: &str) -> &str {
+        self.values
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map_or_else(|| self.default(name), |(_, v)| v.as_str())
+    }
+
+    fn default(&self, name: &str) -> &'static str {
+        let opt = self
+            .options
+            .iter()
+            .find(|o| o.name == name)
+            .unwrap_or_else(|| panic!("--{name} is not declared"));
+        if self.smoke {
+            opt.smoke
+        } else {
+            opt.full
+        }
+    }
+
+    /// The value of `--name`, parsed.
     ///
     /// # Errors
-    /// The value does not parse as a `T`.
-    pub fn value<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    /// [`Fail::Usage`] when the value does not parse as a `T`.
+    pub fn value<T: FromStr>(&self, name: &str) -> Result<T, Fail>
     where
-        T::Err: std::fmt::Display,
+        T::Err: Display,
     {
-        self.values.get(name).map_or(Ok(default), |s| {
-            s.parse().map_err(|e| format!("--{name}: {e}"))
-        })
+        self.text(name)
+            .parse()
+            .map_err(|e| Fail::Usage(format!("--{name}: {e}")))
+    }
+
+    /// Whether every option holds its default: the sweep the goldens
+    /// pin, and the only one `--bless` may rewrite.
+    #[must_use]
+    pub fn is_default(&self) -> bool {
+        self.values.iter().all(|(n, v)| v == self.default(n))
     }
 }
 
-/// Format an efficiency / ratio to three decimals, or `-`.
-#[must_use]
-pub fn fmt_opt(x: Option<f64>) -> String {
-    x.map_or_else(|| "-".to_string(), |v| format!("{v:.3}"))
+/// What a subcommand hands back to the runner: the text it prints, the
+/// files it leaves under `results/`, the goldens it is compared
+/// against, and its `--enforce` gate.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Printed to stdout.
+    pub text: String,
+    /// `(file name, contents)` written under `results/`.
+    pub files: Vec<(String, String)>,
+    /// `(file name, contents)` compared byte for byte against
+    /// `crates/bench/goldens/` at the default sweep.
+    pub goldens: Vec<(String, String)>,
+    /// The acceptance gate, failing the run only under `--enforce`:
+    /// what held, or what broke.
+    pub gate: Result<String, String>,
+}
+
+impl Default for Report {
+    fn default() -> Self {
+        Self {
+            text: String::new(),
+            files: Vec::new(),
+            goldens: Vec::new(),
+            gate: Ok(String::new()),
+        }
+    }
+}
+
+impl Report {
+    /// Append one line of printed text.
+    pub fn print(&mut self, line: impl Display) {
+        let _ = writeln!(self.text, "{line}");
+    }
+
+    /// Leave `results/<name>`.
+    pub fn file(&mut self, name: impl Into<String>, body: impl Into<String>) {
+        self.files.push((name.into(), body.into()));
+    }
+
+    /// Compare `body` against the golden `name`.
+    pub fn golden(&mut self, name: impl Into<String>, body: impl Into<String>) {
+        self.goldens.push((name.into(), body.into()));
+    }
+
+    /// Leave `results/<name>.csv` and pin it with the golden of the
+    /// same name.
+    pub fn pinned(&mut self, name: &str, table: &ResultTable) {
+        let csv = table.to_csv();
+        self.file(format!("{name}.csv"), csv.clone());
+        self.golden(format!("{name}.csv"), csv);
+    }
 }
 
 /// Run a sweep in parallel across the host's cores, preserving input
@@ -309,21 +447,29 @@ mod tests {
 
     #[test]
     fn golden_args_parse_switches_and_named_values() {
-        let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
-        let a = GoldenArgs::parse(argv("--smoke --jobs 12 --enforce")).unwrap();
+        const SYNTAX: Syntax =
+            Syntax::options(&[Opt::with_smoke("jobs", "150", "60"), Opt::new("seed", "11")]);
+        let parse = |s: &str| {
+            let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
+            Args::parse(&argv, &SYNTAX)
+        };
+        let a = parse("--smoke --jobs 12 --enforce").unwrap();
         assert!(a.smoke && a.enforce && !a.bless);
-        assert_eq!(a.value("jobs", 150usize), Ok(12));
-        assert_eq!(a.value("seed", 11u64), Ok(11));
-        assert!(GoldenArgs::parse(argv("--jobs banana"))
-            .unwrap()
-            .value("jobs", 1usize)
-            .unwrap_err()
-            .starts_with("--jobs: "));
-        assert_eq!(
-            GoldenArgs::parse(argv("--seed")).unwrap_err(),
-            "missing value for --seed"
-        );
-        assert!(GoldenArgs::parse(argv("stray")).is_err());
+        assert_eq!(a.value("jobs"), Ok(12usize));
+        assert_eq!(a.value("seed"), Ok(11u64));
+        assert!(!a.is_default());
+        // Defaults follow the sweep in force; restating one is still
+        // the default sweep.
+        let smoke = parse("--smoke --seed 11").unwrap();
+        assert_eq!(smoke.value("jobs"), Ok(60usize));
+        assert!(smoke.is_default());
+        assert!(matches!(
+            parse("--jobs banana").unwrap().value::<usize>("jobs"),
+            Err(Fail::Usage(e)) if e.starts_with("--jobs: ")
+        ));
+        assert_eq!(parse("--seed").unwrap_err(), "missing value for --seed");
+        assert!(parse("--bogus 3").unwrap_err().contains("unknown option"));
+        assert!(parse("stray").is_err());
     }
 
     #[test]

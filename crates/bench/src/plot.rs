@@ -1,4 +1,4 @@
-//! Minimal ASCII line plots for the experiment binaries: the figures
+//! Minimal ASCII line plots for the driver's subcommands: the figures
 //! the paper prints are efficiency-vs-n curves, and a terminal plot
 //! makes the crossover visible without external tooling.
 

@@ -9,9 +9,8 @@
 //! overhead, coalescing tiny same-shape jobs pays that overhead once
 //! per batch instead of once per job, and EDF keeps tight-deadline
 //! interactive jobs out of FIFO convoys without SPT's starvation of
-//! the large jobs that dominate the tail.  The `service` binary and
-//! the CI smoke run both assert the `edf+batch` p99 win on the most
-//! contended sweep point.
+//! the large jobs that dominate the tail.  `service --enforce` asserts
+//! the `edf+batch` p99 win on the most contended sweep point.
 
 use gemmd::policy::policy_by_name;
 use gemmd::{heavy_tailed_mix, Batching, Config, JobSpec, Percentiles, Scheduler, ServiceReport};
@@ -182,7 +181,7 @@ impl ServiceRow {
 
 /// Run one sweep point.  On top of [`VARIANTS`], the harness accepts
 /// `edf+preempt` — `edf+batch` with preemptive gang rescheduling armed
-/// (the `preemption` bench's headline variant; not part of the
+/// (the `preemption` subcommand's headline variant; not part of the
 /// `service` sweep, whose goldens predate it).
 ///
 /// # Panics
@@ -293,7 +292,7 @@ pub fn tabulate(sweep: &ServiceSweep, rows: &[ServiceRow]) -> ResultTable {
     table
 }
 
-/// The acceptance checks the binary and the CI smoke run both enforce:
+/// The acceptance checks `service --enforce` applies:
 /// sane utilisation everywhere, no admission rejections, batching
 /// actually exercised at the contended point, and — on every mix at
 /// the most contended gap — `edf+batch` strictly beating both FIFO and

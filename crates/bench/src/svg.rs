@@ -1,6 +1,7 @@
 //! Dependency-free SVG rendering of the paper's figures: efficiency
 //! curves (Figures 4–5) and best-algorithm region maps (Figures 1–3).
-//! The experiment binaries drop these next to the CSVs in `results/`.
+//! The `regions` and `cm5` subcommands leave these next to their CSVs
+//! in `results/`.
 
 use std::fmt::Write as _;
 
@@ -218,18 +219,6 @@ pub fn region_map_svg(map: &RegionMap, cell: u32) -> String {
     }
     out.push_str("</svg>");
     out
-}
-
-/// Write an SVG into `results/<name>.svg`; returns the path.
-///
-/// # Panics
-/// Panics if the results directory cannot be written.
-pub fn save_svg(name: &str, svg: &str) -> std::path::PathBuf {
-    let dir = crate::results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.svg"));
-    std::fs::write(&path, svg).expect("write svg");
-    path
 }
 
 #[cfg(test)]

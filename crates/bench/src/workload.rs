@@ -1,17 +1,17 @@
-//! Shared harness for the `workload` experiment: sweep arrival rate ×
-//! job-size mix × scheduling policy over the `gemmd` service and
-//! tabulate service-level metrics.
+//! The `gemmd` workload experiment: sweep arrival rate × job-size mix
+//! × scheduling policy over the service on a 64-rank nCUBE2-class
+//! hypercube and tabulate service-level throughput, utilization and
+//! queueing.
 //!
 //! The headline comparison is `whole`-machine FIFO (every job spreads
 //! across all ranks, jobs serialise) against isoefficiency
 //! right-sizing (small jobs get small partitions and run side by
-//! side); the `workload` binary and the CI smoke run both assert the
-//! right-sizer's aggregate throughput wins on the mixed-size stream.
+//! side); every run asserts the right-sizer's aggregate throughput wins
+//! on the mixed-size stream.
 
+use bench::{Args, Fail, Report, ResultTable};
 use gemmd::{Config, Fifo, Policy, PriorityFirst, Scheduler, ShortestPredictedTime, SizingMode};
 use mmsim::{CostModel, EngineKind, Machine, Topology};
-
-use crate::ResultTable;
 
 /// One sweep configuration.
 #[derive(Debug, Clone)]
@@ -77,24 +77,15 @@ fn variants() -> Vec<(&'static str, SizingMode, Box<dyn Policy>)> {
     ]
 }
 
-/// Run the sweep and tabulate one row per (gap, mix, variant).
+/// Run the sweep on `engine` and tabulate one row per (gap, mix,
+/// variant). The table is virtual-time only, so it is the same on
+/// either engine; `engine_perf` checks it on the threaded one.
 ///
 /// # Panics
 /// Panics if the service rejects its own generated workload — that is
 /// a bug, not a measurement.
 #[must_use]
-pub fn run_workload_sweep(sweep: &WorkloadSweep) -> ResultTable {
-    run_workload_sweep_on(sweep, EngineKind::default())
-}
-
-/// [`run_workload_sweep`] on a named engine (the table is virtual-time
-/// only, so it is the same on either; `engine_perf` checks it on the
-/// threaded one).
-///
-/// # Panics
-/// As [`run_workload_sweep`].
-#[must_use]
-pub fn run_workload_sweep_on(sweep: &WorkloadSweep, engine: EngineKind) -> ResultTable {
+pub fn run_workload_sweep(sweep: &WorkloadSweep, engine: EngineKind) -> ResultTable {
     let machine =
         Machine::new(Topology::hypercube(sweep.dim), CostModel::ncube2()).with_engine(engine);
     let mut table = ResultTable::new(
@@ -152,14 +143,14 @@ pub fn run_workload_sweep_on(sweep: &WorkloadSweep, engine: EngineKind) -> Resul
     table
 }
 
-/// The acceptance checks the binary and CI smoke run both enforce:
+/// The acceptance checks every run enforces:
 /// a non-empty table, utilization within physical bounds, and — on
 /// every contended mixed-size point — right-sizing FIFO beating
 /// whole-machine FIFO on aggregate op throughput.
 ///
 /// # Errors
 /// Returns a description of the first violated check.
-pub fn check_workload_table(table: &ResultTable) -> Result<(), String> {
+fn check_workload_table(table: &ResultTable) -> Result<(), String> {
     if table.is_empty() {
         return Err("workload table is empty".into());
     }
@@ -217,4 +208,28 @@ pub fn check_workload_table(table: &ResultTable) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The workload sweep: `--smoke` runs one contended point per mix on
+/// 16 ranks, ignoring `--jobs`.
+pub fn workload(args: &Args) -> Result<Report, Fail> {
+    let seed = args.value("seed")?;
+    let (sweep, golden) = if args.smoke {
+        (WorkloadSweep::smoke(seed), "workload_smoke.csv")
+    } else {
+        (
+            WorkloadSweep::full(args.value("jobs")?, seed),
+            "workload.csv",
+        )
+    };
+    let table = run_workload_sweep(&sweep, EngineKind::default());
+    let mut r = Report::default();
+    r.print(table.render());
+    check_workload_table(&table).map_err(Fail::Check)?;
+    r.print(
+        "acceptance checks passed: non-empty table, utilization ≤ 1, right-sizing throughput win",
+    );
+    r.file("workload.csv", table.to_csv());
+    r.golden(golden, table.to_csv());
+    Ok(r)
 }
