@@ -33,11 +33,11 @@
 use std::sync::Arc;
 
 use dense::{kernel, BlockGrid, ColStrips, Matrix, RowStrips};
-use mmsim::{Machine, Plain};
+use mmsim::{Machine, Plain, Transport};
 
 use crate::cannon::{cannon_core, MeshView};
 use crate::common::{check_square_operands, exact_cbrt_pow2, run_lending, AlgoError, SimOutcome};
-use collectives::{reduce_scatter_sum, Group};
+use collectives::{reduce_scatter_sum_on, Group};
 
 /// Check applicability: `p = 2^{3q}`, `p ≤ n^{3/2}`, and `p^{2/3} | n`;
 /// returns `s = p^{1/3}`.
@@ -69,13 +69,27 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
 /// # Errors
 /// Returns [`AlgoError`] if the structural requirements above fail.
 pub fn berntsen(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
+    berntsen_on::<Plain>(machine, a, b)
+}
+
+/// [`berntsen`] over transport `X`.  Tag phases:
+///
+/// | phase | use |
+/// |---|---|
+/// | 0, 1, 2 | subcube Cannon: alignment, rolls, checkpoints (the last round's is the stage boundary) |
+/// | 8 | reduce-scatter across the subcubes |
+pub fn berntsen_on<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
     let p = machine.p();
     let s = applicability(n, p)?;
     if s == 1 {
-        let report = machine.run(|proc| {
+        let report = X::run(machine, |proc| {
             proc.compute(kernel::work_units(n, n, n));
-        });
+        })?;
         let c = kernel::matmul(a, b);
         return Ok(SimOutcome::from_report(&report, c, n));
     }
@@ -96,7 +110,7 @@ pub fn berntsen(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome,
             .collect(),
     );
 
-    let report = run_lending::<Plain, _>(machine, |proc| {
+    let report = run_lending::<X, _>(machine, |proc| {
         let rank = proc.rank();
         let l = rank / (s * s);
         let local = rank % (s * s);
@@ -106,11 +120,11 @@ pub fn berntsen(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome,
         let mesh = MeshView::contiguous(proc, l * s * s, s);
         let a0 = a_grids[l].block(u, v).clone();
         let b0 = b_grids[l].block(u, v).clone();
-        let c_partial = cannon_core::<Plain>(proc, &mesh, a0, b0, 0);
+        let c_partial = cannon_core::<X>(proc, &mesh, a0, b0, 0);
 
         // Sum across subcubes: group of the s corresponding processors.
         let group = Group::new(proc, (0..s).map(|m| m * s * s + local).collect());
-        reduce_scatter_sum(proc, &group, 8, c_partial.into_vec())
+        reduce_scatter_sum_on::<X>(proc, &group, 8, c_partial.into_vec())
     })?;
 
     // Reassemble: processor (l; u, v) holds rows [l·(n/s²), (l+1)·(n/s²))

@@ -245,7 +245,7 @@ pub fn cannon(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, A
 
 /// Cannon's algorithm over transport `X`: [`cannon`] and
 /// [`crate::cannon_resilient`] are this one function.
-pub(crate) fn cannon_on<X: Transport>(
+pub fn cannon_on<X: Transport>(
     machine: &Machine,
     a: &Matrix,
     b: &Matrix,

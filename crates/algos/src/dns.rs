@@ -84,7 +84,7 @@ pub fn dns_block(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome
 /// | 4, 5, 6 | internal Cannon: alignment, rolls, its checkpoints |
 /// | 7 | reduction along the first axis |
 /// | 8 | stage checkpoints: after the spread, after the multiply |
-pub(crate) fn dns_block_on<X: Transport>(
+pub fn dns_block_on<X: Transport>(
     machine: &Machine,
     a: &Matrix,
     b: &Matrix,

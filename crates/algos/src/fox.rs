@@ -70,7 +70,7 @@ pub fn fox_tree(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome,
 /// Each of the `√p` iterations fences on its own delivered transfers,
 /// so over [`mmsim::Reliable`] a faulted broadcast level or roll is
 /// re-driven in place and completed iterations never repeat.
-pub(crate) fn fox_tree_on<X: Transport>(
+pub fn fox_tree_on<X: Transport>(
     machine: &Machine,
     a: &Matrix,
     b: &Matrix,
@@ -132,6 +132,14 @@ pub fn fox_pipelined(
     fox_pipelined_on::<Plain>(machine, a, b, packets)
 }
 
+/// The default packet count of [`fox_pipelined`] for an `n × n`
+/// product on `p` processors: `√(block words)`, rounded, at least 1.
+#[must_use]
+pub fn default_packets(n: usize, p: usize) -> usize {
+    let block_words = (n / exact_sqrt(p).unwrap_or(1).max(1)).pow(2).max(1);
+    ((block_words as f64).sqrt().round() as usize).clamp(1, block_words)
+}
+
 /// [`fox_pipelined`] over transport `X`.  Tags of iteration `t`:
 ///
 /// | tag | use |
@@ -144,7 +152,7 @@ pub fn fox_pipelined(
 /// re-driven per packet without restarting the pipeline.  Under either
 /// transport the relay forwards a received packet east as a
 /// reference-counted [`mmsim::Payload`] clone, never a byte copy.
-pub(crate) fn fox_pipelined_on<X: Transport>(
+pub fn fox_pipelined_on<X: Transport>(
     machine: &Machine,
     a: &Matrix,
     b: &Matrix,

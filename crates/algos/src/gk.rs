@@ -35,12 +35,15 @@ use std::sync::Arc;
 
 use dense::{kernel, BlockGrid, Matrix};
 use mmsim::engine::message::tag;
-use mmsim::{Checkpoint, Machine, Payload, Plain, Proc, TopologyKind, Transport};
+use mmsim::{Checkpoint, Machine, Payload, Plain, Proc, RunReport, TopologyKind, Transport};
 
 use crate::common::{
     check_square_operands, exact_cbrt_pow2, phase_state, run_lending, AlgoError, SimOutcome,
 };
-use collectives::{broadcast_on, reduce_sum_on, Group};
+use collectives::{
+    broadcast_on, broadcast_scatter_allgather_on, gather_on, reduce_scatter_sum_on, reduce_sum_on,
+    Group,
+};
 
 /// Check applicability: `p = 2^{3q}` and `p^{1/3} | n`; returns the cube
 /// side `s = p^{1/3}`.
@@ -146,67 +149,35 @@ pub fn gk(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoE
 /// | 2, 3 | broadcasts of A (third axis) and B (second axis) |
 /// | 4 | reduction along the first axis |
 /// | 5 | stage checkpoints: operands in place, then the local product |
-pub(crate) fn gk_on<X: Transport>(
+pub fn gk_on<X: Transport>(
     machine: &Machine,
     a: &Matrix,
     b: &Matrix,
 ) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
-    let p = machine.p();
-    let s = applicability(n, p)?;
+    let s = applicability(n, machine.p())?;
     if s == 1 {
-        // Degenerate single-processor case.
-        let report = X::run(machine, |proc| {
-            proc.compute(kernel::work_units(n, n, n));
-        })?;
-        let c = kernel::matmul(a, b);
-        return Ok(SimOutcome::from_report(&report, c, n));
+        return single_processor::<X>(machine, a, b);
     }
     let bs = n / s;
 
     let ga = Arc::new(BlockGrid::split(a, s, s));
     let gb = Arc::new(BlockGrid::split(b, s, s));
     let report = run_lending::<X, _>(machine, |proc| {
-        let rank = proc.rank();
-        let (i, jk) = (rank / (s * s), rank % (s * s));
-        let (j, k) = (jk / s, jk % s);
+        let ([i, j, k], a_routed, b_routed) = route_operands::<X>(proc, s, &ga, &gb);
         let rank_at = |i: usize, j: usize, k: usize| (i * s + j) * s + k;
-
-        // --- Stage 1a: route A^{jk} from (0,j,k) to (k,j,k). ---
-        // Every processor participates in the route on its own line
-        // (·, j, k), whose destination is i = k.
-        let a_src = (i == 0).then(|| ga.block(j, k).clone().into_vec());
-        let a_routed = route_along_i::<X, _>(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src);
-
-        // --- Stage 1b: route B^{jk} from (0,j,k) to (j,j,k). ---
-        let b_src = (i == 0).then(|| gb.block(j, k).clone().into_vec());
-        let b_routed = route_along_i::<X, _>(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src);
 
         // --- Stage 1c: broadcast A along the third axis. ---
         // Group (i, j, ·); the root is l = i, which now holds A^{ji}.
         let a_group = Group::new(proc, (0..s).map(|l| rank_at(i, j, l)).collect());
-        debug_assert!(a_routed.is_none() || k == i);
-        let a_flat = broadcast_on::<X, _>(
-            proc,
-            &a_group,
-            2,
-            i,
-            (k == i).then(|| a_routed.expect("A routed to (i,j,i)")),
-        );
+        let a_flat = broadcast_on::<X, _>(proc, &a_group, 2, i, a_routed);
         // Unique handle after the broadcast tree completes: a free move.
         let a_blk = Matrix::from_vec(bs, bs, a_flat.into_vec());
 
         // --- Stage 1d: broadcast B along the second axis. ---
         // Group (i, ·, k); the root is l = i, which now holds B^{ik}.
         let b_group = Group::new(proc, (0..s).map(|l| rank_at(i, l, k)).collect());
-        debug_assert!(b_routed.is_none() || j == i);
-        let b_flat = broadcast_on::<X, _>(
-            proc,
-            &b_group,
-            3,
-            i,
-            (j == i).then(|| b_routed.expect("B routed to (i,i,k)")),
-        );
+        let b_flat = broadcast_on::<X, _>(proc, &b_group, 3, i, b_routed);
         let b_blk = Matrix::from_vec(bs, bs, b_flat.into_vec());
 
         // Checkpoint after stage 1: operands are in place.
@@ -226,14 +197,7 @@ pub(crate) fn gk_on<X: Transport>(
         let r_group = Group::new(proc, (0..s).map(|l| rank_at(l, j, k)).collect());
         reduce_sum_on::<X>(proc, &r_group, 4, 0, c.into_vec())
     })?;
-
-    // Front plane (0, j, k) = ranks 0..s² hold the C blocks row-major.
-    let blocks: Vec<Matrix> = report.results[..s * s]
-        .iter()
-        .map(|r| Matrix::from_vec(bs, bs, r.clone().expect("front plane holds C")))
-        .collect();
-    let c = BlockGrid::assemble_from(&blocks, s, s);
-    Ok(SimOutcome::from_report(&report, c, n))
+    Ok(front_plane(&report, n, s))
 }
 
 /// Check the extra divisibility the improved variant needs: the block
@@ -267,68 +231,102 @@ pub fn improved_applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
 /// Same conditions as [`gk`], plus the block-divisibility requirement
 /// of [`improved_applicability`].
 pub fn gk_improved(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
+    gk_improved_on::<Plain>(machine, a, b)
+}
+
+/// [`gk_improved`] over transport `X`.  Tag phases:
+///
+/// | phase | use |
+/// |---|---|
+/// | 0, 1 | routes of A and B along the first axis |
+/// | 2–3, 4–5 | scatter-allgather broadcasts of A and B |
+/// | 6, 7 | reduce-scatter and gather along the first axis |
+/// | 8 | stage checkpoints: operands in place, then the local product |
+pub fn gk_improved_on<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
-    let p = machine.p();
-    let s = improved_applicability(n, p)?;
+    let s = improved_applicability(n, machine.p())?;
     if s == 1 {
-        let report = machine.run(|proc| {
-            proc.compute(kernel::work_units(n, n, n));
-        });
-        let c = kernel::matmul(a, b);
-        return Ok(SimOutcome::from_report(&report, c, n));
+        return single_processor::<X>(machine, a, b);
     }
     let bs = n / s;
 
     let ga = Arc::new(BlockGrid::split(a, s, s));
     let gb = Arc::new(BlockGrid::split(b, s, s));
-    let report = run_lending::<Plain, _>(machine, |proc| {
-        let rank = proc.rank();
-        let (i, jk) = (rank / (s * s), rank % (s * s));
-        let (j, k) = (jk / s, jk % s);
+    let report = run_lending::<X, _>(machine, |proc| {
+        let ([i, j, k], a_routed, b_routed) = route_operands::<X>(proc, s, &ga, &gb);
         let rank_at = |i: usize, j: usize, k: usize| (i * s + j) * s + k;
 
-        let a_src = (i == 0).then(|| ga.block(j, k).clone().into_vec());
-        let a_routed = route_along_i::<Plain, _>(proc, |ii| rank_at(ii, j, k), i, k, 0, a_src);
-        let b_src = (i == 0).then(|| gb.block(j, k).clone().into_vec());
-        let b_routed = route_along_i::<Plain, _>(proc, |ii| rank_at(ii, j, k), i, j, 1, b_src);
-
         let a_group = Group::new(proc, (0..s).map(|l| rank_at(i, j, l)).collect());
-        let a_flat = collectives::broadcast_scatter_allgather(
-            proc,
-            &a_group,
-            2,
-            i,
-            (k == i).then(|| a_routed.expect("A routed to (i,j,i)").into_vec()),
-        );
+        let a_root = a_routed.map(Payload::into_vec);
+        let a_flat = broadcast_scatter_allgather_on::<X>(proc, &a_group, 2, i, a_root);
         let a_blk = Matrix::from_vec(bs, bs, a_flat);
-
         let b_group = Group::new(proc, (0..s).map(|l| rank_at(i, l, k)).collect());
-        let b_flat = collectives::broadcast_scatter_allgather(
-            proc,
-            &b_group,
-            4,
-            i,
-            (j == i).then(|| b_routed.expect("B routed to (i,i,k)").into_vec()),
-        );
+        let b_root = b_routed.map(Payload::into_vec);
+        let b_flat = broadcast_scatter_allgather_on::<X>(proc, &b_group, 4, i, b_root);
         let b_blk = Matrix::from_vec(bs, bs, b_flat);
+        let mut ckpt = Checkpoint::new(8);
+        X::checkpoint(&mut ckpt, proc, || phase_state(&[&a_blk, &b_blk]));
 
         let mut c = Matrix::zeros(bs, bs);
         proc.compute(kernel::work_units(bs, bs, bs));
         kernel::matmul_accumulate(&mut c, &a_blk, &b_blk);
+        X::checkpoint(&mut ckpt, proc, || c.as_slice().to_vec());
 
         // Bandwidth-optimal reduction along the first axis.
         let r_group = Group::new(proc, (0..s).map(|l| rank_at(l, j, k)).collect());
-        let piece = collectives::reduce_scatter_sum(proc, &r_group, 6, c.into_vec());
-        collectives::gather(proc, &r_group, 7, 0, piece)
-            .map(|pieces| pieces.into_iter().flatten().collect::<Vec<f64>>())
+        let piece = reduce_scatter_sum_on::<X>(proc, &r_group, 6, c.into_vec());
+        gather_on::<X>(proc, &r_group, 7, 0, piece).map(|pieces| pieces.concat())
     })?;
+    Ok(front_plane(&report, n, s))
+}
 
+/// The cube of side 1: the whole product on one processor.
+fn single_processor<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
+    let n = a.rows();
+    let report = X::run(machine, |proc| {
+        proc.compute(kernel::work_units(n, n, n));
+    })?;
+    Ok(SimOutcome::from_report(&report, kernel::matmul(a, b), n))
+}
+
+/// Stage 1a–b of both variants: route `A^{jk}` from `(0, j, k)` to
+/// `(k, j, k)` and `B^{jk}` to `(j, j, k)` along the line `(·, j, k)`
+/// (tag phases 0 and 1).  Every processor takes part in the routes on
+/// its own line.  Returns its coordinates `(i, j, k)`, then `A^{ji}`
+/// exactly when `k = i` and `B^{ik}` exactly when `j = i`, the roots of
+/// the two axis broadcasts.
+fn route_operands<X: Transport>(
+    proc: &mut Proc,
+    s: usize,
+    ga: &BlockGrid,
+    gb: &BlockGrid,
+) -> ([usize; 3], Option<Payload>, Option<Payload>) {
+    let [i, j, k] = [proc.rank() / (s * s), proc.rank() / s % s, proc.rank() % s];
+    let line = |ii: usize| (ii * s + j) * s + k;
+    let a_src = (i == 0).then(|| ga.block(j, k).clone().into_vec());
+    let a_routed = route_along_i::<X, _>(proc, line, i, k, 0, a_src);
+    let b_src = (i == 0).then(|| gb.block(j, k).clone().into_vec());
+    let b_routed = route_along_i::<X, _>(proc, line, i, j, 1, b_src);
+    debug_assert!((a_routed.is_some() == (k == i)) && (b_routed.is_some() == (j == i)));
+    ([i, j, k], a_routed, b_routed)
+}
+
+/// The outcome with `C` reassembled from the front plane `(0, j, k)`:
+/// ranks `0..s²` hold its blocks row-major.
+fn front_plane(report: &RunReport<Option<Vec<f64>>>, n: usize, s: usize) -> SimOutcome {
     let blocks: Vec<Matrix> = report.results[..s * s]
         .iter()
-        .map(|r| Matrix::from_vec(bs, bs, r.clone().expect("front plane holds C")))
+        .map(|r| Matrix::from_vec(n / s, n / s, r.clone().expect("front plane holds C")))
         .collect();
-    let c = BlockGrid::assemble_from(&blocks, s, s);
-    Ok(SimOutcome::from_report(&report, c, n))
+    SimOutcome::from_report(report, BlockGrid::assemble_from(&blocks, s, s), n)
 }
 
 /// Eq. (7): GK parallel time on a single-port hypercube,

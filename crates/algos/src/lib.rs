@@ -20,12 +20,12 @@
 //! returns a [`SimOutcome`] whose virtual `t_parallel` is comparable
 //! against the paper's closed-form equations.
 //!
-//! **One schedule, two transports.**  The formulations that have a
-//! fault-tolerant form (Cannon, both Fox forms, GK, block DNS) are each
-//! written once, generic over [`mmsim::Transport`]: the plain entry
-//! point runs the schedule over [`mmsim::Plain`], the `*_resilient`
-//! entry point ([`mod@resilient`]) runs the same function over
-//! [`mmsim::Reliable`].  A new formulation is one file, not two
+//! **One schedule, two transports.**  Every formulation is written
+//! once, as a public `*_on` schedule generic over [`mmsim::Transport`]:
+//! the plain entry point is the schedule over [`mmsim::Plain`], and the
+//! same function over [`mmsim::Reliable`] is its fault-tolerant form
+//! (`parmm::run_on` dispatches either; [`mod@resilient`] keeps named
+//! wrappers for five of them).  A new formulation is one file, not two
 //! (CONTRIBUTING.md has the recipe).
 //!
 //! The correctness bar: for every admissible `(n, p, topology)` the

@@ -1,14 +1,13 @@
-//! Fault-tolerant entry points of all six paper algorithms: Cannon, GK,
-//! block DNS, and the three Fox formulations (hypercube/tree and
-//! pipelined; the asynchronous schedule is pipelined Fox with one
-//! packet).
+//! Named fault-tolerant entry points: Cannon, GK, block DNS, and the
+//! Fox formulations (hypercube/tree and pipelined; the asynchronous
+//! schedule is pipelined Fox with one packet).
 //!
 //! **One schedule, two transports.**  Nothing is restated here: each
-//! function below is the generic schedule of its plain counterpart
-//! ([`crate::cannon()`], [`crate::gk()`], [`crate::dns_block`],
-//! [`crate::fox_tree`], [`crate::fox_pipelined`]) instantiated over
-//! [`mmsim::Reliable`] instead of [`mmsim::Plain`].  That moves every
-//! message — the collectives' included — through the engine's
+//! function below is a formulation's generic schedule (`*_on`)
+//! instantiated over [`mmsim::Reliable`] instead of [`mmsim::Plain`];
+//! Simple, Berntsen and improved GK have the same reliable form without
+//! a named wrapper, and `parmm::run_on` reaches all eight.  That moves
+//! every message — the collectives' included — through the engine's
 //! checksummed retransmitting transport, so the run completes, with the
 //! bit-identical product, under any *recoverable* [`mmsim::FaultPlan`]:
 //! message drops, payload corruption, duplication, and per-link
@@ -18,8 +17,9 @@
 //! ## Checkpoint/restart semantics
 //!
 //! The algorithms proceed in lock-step phases (Cannon: alignment then
-//! `√p` shift rounds; Fox: `√p` broadcast/roll iterations; GK and DNS:
-//! route, two broadcasts, multiply, reduce).  Recovery is
+//! `√p` shift rounds; Fox: `√p` broadcast/roll iterations; Simple:
+//! two allgathers, multiply; Berntsen: subcube Cannon, reduce-scatter;
+//! GK and DNS: route, two broadcasts, multiply, reduce).  Recovery is
 //! **step-granular**: the reliable transport retries each hop until it
 //! is delivered intact, so a faulted transfer is re-driven from the
 //! *last completed step* — completed shifts or broadcast levels are
@@ -34,10 +34,9 @@
 //! On a machine provisioned with spares
 //! ([`mmsim::Machine::with_spares`]) fail-stop deaths are masked too:
 //! the schedules carry step-granular [`mmsim::Checkpoint`] hooks
-//! ([`mmsim::Transport::checkpoint`]: alignment and per-round state for
-//! Cannon, per-iteration state for Fox, per-stage state for GK and DNS),
-//! which only the reliable transport acts on, so the engine can promote
-//! a spare into the dead rank's slot and replay from the buddy's
+//! ([`mmsim::Transport::checkpoint`] at every phase boundary), which
+//! only the reliable transport acts on, so the engine can promote a
+//! spare into the dead rank's slot and replay from the buddy's
 //! checkpoint — the product stays bit-identical and the recovery
 //! surcharge lands in [`mmsim::ProcStats::recovery_idle`] /
 //! `recoveries`.  The hooks are free (no messages, no virtual time) on
@@ -536,6 +535,21 @@ mod tests {
     #[test]
     fn dns_death_is_masked_by_spare() {
         assert_death_is_masked_by_spare(dns_resilient, 32, 4, 5);
+    }
+
+    #[test]
+    fn simple_death_is_masked_by_spare() {
+        assert_death_is_masked_by_spare(crate::simple::simple_on::<Reliable>, 9, 6, 4);
+    }
+
+    #[test]
+    fn berntsen_death_is_masked_by_spare() {
+        assert_death_is_masked_by_spare(crate::berntsen::berntsen_on::<Reliable>, 8, 8, 3);
+    }
+
+    #[test]
+    fn gk_improved_death_is_masked_by_spare() {
+        assert_death_is_masked_by_spare(gk::gk_improved_on::<Reliable>, 8, 8, 3);
     }
 
     #[test]

@@ -27,10 +27,10 @@
 use std::sync::Arc;
 
 use dense::{kernel, BlockGrid, Matrix};
-use mmsim::{Machine, Plain, Proc};
+use mmsim::{Checkpoint, Machine, Payload, Plain, Proc, Transport};
 
 use crate::common::{check_square_operands, exact_sqrt, run_lending, AlgoError, SimOutcome};
-use collectives::{allgather_hypercube, allgather_ring, Group};
+use collectives::{allgather_hypercube_on, allgather_ring_on, Group};
 
 /// Check applicability: same mesh requirement as Cannon.
 pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
@@ -47,13 +47,18 @@ pub fn applicability(n: usize, p: usize) -> Result<usize, AlgoError> {
     Ok(q)
 }
 
-fn allgather(proc: &mut Proc, group: &Group, phase: u32, mine: Vec<f64>) -> Vec<Vec<f64>> {
+fn allgather<X: Transport>(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    mine: Vec<f64>,
+) -> Vec<Vec<f64>> {
     if group.is_power_of_two() {
-        allgather_hypercube(proc, group, phase, mine)
+        allgather_hypercube_on::<X>(proc, group, phase, mine)
     } else {
-        allgather_ring(proc, group, phase, mine)
+        allgather_ring_on::<X, _>(proc, group, phase, mine)
             .into_iter()
-            .map(mmsim::Payload::into_vec)
+            .map(Payload::into_vec)
             .collect()
     }
 }
@@ -64,6 +69,20 @@ fn allgather(proc: &mut Proc, group: &Group, phase: u32, mine: Vec<f64>) -> Vec<
 /// Returns [`AlgoError`] under the same conditions as
 /// [`crate::cannon::cannon`].
 pub fn simple(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, AlgoError> {
+    simple_on::<Plain>(machine, a, b)
+}
+
+/// [`simple`] over transport `X`.  Tag phases:
+///
+/// | phase | use |
+/// |---|---|
+/// | 0, 1 | allgathers of the A block-row and the B block-column |
+/// | 2 | stage checkpoints: gathered operands, then the local product |
+pub fn simple_on<X: Transport>(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
     let n = check_square_operands(a, b)?;
     let p = machine.p();
     let q = applicability(n, p)?;
@@ -71,25 +90,20 @@ pub fn simple(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, A
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = run_lending::<Plain, _>(machine, |proc| {
+    let report = run_lending::<X, _>(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         // Row group (fixed i) for A; column group (fixed j) for B.
         let row_group = Group::new(proc, (0..q).map(|c| i * q + c).collect());
         let col_group = Group::new(proc, (0..q).map(|r| r * q + j).collect());
 
-        let a_blocks = allgather(
-            proc,
-            &row_group,
-            0,
-            ga.block_by_rank(rank).clone().into_vec(),
-        );
-        let b_blocks = allgather(
-            proc,
-            &col_group,
-            1,
-            gb.block_by_rank(rank).clone().into_vec(),
-        );
+        let (a_mine, b_mine) = (ga.block_by_rank(rank), gb.block_by_rank(rank));
+        let a_blocks = allgather::<X>(proc, &row_group, 0, a_mine.clone().into_vec());
+        let b_blocks = allgather::<X>(proc, &col_group, 1, b_mine.clone().into_vec());
+        let mut ckpt = Checkpoint::new(2);
+        X::checkpoint(&mut ckpt, proc, || {
+            [a_blocks.concat(), b_blocks.concat()].concat()
+        });
 
         let mut c = Matrix::zeros(bs, bs);
         for k in 0..q {
@@ -98,6 +112,7 @@ pub fn simple(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutcome, A
             proc.compute(kernel::work_units(bs, bs, bs));
             kernel::matmul_accumulate(&mut c, &ak, &bk);
         }
+        X::checkpoint(&mut ckpt, proc, || c.as_slice().to_vec());
         c
     })?;
     let c = BlockGrid::assemble_from(&report.results, q, q);

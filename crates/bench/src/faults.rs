@@ -1,6 +1,7 @@
-//! Fault-tolerance experiments: the resilience sweep of all six
-//! resilient variants under link faults and fail-stop deaths, and
-//! proactive live migration against reactive recovery in `gemmd`.
+//! Fault-tolerance experiments: the resilience sweep of five
+//! formulations' reliable forms (`parmm::run_on::<Reliable>`) under
+//! link faults and fail-stop deaths, and proactive live migration
+//! against reactive recovery in `gemmd`.
 //!
 //! **Resilience.** For each algorithm × processor count × fault level
 //! the same multiplication runs under a seeded [`mmsim::FaultPlan`]
@@ -40,15 +41,13 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use algos::{
-    cannon_resilient, dns_resilient, fox_pipelined_resilient, fox_tree_resilient, gk_resilient,
-    SimOutcome,
-};
+use algos::SimOutcome;
 use bench::{bits, parallel_sweep, Args, Fail, Report, ResultTable};
 use dense::gen;
 use gemmd::policy::Fifo;
 use gemmd::{Config, JobSpec, Scheduler, ServiceReport};
-use mmsim::{CostModel, FaultPlan, LinkFaults, Machine, Topology};
+use mmsim::{CostModel, FaultPlan, LinkFaults, Machine, Reliable, Topology};
+use model::Algorithm;
 
 /// Fault levels swept: the drop rate per transmission attempt; the
 /// corruption rate rides along at half of it.
@@ -88,11 +87,11 @@ const TIGHT_PERIOD: f64 = 400.0;
 /// Arrival gap of the Poisson-free deterministic stream.
 const ARRIVAL_GAP: f64 = 3_000.0;
 
-/// One sweep point: algorithm name, processor count, operand size,
+/// One sweep point: algorithm, processor count, operand size,
 /// drop rate, and — for the failover rows — a death scheduled at
 /// `death_t` (with spares), optionally priced by a detection config.
 struct Point {
-    alg: &'static str,
+    alg: Algorithm,
     p: usize,
     n: usize,
     drop: f64,
@@ -127,27 +126,23 @@ fn run_point(point: &Point, seed: u64) -> Result<SimOutcome, String> {
     if point.drop > 0.0 || point.death_t.is_some() || point.detection.is_some() {
         machine = machine.with_fault_plan(plan);
     }
-    let out = match point.alg {
-        "cannon" => cannon_resilient(&machine, &a, &b),
-        "gk" => gk_resilient(&machine, &a, &b),
-        "fox_tree" => fox_tree_resilient(&machine, &a, &b),
-        "fox_pipelined" => {
-            // The advisor's default packet count: √(block words).
-            let q = (point.p as f64).sqrt().round() as usize;
-            let bs = point.n / q;
-            let block_words = bs * bs;
-            let packets = ((block_words as f64).sqrt().round() as usize).clamp(1, block_words);
-            fox_pipelined_resilient(&machine, &a, &b, packets)
-        }
-        "dns" => dns_resilient(&machine, &a, &b),
-        other => return Err(format!("unknown algorithm {other:?}")),
-    };
-    out.map_err(|e| format!("{} p={} drop={}: {e}", point.alg, point.p, point.drop))
+    let alg = label(point.alg);
+    parmm::run_on::<Reliable>(point.alg, &machine, &a, &b)
+        .map_err(|e| format!("{alg} p={} drop={}: {e}", point.p, point.drop))
+}
+
+/// An algorithm's label in the resilience CSVs.
+fn label(alg: Algorithm) -> &'static str {
+    match alg {
+        Algorithm::FoxHypercube => "fox_tree",
+        Algorithm::FoxPipelined => "fox_pipelined",
+        other => other.id(),
+    }
 }
 
 /// One finished sweep row: the point's identity plus its outcome.
 struct Row {
-    alg: &'static str,
+    alg: Algorithm,
     p: usize,
     n: usize,
     drop: f64,
@@ -179,7 +174,7 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
     let mut points = Vec::new();
     let mut planned = 0usize;
     let mut push_grid =
-        |alg: &'static str, ps: &[usize], pn: usize, applicable: &dyn Fn(usize) -> bool| {
+        |alg: Algorithm, ps: &[usize], pn: usize, applicable: &dyn Fn(usize) -> bool| {
             for &p in ps {
                 planned += drop_rates.len();
                 if applicable(p) {
@@ -197,13 +192,13 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
             }
         };
     let square_divides = |p: usize| n.is_multiple_of((p as f64).sqrt().round() as usize);
-    push_grid("cannon", mesh_ps, n, &square_divides);
-    push_grid("fox_tree", fox_ps, n, &square_divides);
-    push_grid("fox_pipelined", fox_ps, n, &square_divides);
-    push_grid("gk", gk_ps, n, &|p| {
+    push_grid(Algorithm::Cannon, mesh_ps, n, &square_divides);
+    push_grid(Algorithm::FoxHypercube, fox_ps, n, &square_divides);
+    push_grid(Algorithm::FoxPipelined, fox_ps, n, &square_divides);
+    push_grid(Algorithm::Gk, gk_ps, n, &|p| {
         n.is_multiple_of((p as f64).cbrt().round() as usize)
     });
-    push_grid("dns", dns_ps, DNS_N, &|p| {
+    push_grid(Algorithm::Dns, dns_ps, DNS_N, &|p| {
         let r = p / (DNS_N * DNS_N);
         r.is_power_of_two() && DNS_N.is_multiple_of(r) && p == DNS_N * DNS_N * r
     });
@@ -237,7 +232,7 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
     // schedule of each (alg, p) and let a spare absorb it — once under
     // the free death oracle, once with heartbeat-priced detection.  The
     // fault-free outcome doubles as the bit-identity reference.
-    let fault_free: Vec<(&str, usize, usize, SimOutcome)> = rows
+    let fault_free: Vec<(Algorithm, usize, usize, SimOutcome)> = rows
         .iter()
         .filter(|r| r.drop == 0.0)
         .map(|r| (r.alg, r.p, r.n, r.out.clone()))
@@ -248,7 +243,7 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
             let death_t = out.t_parallel * 0.5;
             [
                 Point {
-                    alg,
+                    alg: *alg,
                     p: *p,
                     n: *pn,
                     drop: DEATH_DROP,
@@ -256,7 +251,7 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
                     detection: None,
                 },
                 Point {
-                    alg,
+                    alg: *alg,
                     p: *p,
                     n: *pn,
                     drop: DEATH_DROP,
@@ -316,7 +311,7 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
          false_positives,wasted_promotion_idle_bits\n",
     );
     // Fault-free efficiency per (alg, p) anchors the degradation column.
-    let baseline: HashMap<(&str, usize), f64> = rows
+    let baseline: HashMap<(Algorithm, usize), f64> = rows
         .iter()
         .filter(|r| r.drop == 0.0 && r.deaths == 0)
         .map(|r| ((r.alg, r.p), r.out.efficiency()))
@@ -335,7 +330,7 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
         let wasted: f64 = out.stats.iter().map(|s| s.wasted_promotion_idle).sum();
         let spares = if row.deaths > 0 { row.p } else { 0 };
         table.push_row(vec![
-            row.alg.to_string(),
+            label(row.alg).to_string(),
             row.p.to_string(),
             row.n.to_string(),
             format!("{:.2}", row.drop),
@@ -359,7 +354,7 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
         let _ = writeln!(
             golden,
             "{},{},{},{:.2},{},{},{},{retrans},{recoveries},{heartbeats},{},{false_pos},{}",
-            row.alg,
+            label(row.alg),
             row.p,
             row.n,
             row.drop,
@@ -384,7 +379,7 @@ pub fn resilience(args: &Args) -> Result<Report, Fail> {
 /// heartbeat traffic and a detection latency actually priced.
 fn check_death_row(
     row: &Row,
-    fault_free: &[(&str, usize, usize, SimOutcome)],
+    fault_free: &[(Algorithm, usize, usize, SimOutcome)],
 ) -> Result<(), String> {
     let reference = fault_free
         .iter()
@@ -394,13 +389,15 @@ fn check_death_row(
     if row.out.c != reference.c {
         return Err(format!(
             "{} p={} death run product diverged from fault-free run",
-            row.alg, row.p
+            label(row.alg),
+            row.p
         ));
     }
     if row.out.stats.iter().map(|s| s.recoveries).sum::<u64>() == 0 {
         return Err(format!(
             "{} p={} death row recorded no spare promotion",
-            row.alg, row.p
+            label(row.alg),
+            row.p
         ));
     }
     if row.detection_period.is_some() {
@@ -410,7 +407,8 @@ fn check_death_row(
             return Err(format!(
                 "{} p={} detection row shows no heartbeat traffic \
                  ({beats} beats) or no detection latency ({latency})",
-                row.alg, row.p
+                label(row.alg),
+                row.p
             ));
         }
     }

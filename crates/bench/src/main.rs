@@ -91,7 +91,7 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "resilience",
-        about: "six resilient variants under link faults, deaths and priced detection",
+        about: "reliable forms under link faults, deaths and priced detection",
         syntax: Syntax::options(&[Opt::new("n", "24"), Opt::new("seed", "7")]),
         pinned: true,
         run: faults::resilience,

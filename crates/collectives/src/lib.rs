@@ -30,8 +30,9 @@ pub mod reliable;
 
 pub use group::Group;
 pub use ops::{
-    all_reduce_sum, all_to_all_personalized, allgather_hypercube, allgather_ring, barrier,
-    broadcast, broadcast_on, broadcast_scatter_allgather, gather, reduce_scatter_sum, reduce_sum,
-    reduce_sum_on, scan_sum, scatter,
+    all_reduce_sum, all_to_all_personalized, allgather_hypercube, allgather_hypercube_on,
+    allgather_ring, allgather_ring_on, barrier, broadcast, broadcast_on,
+    broadcast_scatter_allgather, broadcast_scatter_allgather_on, gather, gather_on,
+    reduce_scatter_sum, reduce_scatter_sum_on, reduce_sum, reduce_sum_on, scan_sum, scatter,
 };
 pub use reliable::{barrier_reliable, broadcast_reliable, reduce_sum_reliable};

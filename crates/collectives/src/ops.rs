@@ -10,9 +10,8 @@
 //! doubling/halving) schedules require a power-of-two group, mirroring
 //! the subcube structure the paper's algorithms use.
 //!
-//! The three collectives the resilient algorithms need — broadcast,
-//! reduce and barrier — are written once, generic over the
-//! [`mmsim::Transport`] that moves their messages (`*_on`); the plain
+//! Every collective a formulation uses is written once, generic over
+//! the [`mmsim::Transport`] that moves its messages (`*_on`); the plain
 //! names here and the `*_reliable` names in [`crate::reliable`] pick the
 //! type.
 
@@ -126,6 +125,17 @@ pub fn broadcast_scatter_allgather(
     root_idx: usize,
     data: Option<Vec<Word>>,
 ) -> Vec<Word> {
+    broadcast_scatter_allgather_on::<Plain>(proc, group, phase, root_idx, data)
+}
+
+/// The [`broadcast_scatter_allgather`] schedule over transport `X` (same panics).
+pub fn broadcast_scatter_allgather_on<X: Transport>(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    root_idx: usize,
+    data: Option<Vec<Word>>,
+) -> Vec<Word> {
     let g = group.size();
     if g == 1 {
         return data.expect("single-member broadcast root");
@@ -146,8 +156,8 @@ pub fn broadcast_scatter_allgather(
             .map(|i| flat[i * piece..(i + 1) * piece].to_vec())
             .collect::<Vec<_>>()
     });
-    let mine = scatter(proc, group, phase, root_idx, blocks);
-    let pieces = allgather_hypercube(proc, group, phase + 1, mine);
+    let mine = scatter_on::<X>(proc, group, phase, root_idx, blocks);
+    let pieces = allgather_hypercube_on::<X>(proc, group, phase + 1, mine);
     pieces.into_iter().flatten().collect()
 }
 
@@ -160,6 +170,16 @@ pub fn broadcast_scatter_allgather(
 /// Panics if the group size is not a power of two or block lengths
 /// mismatch.
 pub fn allgather_hypercube(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    mine: Vec<Word>,
+) -> Vec<Vec<Word>> {
+    allgather_hypercube_on::<Plain>(proc, group, phase, mine)
+}
+
+/// The [`allgather_hypercube`] schedule over transport `X` (same panics).
+pub fn allgather_hypercube_on<X: Transport>(
     proc: &mut Proc,
     group: &Group,
     phase: u32,
@@ -185,7 +205,8 @@ pub fn allgather_hypercube(
         for block in &have[my_base..my_base + bit] {
             outgoing.extend_from_slice(block.as_ref().expect("invariant: block held"));
         }
-        let incoming = proc.exchange(group.rank_of(partner), tag(phase, k), outgoing);
+        X::send(proc, group.rank_of(partner), tag(phase, k), outgoing);
+        let incoming = X::recv(proc, group.rank_of(partner), tag(phase, k));
         assert_eq!(
             incoming.len(),
             bit * m,
@@ -212,6 +233,16 @@ pub fn allgather_ring<P: Into<Payload>>(
     phase: u32,
     mine: P,
 ) -> Vec<Payload> {
+    allgather_ring_on::<Plain, P>(proc, group, phase, mine)
+}
+
+/// The [`allgather_ring`] schedule over transport `X`.
+pub fn allgather_ring_on<X: Transport, P: Into<Payload>>(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    mine: P,
+) -> Vec<Payload> {
     let g = group.size();
     let me = group.my_idx();
     let mut have: Vec<Option<Payload>> = vec![None; g];
@@ -222,8 +253,8 @@ pub fn allgather_ring<P: Into<Payload>>(
     have[me] = Some(carry.clone());
     for s in 0..g.saturating_sub(1) {
         let t = tag(phase, s as u32);
-        proc.send(right, t, carry);
-        carry = proc.recv_payload(left, t);
+        X::send(proc, right, t, carry);
+        carry = X::recv(proc, left, t);
         // After step s we hold the block that originated at (me - 1 - s).
         let origin = (me + g - 1 - s % g) % g;
         have[origin] = Some(carry.clone());
@@ -309,6 +340,16 @@ pub fn reduce_scatter_sum(
     phase: u32,
     contribution: Vec<Word>,
 ) -> Vec<Word> {
+    reduce_scatter_sum_on::<Plain>(proc, group, phase, contribution)
+}
+
+/// The [`reduce_scatter_sum`] schedule over transport `X` (same panics).
+pub fn reduce_scatter_sum_on<X: Transport>(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    contribution: Vec<Word>,
+) -> Vec<Word> {
     let g = group.size();
     assert!(
         group.is_power_of_two(),
@@ -339,7 +380,8 @@ pub fn reduce_scatter_sum(
                 (lower.to_vec(), upper.to_vec())
             }
         };
-        let incoming = proc.exchange(group.rank_of(partner), tag(phase, k), send);
+        X::send(proc, group.rank_of(partner), tag(phase, k), send);
+        let incoming = X::recv(proc, group.rank_of(partner), tag(phase, k));
         assert_eq!(incoming.len(), keep.len(), "reduce-scatter length mismatch");
         acc = keep;
         for (a, b) in acc.iter_mut().zip(&incoming) {
@@ -494,6 +536,17 @@ pub fn scatter(
     root_idx: usize,
     blocks: Option<Vec<Vec<Word>>>,
 ) -> Vec<Word> {
+    scatter_on::<Plain>(proc, group, phase, root_idx, blocks)
+}
+
+/// The [`scatter`] schedule over transport `X`.
+fn scatter_on<X: Transport>(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    root_idx: usize,
+    blocks: Option<Vec<Vec<Word>>>,
+) -> Vec<Word> {
     let g = group.size();
     assert!(root_idx < g, "root index {root_idx} out of group of {g}");
     let me = group.my_idx();
@@ -538,14 +591,12 @@ pub fn scatter(
             // Send the upper sub-bundle [vidx+half, vidx+extent).
             let keep_pieces = half.min(extent);
             let sent = flat.split_off(keep_pieces * piece_len);
-            proc.send(to_rank(vidx + half), tag(phase, t), sent);
+            X::send(proc, to_rank(vidx + half), tag(phase, t), sent);
             extent = keep_pieces;
         } else if bundle.is_none() && vidx % (2 * half) == half {
             // The sender moved its buffer into the network, so this
             // handle is unique and `into_vec` is a free move.
-            let flat = proc
-                .recv_payload(to_rank(vidx - half), tag(phase, t))
-                .into_vec();
+            let flat = X::recv(proc, to_rank(vidx - half), tag(phase, t)).into_vec();
             extent = (g - vidx).min(half);
             assert_eq!(flat.len() % extent, 0, "scatter bundle not divisible");
             piece_len = flat.len() / extent;
@@ -567,6 +618,17 @@ pub fn gather(
     root_idx: usize,
     mine: Vec<Word>,
 ) -> Option<Vec<Vec<Word>>> {
+    gather_on::<Plain>(proc, group, phase, root_idx, mine)
+}
+
+/// The [`gather`] schedule over transport `X`.
+pub fn gather_on<X: Transport>(
+    proc: &mut Proc,
+    group: &Group,
+    phase: u32,
+    root_idx: usize,
+    mine: Vec<Word>,
+) -> Option<Vec<Vec<Word>>> {
     let g = group.size();
     assert!(root_idx < g, "root index {root_idx} out of group of {g}");
     let me = group.my_idx();
@@ -580,11 +642,11 @@ pub fn gather(
     for t in 0..group.steps() {
         let half = 1usize << t;
         if vidx % (2 * half) == half {
-            proc.send(to_rank(vidx - half), tag(phase, t), bundle);
+            X::send(proc, to_rank(vidx - half), tag(phase, t), bundle);
             return None;
         }
         if vidx.is_multiple_of(2 * half) && vidx + half < g {
-            let incoming = proc.recv_payload(to_rank(vidx + half), tag(phase, t));
+            let incoming = X::recv(proc, to_rank(vidx + half), tag(phase, t));
             bundle.extend_from_slice(&incoming);
             extent += incoming.len() / piece_len.max(1);
         }

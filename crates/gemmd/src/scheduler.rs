@@ -831,7 +831,8 @@ impl<'m> Scheduler<'m> {
             .filter_map(|(r, &src)| {
                 let dst = compute[(r + 1) % compute.len()];
                 let period = plan.detection_period_for(src)?;
-                plan.first_streak(src, dst, streak, period, horizon)
+                let beat = plan.first_streak(src, dst, 0, streak, period, horizon)?;
+                Some((beat + 1) as f64 * period)
             })
             .min_by(f64::total_cmp)
     }

@@ -559,38 +559,28 @@ impl Machine {
                                     view.cost.sender_occupancy_scaled(ck.words as usize, tw)
                                 });
                                 let horizon = report.stats[rank].clock;
-                                let (mut beat, mut run_len) = (0u64, 0u32);
-                                let (mut events, mut charge) = (0u64, 0.0f64);
-                                loop {
-                                    let t = (beat + 1) as f64 * period;
-                                    if t > horizon {
-                                        break;
+                                let (mut from, mut events, mut charge) = (0u64, 0u64, 0.0f64);
+                                while let Some(beat) = plan.first_streak(
+                                    src,
+                                    dst,
+                                    from,
+                                    det.timeout_multiple,
+                                    period,
+                                    horizon,
+                                ) {
+                                    // Reconcile at the next delivered beat,
+                                    // or at the end of the run; the watch
+                                    // resumes after it.
+                                    let mut j = beat + 1;
+                                    while (j + 1) as f64 * period <= horizon
+                                        && plan.heartbeat_missed(src, dst, j)
+                                    {
+                                        j += 1;
                                     }
-                                    run_len = if plan.heartbeat_missed(src, dst, beat) {
-                                        run_len + 1
-                                    } else {
-                                        0
-                                    };
-                                    if run_len >= det.timeout_multiple {
-                                        // Reconcile at the next delivered
-                                        // beat, or at the end of the run.
-                                        let mut j = beat + 1;
-                                        let reconcile = loop {
-                                            let tj = (j + 1) as f64 * period;
-                                            if tj > horizon {
-                                                break horizon;
-                                            }
-                                            if !plan.heartbeat_missed(src, dst, j) {
-                                                break tj;
-                                            }
-                                            j += 1;
-                                        };
-                                        events += 1;
-                                        charge += transfer + (reconcile - t);
-                                        beat = j;
-                                        run_len = 0;
-                                    }
-                                    beat += 1;
+                                    let reconcile = ((j + 1) as f64 * period).min(horizon);
+                                    events += 1;
+                                    charge += transfer + (reconcile - (beat + 1) as f64 * period);
+                                    from = j + 1;
                                 }
                                 if events > 0 {
                                     let s = &mut report.stats[rank];

@@ -673,22 +673,23 @@ impl FaultPlan {
         self.fate(TrafficClass::Heartbeat, src, dst, beat, 0) != Fate::Delivered
     }
 
-    /// Earliest virtual time at which the watcher on `src → dst` has
-    /// seen `streak` *consecutive* missed heartbeats, scanning beats
-    /// whose emission time lies within `horizon` under the given
-    /// `period`.  Returns the completion time of the streak's last beat
-    /// (`(k + 1) × period`), or `None` if no such streak occurs.  Pure
-    /// oracle arithmetic: this is how the engine sites spurious
-    /// failovers and how `gemmd` sites proactive migration alarms.
+    /// The first beat `k ≥ from` at which the watcher on `src → dst`
+    /// has seen `streak` *consecutive* missed heartbeats, counting from
+    /// beat `from` and scanning beats whose emission time
+    /// (`(k + 1) × period`) lies within `horizon`; `None` if no such
+    /// streak occurs.  Pure oracle arithmetic: this is how the engine
+    /// sites spurious failovers and how `gemmd` sites proactive
+    /// migration alarms.
     #[must_use]
     pub fn first_streak(
         &self,
         src: usize,
         dst: usize,
+        from: u64,
         streak: u32,
         period: f64,
         horizon: f64,
-    ) -> Option<f64> {
+    ) -> Option<u64> {
         let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
         if streak == 0 || !positive(period) || !positive(horizon) {
             return None;
@@ -698,7 +699,7 @@ impl FaultPlan {
             return None;
         }
         let mut run = 0u32;
-        let mut beat = 0u64;
+        let mut beat = from;
         loop {
             let t = (beat + 1) as f64 * period;
             if t > horizon {
@@ -710,7 +711,7 @@ impl FaultPlan {
                 0
             };
             if run >= streak {
-                return Some(t);
+                return Some(beat);
             }
             beat += 1;
         }
@@ -869,10 +870,9 @@ mod tests {
     #[test]
     fn first_streak_is_the_oracle_scan() {
         let plan = FaultPlan::new(42).with_drop_rate(0.5);
-        let t = plan.first_streak(0, 1, 2, 10.0, 10_000.0);
-        if let Some(t) = t {
-            // Re-derive by hand: t = (k+1)·10 where beats k−1 and k miss.
-            let k = (t / 10.0).round() as u64 - 1;
+        let first = plan.first_streak(0, 1, 0, 2, 10.0, 10_000.0);
+        if let Some(k) = first {
+            // Re-derive by hand: beats k−1 and k miss.
             assert!(plan.heartbeat_missed(0, 1, k));
             assert!(plan.heartbeat_missed(0, 1, k - 1));
             // No earlier pair of consecutive misses.
@@ -885,16 +885,21 @@ mod tests {
                 };
                 assert!(run < 2, "earlier streak at beat {b}");
             }
+            // Resuming after the streak finds the next one, or none.
+            let next = plan.first_streak(0, 1, k + 1, 2, 10.0, 10_000.0);
+            assert!(next.is_none_or(|j| j > k + 1 && plan.heartbeat_missed(0, 1, j - 1)));
         }
         // Deterministic replay.
-        assert_eq!(t, plan.first_streak(0, 1, 2, 10.0, 10_000.0));
+        assert_eq!(first, plan.first_streak(0, 1, 0, 2, 10.0, 10_000.0));
         // Healthy link or degenerate parameters: no streak.
-        assert_eq!(FaultPlan::new(42).first_streak(0, 1, 2, 10.0, 1e6), None);
-        assert_eq!(plan.first_streak(0, 1, 0, 10.0, 1e6), None);
-        assert_eq!(plan.first_streak(0, 1, 2, 10.0, 5.0), None);
-        // A certain-drop link streaks at exactly streak × period.
+        assert_eq!(FaultPlan::new(42).first_streak(0, 1, 0, 2, 10.0, 1e6), None);
+        assert_eq!(plan.first_streak(0, 1, 0, 0, 10.0, 1e6), None);
+        assert_eq!(plan.first_streak(0, 1, 0, 2, 10.0, 5.0), None);
+        // A certain-drop link streaks at beat streak − 1 past the start.
         let dead_link = FaultPlan::new(1).with_drop_rate(1.0);
-        assert_eq!(dead_link.first_streak(0, 1, 3, 10.0, 100.0), Some(30.0));
+        assert_eq!(dead_link.first_streak(0, 1, 0, 3, 10.0, 100.0), Some(2));
+        assert_eq!(dead_link.first_streak(0, 1, 4, 3, 10.0, 100.0), Some(6));
+        assert_eq!(dead_link.first_streak(0, 1, 8, 3, 10.0, 100.0), None);
     }
 
     #[test]

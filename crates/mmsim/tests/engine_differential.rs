@@ -10,10 +10,12 @@
 //!   their native topologies, comparing bit-for-bit — at `p = 4` also
 //!   with blocks large enough for the event side's kernel calls to split
 //!   across helper threads.
-//! * **Fault plans, spares, and detection** through the resilient
-//!   entry points at their native geometries: message drops with
-//!   retransmission, payload corruption, duplication, fail-stop deaths
-//!   with spare failover, and lossy heartbeat detection.
+//! * **Fault plans, spares, and detection** through the one dispatch,
+//!   `parmm::run_on`, for every `Algorithm::ALL` id at its native
+//!   geometry: the plain form on a healthy machine, then the reliable
+//!   form under message drops with retransmission, payload corruption,
+//!   duplication, fail-stop deaths with spare failover, and lossy
+//!   heartbeat detection.
 //! * **Diagnosis parity** on raw machines: cyclic deadlocks,
 //!   starvation deadlocks, deaths without spares, unreceived-message
 //!   accounting and a host-stalled rank must classify to equal
@@ -28,7 +30,11 @@ use std::time::Duration;
 
 use algos::common::{AlgoError, SimOutcome};
 use dense::{gen, Matrix};
-use mmsim::{CostModel, EngineKind, FaultPlan, Machine, Proc, RunReport, SimError, Topology};
+use mmsim::{
+    CostModel, EngineKind, FaultPlan, Machine, Plain, Proc, Reliable, RunReport, SimError, Topology,
+};
+use model::Algorithm;
+use parmm::{executable_applicability, run_on};
 
 /// The standard sweep cost model (shared with the resilience matrix).
 fn cost() -> CostModel {
@@ -197,39 +203,39 @@ fn sweep_machine(p: usize, spares: usize, plan: FaultPlan) -> Machine {
         .with_spares(spares)
 }
 
-/// Fault-plan differential across all six resilient entry points at
-/// their native geometries: drops (retransmission), corruption
-/// (checksums), duplication (dedup), and a mid-run death absorbed by a
-/// spare under lossy heartbeat detection.
+/// Fault-plan differential across every formulation at its native
+/// geometry (and Simple and Fox at `p = 4`): the plain form on a healthy machine, then the reliable
+/// form under drops (retransmission), corruption (checksums),
+/// duplication (dedup), and a mid-run death absorbed by a spare under
+/// lossy heartbeat detection.
 #[test]
 fn faults_spares_and_detection() {
-    type Entry = (
-        &'static str,
-        usize,
-        usize,
-        fn(&Machine, &Matrix, &Matrix) -> Result<SimOutcome, AlgoError>,
-    );
-    let entries: [Entry; 6] = [
-        ("cannon_resilient", 9, 6, algos::cannon_resilient),
-        ("fox_resilient", 4, 8, algos::fox_resilient),
-        ("fox_tree_resilient", 9, 6, algos::fox_tree_resilient),
-        ("fox_pipelined_resilient", 9, 6, |m, a, b| {
-            algos::fox_pipelined_resilient(m, a, b, 2)
-        }),
-        ("gk_resilient", 8, 8, algos::gk_resilient),
-        ("dns_resilient", 16, 4, algos::dns_resilient),
-    ];
-    for (name, p, n, entry) in entries {
+    // The resilience matrix's points: each formulation at the first
+    // geometry its form accepts, plus Simple and Fox on a 2 × 2 mesh,
+    // whose power-of-two groups take the hypercube collectives.
+    let native = Algorithm::ALL.map(|alg| {
+        let geometry = [(9, 6), (8, 8), (16, 4)]
+            .into_iter()
+            .find(|&(p, n)| executable_applicability(alg, n, p).is_ok())
+            .unwrap_or_else(|| panic!("{alg}: no sweep geometry applies"));
+        (alg, geometry)
+    });
+    let mesh_2x2 = [Algorithm::Simple, Algorithm::FoxHypercube].map(|alg| (alg, (4, 8)));
+    for (alg, (p, n)) in native.into_iter().chain(mesh_2x2) {
+        let name = format!("{} p={p}", alg.id());
         let (a, b) = gen::random_pair(n, 0xFA0 ^ p as u64);
+        let entry = |m: &Machine| run_on::<Reliable>(alg, m, &a, &b);
+        let healthy = Machine::new(Topology::fully_connected(p), cost());
+        check_algo(&format!("{name} plain"), &healthy, |m| {
+            run_on::<Plain>(alg, m, &a, &b)
+        });
         // Lossy links: drops force retransmission, corruption forces
         // checksum rejection, duplicates force dedup.
         let lossy = FaultPlan::new(0x5EED ^ p as u64)
             .with_drop_rate(0.1)
             .with_corrupt_rate(0.05)
             .with_duplicate_rate(0.1);
-        check_algo(&format!("{name} lossy"), &sweep_machine(p, 0, lossy), |m| {
-            entry(m, &a, &b)
-        });
+        check_algo(&format!("{name} lossy"), &sweep_machine(p, 0, lossy), entry);
         // Fail-stop death absorbed by one spare, detected through
         // heartbeats that ride the same lossy links.
         let death = FaultPlan::new(0xDEAD ^ p as u64)
@@ -239,7 +245,7 @@ fn faults_spares_and_detection() {
         check_algo(
             &format!("{name} death+spare+detection"),
             &sweep_machine(p, 1, death),
-            |m| entry(m, &a, &b),
+            entry,
         );
         // Death with *no* spare budget: must fail with the same
         // structured error under both engines, never hang.
@@ -249,7 +255,7 @@ fn faults_spares_and_detection() {
         check_algo(
             &format!("{name} unrecoverable death"),
             &sweep_machine(p, 0, fatal),
-            |m| entry(m, &a, &b),
+            entry,
         );
     }
 }

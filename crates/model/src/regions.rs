@@ -7,9 +7,6 @@
 //! figures mark the regions `a` (GK), `b` (Berntsen), `c` (Cannon),
 //! `d` (DNS) and `x` (`p > n³`, nothing applicable).
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
 use crate::algorithm::Algorithm;
 use crate::machine::MachineParams;
 use crate::overhead::overhead_fig;
@@ -50,70 +47,6 @@ pub fn region_letter(n: f64, p: f64, m: MachineParams) -> char {
     best_algorithm(n, p, m)
         .and_then(Algorithm::region_letter)
         .unwrap_or('x')
-}
-
-/// Exact-bits memo key for one sampled grid: machine constants, axis
-/// ranges and resolution.  Keying on `to_bits` (not the float value)
-/// keeps the cache a pure function of the inputs: distinct bit patterns
-/// never alias.
-type GridKey = (u64, u64, [u64; 3], [u64; 4], usize, usize);
-
-fn grid_key(
-    m: MachineParams,
-    (min_ln, max_ln): (f64, f64),
-    (min_lp, max_lp): (f64, f64),
-    cols: usize,
-    rows: usize,
-) -> GridKey {
-    (
-        m.t_s.to_bits(),
-        m.t_w.to_bits(),
-        [
-            m.faults.drop.to_bits(),
-            m.faults.corrupt.to_bits(),
-            m.faults.duplicate.to_bits(),
-        ],
-        [
-            min_ln.to_bits(),
-            max_ln.to_bits(),
-            min_lp.to_bits(),
-            max_lp.to_bits(),
-        ],
-        cols,
-        rows,
-    )
-}
-
-/// Region-map sweeps and benchmark reps recompute the very same grids
-/// over and over (every figure rerenders the full Table 1 comparison
-/// per cell).  The overhead formulas are pure, so whole sampled grids
-/// are memoised process-wide — grid granularity, because a per-cell
-/// table pays a lock + hash per lookup, which costs as much as the
-/// handful of flops it saves.  The cap bounds the memory of
-/// pathological sweeps (at which point the memo resets — correctness
-/// never depends on a hit).
-fn memoised_cells(
-    m: MachineParams,
-    n_range: (f64, f64),
-    p_range: (f64, f64),
-    cols: usize,
-    rows: usize,
-    compute: impl FnOnce() -> Vec<Vec<char>>,
-) -> Vec<Vec<char>> {
-    const MEMO_CAP: usize = 256;
-    static MEMO: OnceLock<Mutex<HashMap<GridKey, Vec<Vec<char>>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = grid_key(m, n_range, p_range, cols, rows);
-    if let Some(cells) = memo.lock().expect("region memo poisoned").get(&key) {
-        return cells.clone();
-    }
-    let cells = compute();
-    let mut table = memo.lock().expect("region memo poisoned");
-    if table.len() >= MEMO_CAP {
-        table.clear();
-    }
-    table.insert(key, cells.clone());
-    cells
 }
 
 /// A sampled region map over log-spaced `n` and `p` axes.
@@ -167,24 +100,15 @@ impl RegionMap {
         let log2_p: Vec<f64> = (0..rows)
             .map(|i| min_log2_p + (max_log2_p - min_log2_p) * i as f64 / (rows - 1) as f64)
             .collect();
-        let cells = memoised_cells(
-            m,
-            (min_log2_n, max_log2_n),
-            (min_log2_p, max_log2_p),
-            cols,
-            rows,
-            || {
-                log2_p
+        let cells = log2_p
+            .iter()
+            .map(|&lp| {
+                log2_n
                     .iter()
-                    .map(|&lp| {
-                        log2_n
-                            .iter()
-                            .map(|&ln| region_letter(2.0f64.powf(ln), 2.0f64.powf(lp), m))
-                            .collect()
-                    })
+                    .map(|&ln| region_letter(2.0f64.powf(ln), 2.0f64.powf(lp), m))
                     .collect()
-            },
-        );
+            })
+            .collect();
         Self {
             machine: m,
             log2_n,
@@ -251,24 +175,6 @@ impl RegionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memoised_grids_match_direct_evaluation() {
-        let m = MachineParams::ncube2();
-        // First call computes, second hits the memo: the cached grid
-        // must equal a cell-by-cell direct evaluation exactly.
-        for _ in 0..2 {
-            let map = RegionMap::compute_range(m, (2.0, 9.0), (0.0, 10.0), 8, 8);
-            for (pi, &lp) in map.log2_p.iter().enumerate() {
-                for (ni, &ln) in map.log2_n.iter().enumerate() {
-                    assert_eq!(
-                        map.cells[pi][ni],
-                        region_letter(2.0f64.powf(ln), 2.0f64.powf(lp), m)
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn repeated_region_maps_are_identical() {

@@ -9,7 +9,7 @@
 
 use algos::{AlgoError, SimOutcome};
 use dense::Matrix;
-use mmsim::Machine;
+use mmsim::{Machine, Plain, Reliable, Transport};
 use model::time::{parallel_time_on, NetworkModel};
 use model::{Algorithm, DetectionParams, FaultRates, MachineParams};
 
@@ -138,7 +138,6 @@ impl Advisor {
         let mut ranking: Vec<(Algorithm, f64)> = self
             .candidates
             .iter()
-            .filter(|&&alg| !resilient || has_resilient_variant(alg))
             .filter(|&&alg| {
                 if executable_only {
                     executable_applicability(alg, n, p).is_ok()
@@ -163,9 +162,9 @@ impl Advisor {
     /// time; `None` if nothing is applicable (`p > n³`).
     ///
     /// On a lossy machine (nonzero [`MachineParams::faults`]) the
-    /// predictions use the reliable-transport effective constants and
-    /// the candidate set is restricted to algorithms with a resilient
-    /// implementation, so the verdict stays actionable.
+    /// predictions use the reliable-transport effective constants; every
+    /// candidate has a reliable form ([`run_on`]), so the verdict stays
+    /// actionable.
     #[must_use]
     pub fn recommend(&self, n: usize, p: usize) -> Option<Recommendation> {
         self.rank(n, p, false)
@@ -201,20 +200,6 @@ impl Advisor {
         let out = run_recommendation(&rec, machine, a, b)?;
         Ok((rec, out))
     }
-}
-
-/// Whether the `algos` crate ships a reliable-transport variant of this
-/// algorithm (see `algos::resilient`).
-#[must_use]
-pub fn has_resilient_variant(alg: Algorithm) -> bool {
-    matches!(
-        alg,
-        Algorithm::Cannon
-            | Algorithm::Gk
-            | Algorithm::FoxHypercube
-            | Algorithm::FoxPipelined
-            | Algorithm::Dns
-    )
 }
 
 /// The analytic fault rates implied by a simulated machine's fault
@@ -266,7 +251,36 @@ pub fn executable_applicability(alg: Algorithm, n: usize, p: usize) -> Result<()
     }
 }
 
-/// Run one algorithm's executable implementation.
+/// Run one algorithm's schedule over transport `X`: the one dispatch
+/// from an [`Algorithm`] to its `algos` schedule.  Pipelined Fox runs
+/// with [`algos::fox::default_packets`].
+///
+/// # Errors
+/// Propagates the schedule's [`AlgoError`].
+pub fn run_on<X: Transport>(
+    alg: Algorithm,
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
+    use algos::{berntsen, cannon, dns, fox, gk, simple};
+    match alg {
+        Algorithm::Simple => simple::simple_on::<X>(machine, a, b),
+        Algorithm::Cannon => cannon::cannon_on::<X>(machine, a, b),
+        Algorithm::FoxHypercube => fox::fox_tree_on::<X>(machine, a, b),
+        Algorithm::FoxPipelined => {
+            let packets = fox::default_packets(a.rows(), machine.p());
+            fox::fox_pipelined_on::<X>(machine, a, b, packets)
+        }
+        Algorithm::Berntsen => berntsen::berntsen_on::<X>(machine, a, b),
+        Algorithm::Dns => dns::dns_block_on::<X>(machine, a, b),
+        Algorithm::Gk => gk::gk_on::<X>(machine, a, b),
+        Algorithm::GkImproved => gk::gk_improved_on::<X>(machine, a, b),
+    }
+}
+
+/// Run one algorithm's plain (unprotected) form: [`run_on`] over
+/// [`Plain`].
 ///
 /// # Errors
 /// Propagates the implementation's [`AlgoError`].
@@ -276,27 +290,12 @@ pub fn run_algorithm(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<SimOutcome, AlgoError> {
-    match alg {
-        Algorithm::Simple => algos::simple(machine, a, b),
-        Algorithm::Cannon => algos::cannon(machine, a, b),
-        Algorithm::FoxHypercube => algos::fox_tree(machine, a, b),
-        Algorithm::FoxPipelined => {
-            // A reasonable default packet count: √(block words).
-            let q = algos::fox::applicability(a.rows(), machine.p())?;
-            let block_words = (a.rows() / q) * (a.rows() / q);
-            let packets = ((block_words as f64).sqrt().round() as usize).clamp(1, block_words);
-            algos::fox_pipelined(machine, a, b, packets)
-        }
-        Algorithm::Berntsen => algos::berntsen(machine, a, b),
-        Algorithm::Dns => algos::dns_block(machine, a, b),
-        Algorithm::Gk => algos::gk(machine, a, b),
-        Algorithm::GkImproved => algos::gk_improved(machine, a, b),
-    }
+    run_on::<Plain>(alg, machine, a, b)
 }
 
-/// Run a recommendation the way the advisor priced it: the resilient
-/// (reliable-transport) implementation when the verdict was computed
-/// for a lossy machine, the plain implementation otherwise.
+/// Run a recommendation the way the advisor priced it: over the
+/// reliable transport when the verdict was computed for a lossy
+/// machine, over the plain one otherwise.
 ///
 /// # Errors
 /// Propagates the implementation's [`AlgoError`].
@@ -306,25 +305,10 @@ pub fn run_recommendation(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<SimOutcome, AlgoError> {
-    if !rec.resilient {
-        return run_algorithm(rec.algorithm, machine, a, b);
-    }
-    match rec.algorithm {
-        Algorithm::Cannon => algos::cannon_resilient(machine, a, b),
-        Algorithm::FoxHypercube => algos::fox_tree_resilient(machine, a, b),
-        Algorithm::FoxPipelined => {
-            // Same default packet count as the plain dispatch above.
-            let q = algos::fox::applicability(a.rows(), machine.p())?;
-            let block_words = (a.rows() / q) * (a.rows() / q);
-            let packets = ((block_words as f64).sqrt().round() as usize).clamp(1, block_words);
-            algos::fox_pipelined_resilient(machine, a, b, packets)
-        }
-        Algorithm::Gk => algos::gk_resilient(machine, a, b),
-        Algorithm::Dns => algos::dns_resilient(machine, a, b),
-        other => Err(AlgoError::BadProcessorCount {
-            p: machine.p(),
-            requirement: format!("no resilient implementation of {other}"),
-        }),
+    if rec.resilient {
+        run_on::<Reliable>(rec.algorithm, machine, a, b)
+    } else {
+        run_on::<Plain>(rec.algorithm, machine, a, b)
     }
 }
 
@@ -481,16 +465,28 @@ mod tests {
     }
 
     #[test]
-    fn lossy_rankings_only_contain_resilient_algorithms() {
-        let advisor =
-            Advisor::new(MachineParams::ncube2().with_faults(FaultRates::new(0.1, 0.0, 0.0)));
-        // Healthy ncube2 at (4096, 512) picks Berntsen, which has no
-        // resilient variant; under loss the ranking must exclude it.
+    fn lossy_ncube2_recommends_and_runs_resilient_berntsen() {
+        use mmsim::FaultPlan;
+        // Figure 1's b region stays Berntsen's under loss: every
+        // candidate has a reliable form, so none is filtered out.
+        let rates = FaultRates::new(0.1, 0.0, 0.0);
+        let advisor = Advisor::new(MachineParams::ncube2().with_faults(rates));
         let rec = advisor.recommend(4096, 512).unwrap();
+        assert_eq!(rec.algorithm, Algorithm::Berntsen);
         assert!(rec.resilient);
-        for (alg, _) in &rec.ranking {
-            assert!(has_resilient_variant(*alg), "{alg} lacks a resilient form");
-        }
+
+        // And `execute` runs it over the reliable transport.
+        let healthy = Machine::new(Topology::hypercube_for(8), CostModel::ncube2());
+        let lossy = healthy
+            .clone()
+            .with_fault_plan(FaultPlan::new(13).with_drop_rate(0.1));
+        let (a, b) = dense::gen::random_pair(16, 29);
+        let (rec, out) = advisor.execute(&lossy, &a, &b).unwrap();
+        assert_eq!(rec.algorithm, Algorithm::Berntsen);
+        assert!(rec.resilient);
+        let retrans: u64 = out.stats.iter().map(|s| s.retransmissions).sum();
+        assert!(retrans > 0, "lossy links must force retransmissions");
+        assert_eq!(out.c, algos::berntsen(&healthy, &a, &b).unwrap().c);
     }
 
     #[test]
@@ -592,9 +588,6 @@ mod tests {
             p.predicted_time,
             f.predicted_time
         );
-        for (alg, _) in &p.ranking {
-            assert!(has_resilient_variant(*alg));
-        }
     }
 
     #[test]

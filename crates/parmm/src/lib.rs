@@ -40,7 +40,7 @@
 pub mod advisor;
 
 pub use advisor::{
-    detection_of, executable_applicability, fault_rates_of, has_resilient_variant, run_algorithm,
+    detection_of, executable_applicability, fault_rates_of, run_algorithm, run_on,
     run_recommendation, Advisor, Recommendation,
 };
 
