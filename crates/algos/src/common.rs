@@ -157,10 +157,11 @@ impl SimOutcome {
 ///
 /// The event engine runs every rank on the calling thread, one at a
 /// time, so its ranks multiply with the whole host.  The threaded
-/// engine runs its ranks on pool threads, which do not lend, so it
-/// never oversubscribes the host; only at `p = 1` does it run the rank
-/// on the calling thread, with the other cores idle.  The split kernel
-/// is bit-identical to the serial one, so nothing a run reports moves.
+/// engine runs its ranks on threads of their own, which do not lend,
+/// so it never oversubscribes the host; only at `p = 1` does it run
+/// the rank on the calling thread, with the other cores idle.  The
+/// split kernel is bit-identical to the serial one, so nothing a run
+/// reports moves.
 pub(crate) fn run_lending<X: Transport, T: Send>(
     machine: &Machine,
     f: impl Fn(&mut Proc) -> T + Sync,

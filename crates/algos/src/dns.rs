@@ -209,16 +209,6 @@ pub fn predicted_time_full(n: usize, p: usize, t_s: f64, t_w: f64, t_add: f64) -
     spread + cannon + reduce
 }
 
-/// Eq. (6): the paper's DNS parallel time,
-/// `n³/p + (t_s + t_w)(5·log(p/n²) + 2·n³/p)`.
-#[must_use]
-pub fn eq6_time(n: usize, p: usize, t_s: f64, t_w: f64) -> f64 {
-    let nf = n as f64;
-    let pf = p as f64;
-    let r = pf / (nf * nf);
-    nf.powi(3) / pf + (t_s + t_w) * (5.0 * r.log2() + 2.0 * nf.powi(3) / pf)
-}
-
 #[cfg(test)]
 mod tests {
     use dense::{gen, kernel};

@@ -106,9 +106,9 @@ pub fn simple_on<X: Transport>(
         });
 
         let mut c = Matrix::zeros(bs, bs);
-        for k in 0..q {
-            let ak = Matrix::from_vec(bs, bs, a_blocks[k].clone());
-            let bk = Matrix::from_vec(bs, bs, b_blocks[k].clone());
+        for (ak, bk) in a_blocks.into_iter().zip(b_blocks) {
+            let ak = Matrix::from_vec(bs, bs, ak);
+            let bk = Matrix::from_vec(bs, bs, bk);
             proc.compute(kernel::work_units(bs, bs, bs));
             kernel::matmul_accumulate(&mut c, &ak, &bk);
         }

@@ -235,14 +235,6 @@ impl<'m> Scheduler<'m> {
         }
     }
 
-    /// Same service with a custom advisor (candidate set, machine
-    /// constants, network model).
-    #[must_use]
-    pub fn with_advisor(mut self, advisor: Advisor) -> Self {
-        self.advisor = advisor;
-        self
-    }
-
     /// The advisor the right-sizer consults.
     #[must_use]
     pub fn advisor(&self) -> &Advisor {

@@ -4,7 +4,7 @@
 //!
 //! ## Shape
 //!
-//! Where the threaded engine leases one OS thread per virtual rank
+//! Where the threaded engine spawns one OS thread per virtual rank
 //! (capping p near host thread limits), this engine runs every rank as
 //! a resumable [`fiber`] task and drives them from a single scheduler
 //! loop.  A rank runs until its `recv` finds no matching message; it
@@ -15,9 +15,9 @@
 //! destination's mailbox and, when the destination is parked on exactly
 //! that `(src, tag)`, moves it to the ready queue.  Mailboxes and the
 //! ready queue share one lock, so a message costs one acquisition to
-//! send and one to receive.  Park/unpark rendezvous, futexes, and
-//! spin-yields all disappear; a context switch is ~12 instructions of
-//! userspace register shuffling.
+//! send and one to receive.  Park/unpark rendezvous and futexes
+//! disappear; a context switch is ~12 instructions of userspace
+//! register shuffling.
 //!
 //! The scheduler thread is the thread that called the run, and every
 //! rank runs on it, one at a time.  So a caller that lends its idle
@@ -48,14 +48,15 @@
 
 use crate::engine::fiber;
 use crate::engine::net::Net;
+use crate::engine::RANK_STACK_BYTES;
 
 /// Run `run_rank(0..p)` as fibers under the event scheduler on the
 /// calling thread, and return once every rank has returned.
 pub(crate) fn run_fibers(p: usize, net: &Net, run_rank: &(dyn Fn(usize) + Sync)) {
     // SAFETY: lifetime erasure only.  The scheduler below drives every
     // fiber to completion before `run_fibers` returns, so the borrow
-    // behind this pointer outlives all uses — the same argument the
-    // worker pool's latch makes.
+    // behind this pointer outlives all uses — the same argument a
+    // scoped thread's join makes.
     let run_ptr: *const (dyn Fn(usize) + Sync) = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(run_rank)
     };
@@ -65,7 +66,7 @@ pub(crate) fn run_fibers(p: usize, net: &Net, run_rank: &(dyn Fn(usize) + Sync))
             Box::new(move || unsafe { (*run_ptr)(rank) }) as Box<dyn FnOnce()>
         })
         .collect();
-    let mut fibers = fiber::Fiber::spawn_all(fiber::stack_bytes(), jobs);
+    let mut fibers = fiber::Fiber::spawn_all(RANK_STACK_BYTES, jobs);
     let mut finished = 0usize;
     while finished < p {
         let rank = net

@@ -19,7 +19,7 @@
 //! seeded frame zeroes `rbp` so frame-pointer walks terminate cleanly
 //! inside a fiber, and keeps `rsp` on the ABI alignment.  Entry
 //! functions never unwind across the assembly: the closure runs under
-//! `catch_unwind`, exactly like a pool worker's job body.
+//! `catch_unwind`, exactly like a threaded rank's body.
 //!
 //! On other architectures the same API is backed by a parked OS thread
 //! per fiber (resume/suspend become condvar handoffs).  Semantics are
@@ -28,16 +28,15 @@
 //!
 //! ## Stack reuse
 //!
-//! Stacks come from a process-wide pool (`STACK_POOL`), mirroring the
-//! worker pool's thread reuse.  A finished fiber's stack is *retained*,
-//! never freed: every run at the same p re-leases the stacks the
-//! previous run touched, so a sweep performs no `mmap`/`munmap`, faults
-//! no fresh pages and grows no RSS after its first run, and a run takes
-//! all its leases under one pool-lock acquisition.  What stays resident
-//! is the high-water mark of pages fibers actually touched — a few KiB
-//! per stack, since reservations are lazily committed (a fresh
-//! allocation is zero pages until used) — not p × the 1 MiB
-//! reservation.
+//! Stacks come from a process-wide pool (`STACK_POOL`).  A finished
+//! fiber's stack is *retained*, never freed: every run at the same p
+//! re-leases the stacks the previous run touched, so a sweep performs
+//! no `mmap`/`munmap`, faults no fresh pages and grows no RSS after its
+//! first run, and a run takes all its leases under one pool-lock
+//! acquisition.  What stays resident is the high-water mark of pages
+//! fibers actually touched — a few KiB per stack, since reservations
+//! are lazily committed (a fresh allocation is zero pages until used) —
+//! not p × the 1 MiB reservation.
 //!
 //! ## Guard page
 //!
@@ -64,43 +63,6 @@
 //! network's election resumes one parked rank at a time into its
 //! diagnosis panic, so every fiber returns and the leak path is
 //! unreachable short of an engine bug.
-
-use std::sync::OnceLock;
-
-/// Parse an `MMSIM_FIBER_STACK_KB` value (`None` = variable unset) into
-/// a fiber stack size in bytes.  Pure, so tests can cover the parsing
-/// without racing on process-global environment state.
-///
-/// # Panics
-/// Panics unless the value is a positive integer KiB count of at least
-/// 64 (smaller stacks cannot hold the entry trampoline plus a panic
-/// unwind).
-pub(crate) fn parse_stack_bytes(raw: Option<&str>) -> usize {
-    match raw {
-        Some(raw) => {
-            let kb: usize = raw.trim().parse().unwrap_or_else(|_| {
-                panic!("MMSIM_FIBER_STACK_KB must be a positive integer KiB count, got {raw:?}")
-            });
-            assert!(
-                kb >= 64,
-                "MMSIM_FIBER_STACK_KB must be at least 64 KiB, got {kb}"
-            );
-            kb.checked_mul(1 << 10).unwrap_or_else(|| {
-                panic!("MMSIM_FIBER_STACK_KB of {kb} KiB overflows the address space")
-            })
-        }
-        // Matches the worker pool's 1 MiB: algorithm closures keep
-        // their blocks on the heap, so this is generous.
-        None => 1 << 20,
-    }
-}
-
-/// Fiber stack size in bytes, from `MMSIM_FIBER_STACK_KB` (read once
-/// per process and cached), default 1 MiB.
-pub(crate) fn stack_bytes() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| parse_stack_bytes(std::env::var("MMSIM_FIBER_STACK_KB").ok().as_deref()))
-}
 
 // =====================================================================
 // x86-64: userspace context switch.
@@ -555,6 +517,7 @@ pub(crate) use imp::{suspend, Fiber};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RANK_STACK_BYTES;
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
@@ -571,7 +534,7 @@ mod tests {
         // SAFETY: the fiber completes before `log` is dropped — resume
         // below runs it to the end within this scope.
         let entry: Box<dyn FnOnce()> = unsafe { std::mem::transmute(entry) };
-        let mut fiber = new_fiber(stack_bytes(), entry);
+        let mut fiber = new_fiber(RANK_STACK_BYTES, entry);
         assert!(!fiber.finished());
         assert!(fiber.resume());
         assert!(fiber.finished());
@@ -591,7 +554,7 @@ mod tests {
         });
         // SAFETY: driven to completion below, within `log`'s lifetime.
         let entry: Box<dyn FnOnce()> = unsafe { std::mem::transmute(entry) };
-        let mut fiber = new_fiber(stack_bytes(), entry);
+        let mut fiber = new_fiber(RANK_STACK_BYTES, entry);
         assert!(!fiber.resume());
         log.borrow_mut().push(2);
         assert!(!fiber.resume());
@@ -603,7 +566,7 @@ mod tests {
     #[test]
     fn panicking_entry_is_contained_and_finishes() {
         let entry: Box<dyn FnOnce()> = Box::new(|| panic!("inside fiber"));
-        let mut fiber = new_fiber(stack_bytes(), entry);
+        let mut fiber = new_fiber(RANK_STACK_BYTES, entry);
         assert!(fiber.resume(), "a panicked fiber still finishes");
     }
 
@@ -623,7 +586,7 @@ mod tests {
                 });
                 // SAFETY: all fibers are driven to completion below.
                 let entry: Box<dyn FnOnce()> = unsafe { std::mem::transmute(entry) };
-                new_fiber(stack_bytes(), entry)
+                new_fiber(RANK_STACK_BYTES, entry)
             })
             .collect();
         for f in &mut fibers {
@@ -656,7 +619,7 @@ mod tests {
         let entry: Box<dyn FnOnce()> = Box::new(move || inner.set(descend(100, 0)));
         // SAFETY: driven to completion below.
         let entry: Box<dyn FnOnce()> = unsafe { std::mem::transmute(entry) };
-        let mut fiber = new_fiber(stack_bytes(), entry);
+        let mut fiber = new_fiber(RANK_STACK_BYTES, entry);
         assert!(!fiber.resume());
         assert!(fiber.resume());
         assert_eq!(out.get(), (1..=100u64).sum::<u64>() + 100);
@@ -740,16 +703,5 @@ mod tests {
             child.status,
             String::from_utf8_lossy(&child.stdout)
         );
-    }
-
-    #[test]
-    fn stack_size_parsing() {
-        assert_eq!(parse_stack_bytes(None), 1 << 20);
-        assert_eq!(parse_stack_bytes(Some("256")), 256 << 10);
-        assert_eq!(parse_stack_bytes(Some(" 64 ")), 64 << 10);
-        for junk in ["abc", "-5", "1.5", "", "0", "63", "18014398509481984"] {
-            let result = std::panic::catch_unwind(|| parse_stack_bytes(Some(junk)));
-            assert!(result.is_err(), "{junk:?} must be rejected");
-        }
     }
 }

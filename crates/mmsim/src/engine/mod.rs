@@ -1,5 +1,5 @@
 //! The simulation engine: runs every virtual processor — as a fiber
-//! under the event scheduler, or on a leased pooled host thread — and
+//! under the event scheduler, or on an OS thread of its own — and
 //! collects the deterministic virtual-time report.
 
 pub mod error;
@@ -8,7 +8,6 @@ pub(crate) mod fiber;
 pub mod message;
 pub(crate) mod net;
 pub mod payload;
-pub(crate) mod pool;
 pub mod proc_ctx;
 
 use std::sync::{Arc, Mutex};
@@ -23,7 +22,12 @@ use crate::stats::ProcStats;
 use crate::topology::Topology;
 use crate::trace::Timeline;
 
-/// What one engine worker reports back: the closure's value plus
+/// Stack size of every rank, thread or fiber.  Algorithm closures keep
+/// their matrix blocks on the heap, so 1 MiB is generous even for
+/// 512-processor simulations.
+pub(crate) const RANK_STACK_BYTES: usize = 1 << 20;
+
+/// What one rank reports back: the closure's value plus
 /// accounting on success, or the panic payload on failure.
 type ThreadOutcome<T> = Result<(T, ProcStats, Timeline), Box<dyn std::any::Any + Send>>;
 
@@ -42,7 +46,7 @@ type ThreadOutcome<T> = Result<(T, ProcStats, Timeline), Box<dyn std::any::Any +
 /// thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// One pooled OS thread per virtual rank (the historical engine,
+    /// One OS thread per virtual rank (the historical engine,
     /// and the differential suites' reference): real preemptive
     /// parallelism, p capped near host thread limits.
     #[cfg_attr(not(target_arch = "x86_64"), default)]
@@ -360,8 +364,9 @@ impl Machine {
     /// record (always `None` on spare-less runs).
     ///
     /// The engines share everything here but who runs the ranks: one
-    /// pooled OS thread each, all at once, or one fiber each under the
-    /// virtual-time scheduler on this thread.
+    /// scoped OS thread each, all at once (a lone rank runs on this
+    /// thread), or one fiber each under the virtual-time scheduler on
+    /// this thread.
     #[allow(clippy::type_complexity)]
     fn execute<T, F>(&self, f: &F) -> (Vec<ThreadOutcome<T>>, Vec<Option<CkptRecord>>)
     where
@@ -392,7 +397,22 @@ impl Machine {
                 Some(outcome_from_panic(rank, outcome, &shared, proc));
         };
         match self.engine {
-            EngineKind::Threaded => pool::run_on_pool(p, &run_rank),
+            EngineKind::Threaded if p > 1 => std::thread::scope(|s| {
+                let run_rank = &run_rank;
+                for rank in 0..p {
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("mmsim-rank-{rank}"))
+                        .stack_size(RANK_STACK_BYTES)
+                        .spawn_scoped(s, move || run_rank(rank));
+                    if let Err(e) = spawned {
+                        // Ranks that never start must not leave the
+                        // started ones parked forever inside the scope.
+                        (rank..p).for_each(|r| shared.net.announce(r, RankStatus::Poisoned));
+                        panic!("failed to spawn the thread of rank {rank}: {e}");
+                    }
+                }
+            }),
+            EngineKind::Threaded => (0..p).for_each(&run_rank),
             EngineKind::Event => event::run_fibers(p, &shared.net, &run_rank),
         }
         // Every rank has returned.
@@ -1384,6 +1404,18 @@ mod tests {
             }
             other => panic!("expected RankPanicked, got {other:?}"),
         }
+        // The panic stayed inside its rank: the same machine runs again.
+        let r = m
+            .try_run(|proc| proc.rank())
+            .expect("the next run is healthy");
+        assert_eq!(r.results, vec![0, 1]);
+    }
+
+    #[test]
+    fn single_rank_runs_inline() {
+        let caller = std::thread::current().id();
+        let r = unit_machine(1).run(|_| std::thread::current().id());
+        assert_eq!(r.results, vec![caller]);
     }
 
     #[test]
@@ -1637,7 +1669,7 @@ mod tests {
 
     #[test]
     fn event_engine_scales_past_thread_limits() {
-        // More virtual ranks than any host could ever lease threads
+        // More virtual ranks than any host could ever spawn threads
         // for, on one scheduler thread: a p = 20 000 ring exchange.
         let p = 20_000;
         let m = Machine::new(Topology::fully_connected(p), CostModel::unit())

@@ -15,8 +15,7 @@
 //! ([`Parking`]) and in who runs the ranks.  On the event engine the
 //! rank's fiber suspends and a wake queues it on the scheduler's
 //! virtual-time ready heap; on the threaded engine the rank's OS thread
-//! yields a bounded number of times, then sleeps on its own condvar,
-//! and a wake notifies it only if it sleeps.
+//! sleeps on its own condvar and a wake notifies it.
 //!
 //! ## Deadlock election
 //!
@@ -81,9 +80,6 @@ struct Waiting {
     /// Park generation, so stale `waiters_on` entries (from earlier
     /// parks that a message wake already satisfied) are skipped.
     token: u32,
-    /// Threaded engine: the rank's thread sleeps on its condvar (it is
-    /// not still yielding), so a wake must notify it.
-    asleep: bool,
 }
 
 /// Everything behind the network's one lock.
@@ -110,19 +106,12 @@ struct State {
     elected: Vec<bool>,
 }
 
-/// Threaded engine: host-thread yields a parked receive makes before it
-/// sleeps on its condvar.  The window must outlast one futex wake of a
-/// sleeping peer; with only 3 a two-rank ping-pong on 2 cores settled
-/// in either of two steady states, ~0.8 µs or ~5 µs a message, and
-/// stayed there.
-const SPIN_YIELDS: u32 = 32;
-
 /// How a receive with no match waits, and how a wake reaches it.
 enum Parking {
     /// Event engine: the fiber suspends; a wake queues it on `ready`.
     Fibers,
-    /// Threaded engine: the rank's thread yields, then sleeps on its own
-    /// condvar; a wake notifies a sleeping thread.
+    /// Threaded engine: the rank's thread sleeps on its own condvar; a
+    /// wake notifies it.
     Threads(Vec<Condvar>),
 }
 
@@ -171,8 +160,7 @@ impl Net {
         st.parked -= 1;
         match &self.parking {
             Parking::Fibers => st.ready.push(Reverse((w.clock_bits, rank))),
-            Parking::Threads(wakers) if w.asleep => wakers[rank].notify_one(),
-            Parking::Threads(_) => {}
+            Parking::Threads(wakers) => wakers[rank].notify_one(),
         }
     }
 
@@ -287,7 +275,6 @@ impl Net {
                 tag,
                 clock_bits: clock.to_bits(),
                 token,
-                asleep: false,
             });
             st.parked += 1;
             st.waiters_on[src].push((rank, token));
@@ -299,23 +286,7 @@ impl Net {
                     debug_assert!(st.waiting[rank].is_none(), "resumed while still parked");
                 }
                 Parking::Threads(wakers) => {
-                    // Yielding first often lets the awaited sender run
-                    // and deliver, turning a futex sleep and wake (two
-                    // syscalls and a forced reschedule of the sender)
-                    // into a re-lock, and the sender skips the notify
-                    // while `asleep` is unset.  Bounded, so a genuinely
-                    // idle wait still sleeps within tens of µs.  The
-                    // rank counts as parked while it yields.
-                    for _ in 0..SPIN_YIELDS {
-                        drop(st);
-                        std::thread::yield_now();
-                        st = self.lock();
-                        if st.waiting[rank].is_none() {
-                            break;
-                        }
-                    }
-                    while let Some(w) = st.waiting[rank].as_mut() {
-                        w.asleep = true;
+                    while st.waiting[rank].is_some() {
                         st = wakers[rank].wait(st).expect("network state poisoned");
                     }
                 }

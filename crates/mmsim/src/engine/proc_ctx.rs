@@ -42,7 +42,7 @@ pub(crate) struct RunShared {
 
 /// Handle through which a virtual processor computes and communicates.
 ///
-/// One `Proc` lives on each rank's fiber or pooled thread.  All methods
+/// One `Proc` lives on each rank's fiber or thread.  All methods
 /// advance the processor's **virtual clock** according to the machine's
 /// [`CostModel`]; see the crate docs for the accounting rules.
 ///

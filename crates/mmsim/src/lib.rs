@@ -25,7 +25,7 @@
 //!   a thread handoff at every measured p, and the only engine that
 //!   reaches tens of thousands of ranks;
 //! * [`EngineKind::Threaded`] (default elsewhere, where a fiber has no
-//!   native context switch) — one pooled OS thread per rank, parallel
+//!   native context switch) — one OS thread per rank, parallel
 //!   across host cores; the reference side of the differential suite
 //!   (`tests/engine_differential.rs`), which pins virtual-time results
 //!   bit-identical between the two at every overlapping p.

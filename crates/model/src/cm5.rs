@@ -13,7 +13,6 @@
 //! yields the crossover matrix sizes the paper verifies experimentally:
 //! `n ≈ 83` for `p = 64` (measured 96) and `n ≈ 295` for `p = 512`.
 
-use crate::crossover;
 use crate::machine::MachineParams;
 use crate::time::cannon_time;
 
@@ -106,13 +105,6 @@ pub fn efficiency_series(
             gk: (n % s == 0).then(|| gk_cm5_efficiency(n as f64, p_gk as f64, m)),
         })
         .collect()
-}
-
-/// General equal-overhead helper re-exported for the CM-5 pairing (used
-/// by the §9 claim checks).
-#[must_use]
-pub fn gk_vs_cannon_hypercube_crossover(p: f64, m: MachineParams) -> Option<f64> {
-    crossover::gk_vs_cannon_closed_form(p, m)
 }
 
 #[cfg(test)]

@@ -187,15 +187,6 @@ pub fn iso_terms(alg: Algorithm, p: f64, e: f64, m: MachineParams) -> Vec<IsoTer
     }
 }
 
-/// The governing isoefficiency requirement: the max over terms.
-#[must_use]
-pub fn iso_w(alg: Algorithm, p: f64, e: f64, m: MachineParams) -> f64 {
-    iso_terms(alg, p, e, m)
-        .into_iter()
-        .map(|t| t.w)
-        .fold(0.0, f64::max)
-}
-
 /// The asymptotic class of each algorithm's isoefficiency function —
 /// Table 1's "Asymptotic Isoeff. Function" column.
 #[must_use]

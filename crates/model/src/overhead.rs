@@ -24,13 +24,6 @@ pub fn efficiency(alg: Algorithm, n: f64, p: f64, m: MachineParams) -> f64 {
     speedup(alg, n, p, m) / p
 }
 
-/// Alias for [`overhead`] under Table 1's name, "Total Overhead
-/// Function `T_o`".
-#[must_use]
-pub fn total_overhead_function(alg: Algorithm, n: f64, p: f64, m: MachineParams) -> f64 {
-    overhead(alg, n, p, m)
-}
-
 /// The overhead function the paper's §6 comparison (and Figures 1–3)
 /// actually uses: identical to [`overhead`] except for DNS, where
 /// Table 1 substitutes the worst case `p = n³` into `log(p/n²)`,

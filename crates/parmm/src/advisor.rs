@@ -232,23 +232,60 @@ pub fn detection_of(machine: &Machine) -> Option<DetectionParams> {
     }
 }
 
+/// A formulation's exact-executability check.
+type Applicability = fn(usize, usize) -> Result<(), AlgoError>;
+
+/// A formulation's schedule over one transport.
+type Schedule = fn(&Machine, &Matrix, &Matrix) -> Result<SimOutcome, AlgoError>;
+
+/// Each formulation's applicability check and its schedule over
+/// transport `X`: the one map from an [`Algorithm`] into `algos`.
+fn formulation<X: Transport>(alg: Algorithm) -> (Applicability, Schedule) {
+    use algos::{berntsen, cannon, dns, fox, gk, simple};
+    match alg {
+        Algorithm::Simple => (
+            |n, p| simple::applicability(n, p).map(drop),
+            simple::simple_on::<X>,
+        ),
+        Algorithm::Cannon => (
+            |n, p| cannon::applicability(n, p).map(drop),
+            cannon::cannon_on::<X>,
+        ),
+        Algorithm::FoxHypercube => (
+            |n, p| fox::applicability(n, p).map(drop),
+            fox::fox_tree_on::<X>,
+        ),
+        Algorithm::FoxPipelined => (
+            |n, p| fox::applicability(n, p).map(drop),
+            |machine, a, b| {
+                let packets = fox::default_packets(a.rows(), machine.p());
+                fox::fox_pipelined_on::<X>(machine, a, b, packets)
+            },
+        ),
+        Algorithm::Berntsen => (
+            |n, p| berntsen::applicability(n, p).map(drop),
+            berntsen::berntsen_on::<X>,
+        ),
+        Algorithm::Dns => (
+            |n, p| dns::applicability(n, p).map(drop),
+            dns::dns_block_on::<X>,
+        ),
+        Algorithm::Gk => (|n, p| gk::applicability(n, p).map(drop), gk::gk_on::<X>),
+        Algorithm::GkImproved => (
+            |n, p| gk::improved_applicability(n, p).map(drop),
+            gk::gk_improved_on::<X>,
+        ),
+    }
+}
+
 /// Exact-executability check for one algorithm (delegates to the
 /// `algos` crate's per-algorithm rules).
 ///
 /// # Errors
 /// Returns the executable implementation's [`AlgoError`].
 pub fn executable_applicability(alg: Algorithm, n: usize, p: usize) -> Result<(), AlgoError> {
-    match alg {
-        Algorithm::Simple => algos::simple::applicability(n, p).map(|_| ()),
-        Algorithm::Cannon => algos::cannon::applicability(n, p).map(|_| ()),
-        Algorithm::FoxPipelined | Algorithm::FoxHypercube => {
-            algos::fox::applicability(n, p).map(|_| ())
-        }
-        Algorithm::Berntsen => algos::berntsen::applicability(n, p).map(|_| ()),
-        Algorithm::Dns => algos::dns::applicability(n, p).map(|_| ()),
-        Algorithm::Gk => algos::gk::applicability(n, p).map(|_| ()),
-        Algorithm::GkImproved => algos::gk::improved_applicability(n, p).map(|_| ()),
-    }
+    let (applicability, _) = formulation::<Plain>(alg);
+    applicability(n, p)
 }
 
 /// Run one algorithm's schedule over transport `X`: the one dispatch
@@ -263,20 +300,8 @@ pub fn run_on<X: Transport>(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<SimOutcome, AlgoError> {
-    use algos::{berntsen, cannon, dns, fox, gk, simple};
-    match alg {
-        Algorithm::Simple => simple::simple_on::<X>(machine, a, b),
-        Algorithm::Cannon => cannon::cannon_on::<X>(machine, a, b),
-        Algorithm::FoxHypercube => fox::fox_tree_on::<X>(machine, a, b),
-        Algorithm::FoxPipelined => {
-            let packets = fox::default_packets(a.rows(), machine.p());
-            fox::fox_pipelined_on::<X>(machine, a, b, packets)
-        }
-        Algorithm::Berntsen => berntsen::berntsen_on::<X>(machine, a, b),
-        Algorithm::Dns => dns::dns_block_on::<X>(machine, a, b),
-        Algorithm::Gk => gk::gk_on::<X>(machine, a, b),
-        Algorithm::GkImproved => gk::gk_improved_on::<X>(machine, a, b),
-    }
+    let (_, schedule) = formulation::<X>(alg);
+    schedule(machine, a, b)
 }
 
 /// Run one algorithm's plain (unprotected) form: [`run_on`] over

@@ -1,6 +1,6 @@
 //! Large-configuration stress tests.  The 512-processor sweeps (the
 //! paper's largest experimental machine) pin `EngineKind::Threaded` —
-//! they are what leases that many pooled OS threads at once — and are
+//! they are what runs that many OS threads at once — and are
 //! ignored by default (run with `cargo test --release -- --ignored`).
 //! The 16384-rank smoke runs in tier-1 on the event engine, the
 //! default where fibers switch natively and named here so the test
