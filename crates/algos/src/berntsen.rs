@@ -32,11 +32,13 @@
 
 use std::sync::Arc;
 
-use dense::{kernel, BlockGrid, ColStrips, Matrix, RowStrips};
+use dense::{BlockGrid, ColStrips, Matrix, RowStrips};
 use mmsim::{Machine, Plain, Transport};
 
 use crate::cannon::{cannon_core, MeshView};
-use crate::common::{check_square_operands, exact_cbrt_pow2, run_lending, AlgoError, SimOutcome};
+use crate::common::{
+    check_square_operands, exact_cbrt_pow2, run_lending, single_rank, AlgoError, SimOutcome,
+};
 use collectives::{reduce_scatter_sum_on, Group};
 
 /// Check applicability: `p = 2^{3q}`, `p ≤ n^{3/2}`, and `p^{2/3} | n`;
@@ -87,11 +89,7 @@ pub fn berntsen_on<X: Transport>(
     let p = machine.p();
     let s = applicability(n, p)?;
     if s == 1 {
-        let report = X::run(machine, |proc| {
-            proc.compute(kernel::work_units(n, n, n));
-        })?;
-        let c = kernel::matmul(a, b);
-        return Ok(SimOutcome::from_report(&report, c, n));
+        return single_rank(machine, a, b);
     }
     let mesh_block = n / s; // C blocks are (n/s) × (n/s) on each subcube mesh
 
@@ -110,7 +108,7 @@ pub fn berntsen_on<X: Transport>(
             .collect(),
     );
 
-    let report = run_lending::<X, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let rank = proc.rank();
         let l = rank / (s * s);
         let local = rank % (s * s);
@@ -175,7 +173,7 @@ pub fn words_per_processor(n: usize, p: usize) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use dense::gen;
+    use dense::{gen, kernel};
     use mmsim::{CostModel, Topology};
 
     use super::*;

@@ -256,7 +256,7 @@ pub fn cannon_on<X: Transport>(
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = run_lending::<X, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let mesh = MeshView::contiguous(proc, 0, q);
         let a0 = ga.block_by_rank(proc.rank()).clone();
         let b0 = gb.block_by_rank(proc.rank()).clone();
@@ -287,7 +287,7 @@ pub fn cannon_gray(machine: &Machine, a: &Matrix, b: &Matrix) -> Result<SimOutco
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = run_lending::<Plain, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let mesh = MeshView::gray_embedded(proc, q);
         let (i, j) = (mesh.my_row, mesh.my_col);
         let a0 = ga.block(i, j).clone();

@@ -3,7 +3,7 @@
 //! kernel, and mesh bookkeeping.
 
 use dense::{kernel, Matrix};
-use mmsim::{Machine, Proc, ProcStats, RunReport, SimError, Transport};
+use mmsim::{Machine, Proc, ProcStats, RunReport, SimError};
 
 /// Why an algorithm cannot run on a given `(n, p)` combination, or —
 /// for the fault-tolerant variants — why a simulation did not complete.
@@ -41,9 +41,9 @@ pub enum AlgoError {
     },
     /// The simulated execution itself failed — a fail-stop death, an
     /// undetected-corruption abort, or a diagnosed deadlock under an
-    /// injected [`mmsim::FaultPlan`].  Only the `*_resilient` entry
-    /// points (which run under [`mmsim::Machine::try_run`]) produce
-    /// this variant.
+    /// injected [`mmsim::FaultPlan`].  Every formulation, over either
+    /// transport, runs under [`mmsim::Machine::try_run`] and reports a
+    /// failed run as this variant.
     Sim(mmsim::SimError),
 }
 
@@ -151,9 +151,9 @@ impl SimOutcome {
     }
 }
 
-/// Run a schedule's rank closure `f` on `machine` over transport `X`,
-/// lending the calling thread's idle host cores to the ranks' large
-/// kernel calls ([`dense::with_idle_cores`]).
+/// Run a schedule's rank closure `f` on `machine` under
+/// [`Machine::try_run`], lending the calling thread's idle host cores
+/// to the ranks' large kernel calls ([`dense::with_idle_cores`]).
 ///
 /// The event engine runs every rank on the calling thread, one at a
 /// time, so its ranks multiply with the whole host.  The threaded
@@ -162,11 +162,24 @@ impl SimOutcome {
 /// the rank on the calling thread, with the other cores idle.  The
 /// split kernel is bit-identical to the serial one, so nothing a run
 /// reports moves.
-pub(crate) fn run_lending<X: Transport, T: Send>(
+pub(crate) fn run_lending<T: Send>(
     machine: &Machine,
     f: impl Fn(&mut Proc) -> T + Sync,
 ) -> Result<RunReport<T>, SimError> {
-    dense::with_idle_cores(|| X::run(machine, f))
+    dense::with_idle_cores(|| machine.try_run(f))
+}
+
+/// The whole product on a single rank: the rank charges the `n³`
+/// multiply-adds and the host computes `a · b` with the serial kernel.
+/// No message moves, so the transport does not matter.
+pub(crate) fn single_rank(
+    machine: &Machine,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<SimOutcome, AlgoError> {
+    let n = a.rows();
+    let report = machine.try_run(|proc| proc.compute(kernel::work_units(n, n, n)))?;
+    Ok(SimOutcome::from_report(&report, kernel::matmul(a, b), n))
 }
 
 /// Validate that `a` and `b` are square, equal-sized, and nonempty;

@@ -97,7 +97,7 @@ pub fn dns_block_on<X: Transport>(
     let ga = Arc::new(BlockGrid::split(a, r, r));
     let gb = Arc::new(BlockGrid::split(b, r, r));
 
-    let report = run_lending::<X, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let rank = proc.rank();
         let (sp, local) = (rank / (m * m), rank % (m * m));
         let (i, jk) = (sp / (r * r), sp % (r * r));

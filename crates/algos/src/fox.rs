@@ -81,7 +81,7 @@ pub fn fox_tree_on<X: Transport>(
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = run_lending::<X, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         let row_group = Group::new(proc, (0..q).map(|c| i * q + c).collect());
@@ -174,7 +174,7 @@ pub fn fox_pipelined_on<X: Transport>(
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = run_lending::<X, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         let east = i * q + (j + 1) % q;

@@ -38,7 +38,8 @@ use mmsim::engine::message::tag;
 use mmsim::{Checkpoint, Machine, Payload, Plain, Proc, RunReport, TopologyKind, Transport};
 
 use crate::common::{
-    check_square_operands, exact_cbrt_pow2, phase_state, run_lending, AlgoError, SimOutcome,
+    check_square_operands, exact_cbrt_pow2, phase_state, run_lending, single_rank, AlgoError,
+    SimOutcome,
 };
 use collectives::{
     broadcast_on, broadcast_scatter_allgather_on, gather_on, reduce_scatter_sum_on, reduce_sum_on,
@@ -157,13 +158,13 @@ pub fn gk_on<X: Transport>(
     let n = check_square_operands(a, b)?;
     let s = applicability(n, machine.p())?;
     if s == 1 {
-        return single_processor::<X>(machine, a, b);
+        return single_rank(machine, a, b);
     }
     let bs = n / s;
 
     let ga = Arc::new(BlockGrid::split(a, s, s));
     let gb = Arc::new(BlockGrid::split(b, s, s));
-    let report = run_lending::<X, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let ([i, j, k], a_routed, b_routed) = route_operands::<X>(proc, s, &ga, &gb);
         let rank_at = |i: usize, j: usize, k: usize| (i * s + j) * s + k;
 
@@ -250,13 +251,13 @@ pub fn gk_improved_on<X: Transport>(
     let n = check_square_operands(a, b)?;
     let s = improved_applicability(n, machine.p())?;
     if s == 1 {
-        return single_processor::<X>(machine, a, b);
+        return single_rank(machine, a, b);
     }
     let bs = n / s;
 
     let ga = Arc::new(BlockGrid::split(a, s, s));
     let gb = Arc::new(BlockGrid::split(b, s, s));
-    let report = run_lending::<X, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let ([i, j, k], a_routed, b_routed) = route_operands::<X>(proc, s, &ga, &gb);
         let rank_at = |i: usize, j: usize, k: usize| (i * s + j) * s + k;
 
@@ -282,19 +283,6 @@ pub fn gk_improved_on<X: Transport>(
         gather_on::<X>(proc, &r_group, 7, 0, piece).map(|pieces| pieces.concat())
     })?;
     Ok(front_plane(&report, n, s))
-}
-
-/// The cube of side 1: the whole product on one processor.
-fn single_processor<X: Transport>(
-    machine: &Machine,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<SimOutcome, AlgoError> {
-    let n = a.rows();
-    let report = X::run(machine, |proc| {
-        proc.compute(kernel::work_units(n, n, n));
-    })?;
-    Ok(SimOutcome::from_report(&report, kernel::matmul(a, b), n))
 }
 
 /// Stage 1a–b of both variants: route `A^{jk}` from `(0, j, k)` to

@@ -44,8 +44,9 @@
 //!
 //! Beyond the spare budget a death surfaces as [`AlgoError::Sim`]
 //! wrapping the structured [`mmsim::SimError::RankDied`] (or the
-//! deadlock it provokes in peers), never as a hang or an unannotated
-//! panic — the entry points run under [`mmsim::Machine::try_run`].
+//! deadlock it provokes in peers), never as a hang or a panic — every
+//! entry point, plain or reliable, runs under
+//! [`mmsim::Machine::try_run`].
 
 use dense::Matrix;
 use mmsim::{Machine, Reliable};
@@ -361,9 +362,9 @@ mod tests {
         ));
     }
 
-    /// At `s = 1` GK bypasses its schedule, but not its transport's
-    /// failure surface: the resilient name still reports a death as a
-    /// structured error …
+    /// At `s = 1` GK bypasses its schedule, but still runs under
+    /// `try_run`: the resilient name reports a death as a structured
+    /// error …
     #[test]
     fn death_in_single_rank_gk_resilient_is_a_structured_error() {
         let (a, b) = gen::random_pair(4, 41);
@@ -375,14 +376,17 @@ mod tests {
         ));
     }
 
-    /// … and the plain name still fails the way [`Machine::run`] does.
+    /// … and so does the plain name: a transport is how messages move,
+    /// not how a run fails.
     #[test]
-    #[should_panic(expected = "virtual processor 0 panicked")]
-    fn death_in_single_rank_plain_gk_panics_like_machine_run() {
+    fn death_in_single_rank_plain_gk_is_a_structured_error() {
         let (a, b) = gen::random_pair(4, 41);
         let machine = Machine::new(Topology::fully_connected(1), CostModel::unit())
             .with_fault_plan(FaultPlan::new(2).with_death(0, 10.0));
-        let _ = gk::gk(&machine, &a, &b);
+        assert_eq!(
+            gk::gk(&machine, &a, &b).unwrap_err(),
+            AlgoError::Sim(SimError::RankDied { rank: 0, t: 10.0 })
+        );
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub fn simple_on<X: Transport>(
 
     let ga = Arc::new(BlockGrid::split(a, q, q));
     let gb = Arc::new(BlockGrid::split(b, q, q));
-    let report = run_lending::<X, _>(machine, |proc| {
+    let report = run_lending(machine, |proc| {
         let rank = proc.rank();
         let (i, j) = (rank / q, rank % q);
         // Row group (fixed i) for A; column group (fixed j) for B.

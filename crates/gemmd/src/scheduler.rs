@@ -619,21 +619,23 @@ impl<'m> Scheduler<'m> {
         if let Some(plan) = plan.clone() {
             sub = sub.with_fault_plan(plan);
         }
-        let run = self.simulate(&job, &sub.with_spares(spares));
-        // The mover only gets to act on alarms that precede the run's
-        // natural end — completion or death, whichever the simulator
-        // reported.
-        let horizon = match &run {
-            Ok(out) => out.t_parallel,
-            Err(AlgoError::Sim(mmsim::SimError::RankDied { t, .. })) => *t,
-            Err(_) => 0.0,
+        // The run ends at `end` in completion or in the death of `rank`
+        // beyond the spare budget; any other failure is the job's error.
+        let (end, run) = match self.simulate(&job, &sub.with_spares(spares)) {
+            Ok(out) => (out.t_parallel, Ok(out)),
+            Err(AlgoError::Sim(mmsim::SimError::RankDied { rank, t })) => (t, Err(rank)),
+            Err(e) => {
+                return Err(GemmdError::Execution {
+                    id: job.id,
+                    detail: e.to_string(),
+                })
+            }
         };
-        if let Some(t) = self.migration_alarm(
-            &ranks[..job.sizing.p],
-            plan.as_ref(),
-            job.migrations,
-            horizon,
-        ) {
+        // The mover only gets to act on alarms that precede the run's
+        // natural end.
+        if let Some(t) =
+            self.migration_alarm(&ranks[..job.sizing.p], plan.as_ref(), job.migrations, end)
+        {
             return Ok(Running {
                 finish: begin + t,
                 id: job.id,
@@ -644,20 +646,14 @@ impl<'m> Scheduler<'m> {
         }
         let out = match run {
             Ok(out) => out,
-            Err(AlgoError::Sim(mmsim::SimError::RankDied { rank, t })) => {
+            Err(rank) => {
                 return Ok(Running {
-                    finish: begin + t,
+                    finish: begin + end,
                     id: job.id,
                     partition,
-                    outcome: Outcome::Lost { job, rank, t },
+                    outcome: Outcome::Lost { job, rank, t: end },
                     pause: None,
-                });
-            }
-            Err(e) => {
-                return Err(GemmdError::Execution {
-                    id: job.id,
-                    detail: e.to_string(),
-                });
+                })
             }
         };
         // A resumed job — migrated, preempted, or elastically resized
@@ -1233,8 +1229,7 @@ mod tests {
 
     /// A lossy machine whose physical ranks in `deaths` fail-stop at
     /// `t = 400` (inside any n = 16 run).  The small drop rate makes
-    /// the advisor pick resilient variants, so deaths surface as
-    /// structured errors instead of panics.
+    /// the advisor pick resilient variants.
     fn dying_machine(deaths: &[usize]) -> Machine {
         use mmsim::FaultPlan;
         let mut plan = FaultPlan::new(21).with_drop_rate(0.02);
@@ -1298,6 +1293,39 @@ mod tests {
         assert!(report.wasted_rank_time > 0.0);
         // The requeue is visible in the CSV attempts column.
         assert!(report.to_csv().lines().nth(1).unwrap().contains(",2,"));
+    }
+
+    /// A plan with a death but no drop, corruption or detection leaves
+    /// the advisor on the plain forms, and a plain form reports the
+    /// death like a reliable one: the job is lost, requeued, and its
+    /// block quarantined, never a panic.
+    #[test]
+    fn death_on_a_plain_form_requeues_like_a_reliable_one() {
+        use mmsim::FaultPlan;
+        let plan = FaultPlan::new(21).with_death(0, 400.0);
+        let m = Machine::new(Topology::hypercube(4), CostModel::ncube2()).with_fault_plan(plan);
+        let cfg = Config {
+            spares: 0,
+            ..tight_config()
+        };
+        let sched = Scheduler::new(&m, cfg);
+        let (a, b) = dense::gen::random_pair(16, 0);
+        assert!(matches!(
+            sched.advisor().execute(&m, &a, &b),
+            Err(AlgoError::Sim(mmsim::SimError::RankDied { rank: 0, .. }))
+        ));
+        let jobs = vec![JobSpec::new(16, 0.0); 3];
+        let report = sched.run(&jobs, &Fifo).unwrap();
+        assert_eq!(report.records.len(), 3, "every job is recorded");
+        assert!(report.records.iter().all(|r| !r.resilient));
+        assert!(report.requeues >= 1, "the lost job is requeued");
+        let retried = report.records.iter().find(|r| r.attempts > 1).unwrap();
+        assert!(
+            retried.start >= 400.0,
+            "the lost run held its block until the death"
+        );
+        assert_ne!(retried.base, 0, "the dead rank's block was quarantined");
+        assert!(report.quarantined_ranks + report.unquarantined_ranks > 0);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Structured simulation failures for [`crate::Machine::try_run`].
+//! Structured simulation failures: what [`crate::Machine::try_run`]
+//! returns for a failed run.
 
 use crate::engine::message::Tag;
 
 /// Why a simulation did not complete.
 ///
-/// [`crate::Machine::run`] keeps the historical panic behaviour
-/// (annotated with the failing rank); [`crate::Machine::try_run`]
-/// returns one of these instead, so harnesses can sweep fault schedules
-/// without `catch_unwind` plumbing.
+/// [`crate::Machine::try_run`] returns one of these for a failed run,
+/// and every formulation in `algos` reports it as its `Sim` error, so
+/// harnesses can sweep fault schedules without `catch_unwind` plumbing.
+/// [`crate::Machine::run`] panics with the same diagnosis, annotated
+/// with the failing rank and its message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A rank fail-stopped (injected by a
@@ -71,58 +73,31 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-// ---------------------------------------------------------------------
-// Typed panic payloads.
-//
-// The engine threads communicate failure *kind* to the collector via the
-// panic payload.  Each payload also carries the legacy human-readable
-// message so `Machine::run` can re-raise exactly the text it always has;
-// `Machine::try_run` instead maps payloads onto `SimError` variants.
-// ---------------------------------------------------------------------
-
-/// Panic payload of a fail-stopped rank.
-pub(crate) struct DiedPayload {
-    pub rank: usize,
-    pub t: f64,
+/// Panic payload of a failure the engine diagnosed on a rank (a death,
+/// a detected corruption or a deadlocked receive): the rank's own
+/// [`SimError`], a deadlock naming the rank as its one waiter, and a
+/// message with the detail the error drops, such as the `(src, tag)`.
+pub(crate) struct Failure {
+    pub error: SimError,
     pub message: String,
 }
 
-/// Panic payload of a rank blocked in a provably unsatisfiable receive.
-pub(crate) struct DeadlockPayload {
-    pub rank: usize,
-    pub message: String,
-}
-
-/// Panic payload of a rank that detected message corruption.
-pub(crate) struct CorruptionPayload {
-    pub rank: usize,
-    pub src: usize,
-    pub tag: Tag,
-    pub message: String,
-}
-
-/// Silence the default panic hook for the engine's *typed* control
+/// Silence the default panic hook for the engine's [`Failure`]
 /// payloads.  Injected deaths, diagnosed deadlocks and detected
 /// corruption unwind rank threads by design and are always caught and
 /// classified by the collector — printing a "thread panicked" banner
 /// plus backtrace for each one is pure noise (a death+failover bench
 /// sweep would emit dozens).  Every other payload — user-closure bugs,
 /// engine assertions — still reaches the previous hook untouched, and
-/// the terminal re-panic `Machine::run` raises on the *host* thread
-/// keeps its pinned message either way.
+/// so does the one panic `Machine::run` raises on the *host* thread.
 pub(crate) fn install_quiet_control_panic_hook() {
     static INSTALLED: std::sync::Once = std::sync::Once::new();
     INSTALLED.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            if payload.is::<DiedPayload>()
-                || payload.is::<DeadlockPayload>()
-                || payload.is::<CorruptionPayload>()
-            {
-                return;
+            if !info.payload().is::<Failure>() {
+                prev(info);
             }
-            prev(info);
         }));
     });
 }

@@ -13,12 +13,12 @@ pub mod proc_ctx;
 use std::sync::{Arc, Mutex};
 
 use crate::cost::CostModel;
-use crate::engine::error::{CorruptionPayload, DeadlockPayload, DiedPayload, SimError};
+use crate::engine::error::{Failure, SimError};
 use crate::engine::net::{Net, RankStatus};
 use crate::engine::proc_ctx::{Proc, RunShared, ABORT_MSG};
 use crate::fault::FaultPlan;
 use crate::recovery::CkptRecord;
-use crate::stats::ProcStats;
+use crate::stats::{Bucket, ProcStats};
 use crate::topology::Topology;
 use crate::trace::Timeline;
 
@@ -419,7 +419,8 @@ impl Machine {
         collect_outcomes(&shared, outcomes)
     }
 
-    /// Build the report once every outcome is known to be `Ok`.
+    /// Build the report once every outcome is known to be `Ok`; the
+    /// caller sets `t_parallel` once the recovery surcharges are in.
     fn assemble<T>(outcomes: Vec<ThreadOutcome<T>>) -> RunReport<T> {
         let mut out = Vec::with_capacity(outcomes.len());
         let mut stats = Vec::with_capacity(outcomes.len());
@@ -431,87 +432,74 @@ impl Machine {
             stats.push(st);
             traces.push(tl);
         }
-        let t_parallel = stats.iter().map(|s| s.clock).fold(0.0, f64::max);
         RunReport {
-            t_parallel,
+            t_parallel: 0.0,
             stats,
             results: out,
             traces,
         }
     }
 
-    /// One diagnosis shared by both run entry points, so the legacy
-    /// panic path and the structured path can never diverge.
-    ///
-    /// `error` is the [`Machine::try_run`] classification (most causal
-    /// failure wins: died > corrupted > deadlock > closure panic);
-    /// `panic_rank`/`panic_message` reproduce the historical
-    /// [`Machine::run`] re-raise selection (first non-abort failure in
-    /// rank order, last-seen abort cascade as fallback); `deaths` lists
-    /// every fail-stop of the attempt for the failover loop.
+    /// The one diagnosis of a failed attempt, shared by both run entry
+    /// points: the most causal failure wins — a fail-stop death
+    /// outranks the corruption or deadlocks it provoked, corruption
+    /// outranks the deadlocks *it* provoked, and a closure panic is
+    /// reported only when nothing fault-related happened, with an abort
+    /// cascade as the last resort.  Rank order breaks ties.  `deaths`
+    /// lists every fail-stop of the attempt for the failover loop.
     fn classify<T>(outcomes: &[ThreadOutcome<T>]) -> Option<RunFailure> {
-        let mut died: Option<SimError> = None;
         let mut deaths: Vec<(usize, f64)> = Vec::new();
-        let mut corrupted: Option<SimError> = None;
         let mut waiters: Vec<usize> = Vec::new();
-        let mut panicked: Option<SimError> = None;
-        let mut first_non_abort: Option<(usize, String)> = None;
-        let mut last_abort: Option<(usize, String)> = None;
-        let mut fallback: Option<(usize, String)> = None;
+        // (causal order, rank, payload) of the failure reported so far.
+        let mut worst: Option<(u8, usize, &(dyn std::any::Any + Send))> = None;
         for (rank, outcome) in outcomes.iter().enumerate() {
             let Err(payload) = outcome else { continue };
-            let what = panic_message(payload.as_ref());
-            if fallback.is_none() {
-                fallback = Some((rank, what.clone()));
-            }
-            if what.starts_with(ABORT_MSG) {
-                last_abort = Some((rank, what.clone()));
-            } else if first_non_abort.is_none() {
-                first_non_abort = Some((rank, what.clone()));
-            }
-            if let Some(d) = payload.downcast_ref::<DiedPayload>() {
-                deaths.push((d.rank, d.t));
-                if died.is_none() {
-                    died = Some(SimError::RankDied {
-                        rank: d.rank,
-                        t: d.t,
-                    });
+            let cause = match payload.downcast_ref::<Failure>().map(|f| &f.error) {
+                Some(SimError::RankDied { t, .. }) => {
+                    deaths.push((rank, *t));
+                    0
                 }
-            } else if let Some(c) = payload.downcast_ref::<CorruptionPayload>() {
-                if corrupted.is_none() {
-                    corrupted = Some(SimError::DataCorruption {
-                        rank: c.rank,
-                        src: c.src,
-                        tag: c.tag,
-                    });
+                Some(SimError::DataCorruption { .. }) => 1,
+                Some(SimError::Deadlock { .. }) => {
+                    waiters.push(rank);
+                    2
                 }
-            } else if let Some(w) = payload.downcast_ref::<DeadlockPayload>() {
-                waiters.push(w.rank);
-            } else if panicked.is_none() && !what.starts_with(ABORT_MSG) {
-                panicked = Some(SimError::RankPanicked {
-                    rank,
-                    message: what,
-                });
+                Some(SimError::RankPanicked { .. }) | None
+                    if !panic_text(payload.as_ref()).starts_with(ABORT_MSG) =>
+                {
+                    3
+                }
+                _ => 4,
+            };
+            if worst.is_none_or(|(w, ..)| cause < w) {
+                worst = Some((cause, rank, payload.as_ref()));
             }
         }
-        let (panic_rank, panic_message) = first_non_abort.or(last_abort).or(fallback)?;
-        let error = died
-            .or(corrupted)
-            .or((!waiters.is_empty()).then_some(SimError::Deadlock { waiters }))
-            .or(panicked)
-            // Only abort cascades remain — cannot normally happen
-            // without an origin above, but never silently drop a
-            // failure.
-            .unwrap_or(SimError::RankPanicked {
-                rank: panic_rank,
-                message: panic_message.clone(),
-            });
+        let (_, rank, payload) = worst?;
+        let message = panic_text(payload);
+        let error = match payload.downcast_ref::<Failure>().map(|f| f.error.clone()) {
+            Some(SimError::Deadlock { .. }) => SimError::Deadlock { waiters },
+            Some(error) => error,
+            None => SimError::RankPanicked {
+                rank,
+                message: message.to_string(),
+            },
+        };
         Some(RunFailure {
             error,
             deaths,
-            panic_rank,
-            panic_message,
+            panic: format!("virtual processor {rank} panicked: {message}"),
         })
+    }
+
+    /// The buddy→spare state transfer of checkpoint `ck`: one
+    /// `t_s + t_w·m` send on the physical link `buddy → spare`.
+    fn transfer_cost(&self, ck: CkptRecord, buddy: usize, spare: usize) -> f64 {
+        let tw = self
+            .fault
+            .as_ref()
+            .map_or(1.0, |plan| plan.link(buddy, spare).tw_factor);
+        self.cost.sender_occupancy_scaled(ck.words as usize, tw)
     }
 
     /// The engine core behind [`Machine::run`] and [`Machine::try_run`]:
@@ -543,89 +531,75 @@ impl Machine {
                 let mut report = Self::assemble(outcomes);
                 for rank in 0..p {
                     if recoveries[rank] > 0 {
-                        report.stats[rank].recoveries = recoveries[rank];
-                        report.stats[rank].recovery_idle += surcharge[rank];
-                        report.stats[rank].idle += surcharge[rank];
-                        report.stats[rank].clock += surcharge[rank];
-                        report.stats[rank].detection_latency = det_latency[rank];
+                        let s = &mut report.stats[rank];
+                        s.recoveries = recoveries[rank];
+                        s.advance(s.clock + surcharge[rank], Bucket::Recovery, surcharge[rank]);
+                        s.detection_latency = det_latency[rank];
                     }
                 }
                 if let Some(det) = detection {
                     let plan = view.fault.as_deref().expect("detection implies a plan");
-                    let physical: Vec<usize> = view
-                        .part
-                        .as_ref()
-                        .map_or_else(|| (0..p).collect(), |m| m.as_ref().clone());
-                    // Spurious failovers: heartbeats ride the faulted
-                    // links (see `FaultPlan::heartbeat_missed`), so
-                    // `timeout_multiple` consecutive lost beats make the
-                    // watcher `(rank+1) % p` falsely declare its
-                    // neighbour dead and promote the next spare — a
-                    // pointless buddy→spare state transfer plus a
-                    // reconciliation window until the accused rank's
-                    // next delivered beat proves it alive and the spare
-                    // is demoted.  Pure oracle arithmetic over the final
-                    // attempt's clocks, so replays stay byte-identical;
-                    // with healthy heartbeat links (or no spare left to
-                    // waste) nothing here fires and the PR-5 timings are
-                    // reproduced bit-for-bit.
-                    if p > 1 {
-                        if let Some(&spare) = spares_left.front() {
-                            for rank in 0..p {
-                                let (src, dst) = (physical[rank], physical[(rank + 1) % p]);
-                                let period = plan.detection_period_for(src).unwrap_or(det.period);
-                                let transfer = ckpts[rank].map_or(0.0, |ck| {
-                                    let tw = plan.link(dst, spare).tw_factor;
-                                    view.cost.sender_occupancy_scaled(ck.words as usize, tw)
-                                });
-                                let horizon = report.stats[rank].clock;
-                                let (mut from, mut events, mut charge) = (0u64, 0u64, 0.0f64);
-                                while let Some(beat) = plan.first_streak(
-                                    src,
-                                    dst,
-                                    from,
-                                    det.timeout_multiple,
-                                    period,
-                                    horizon,
-                                ) {
-                                    // Reconcile at the next delivered beat,
-                                    // or at the end of the run; the watch
-                                    // resumes after it.
-                                    let mut j = beat + 1;
-                                    while (j + 1) as f64 * period <= horizon
-                                        && plan.heartbeat_missed(src, dst, j)
-                                    {
-                                        j += 1;
-                                    }
-                                    let reconcile = ((j + 1) as f64 * period).min(horizon);
-                                    events += 1;
-                                    charge += transfer + (reconcile - (beat + 1) as f64 * period);
-                                    from = j + 1;
+                    let physical = &view.table.physical;
+                    let spare = spares_left.front().filter(|_| p > 1);
+                    let beat_cost = view.cost.sender_occupancy(1);
+                    for rank in 0..p {
+                        let (src, dst) = (physical[rank], physical[(rank + 1) % p]);
+                        let period = plan.detection_period_for(src).unwrap_or(det.period);
+                        // Spurious failovers: heartbeats ride the faulted
+                        // links (see `FaultPlan::heartbeat_missed`), so
+                        // `timeout_multiple` consecutive lost beats make
+                        // the watcher `(rank+1) % p` falsely declare its
+                        // neighbour dead and promote the next spare — a
+                        // pointless buddy→spare state transfer plus a
+                        // reconciliation window until the accused rank's
+                        // next delivered beat proves it alive and the
+                        // spare is demoted.  Pure oracle arithmetic over
+                        // the final attempt's clocks, so replays stay
+                        // byte-identical; with healthy heartbeat links (or
+                        // no spare left to waste) nothing here fires.
+                        if let Some(&spare) = spare {
+                            let transfer =
+                                ckpts[rank].map_or(0.0, |ck| view.transfer_cost(ck, dst, spare));
+                            let horizon = report.stats[rank].clock;
+                            let (mut from, mut events, mut charge) = (0u64, 0u64, 0.0f64);
+                            while let Some(beat) = plan.first_streak(
+                                src,
+                                dst,
+                                from,
+                                det.timeout_multiple,
+                                period,
+                                horizon,
+                            ) {
+                                // Reconcile at the next delivered beat, or
+                                // at the end of the run; the watch resumes
+                                // after it.
+                                let mut j = beat + 1;
+                                while (j + 1) as f64 * period <= horizon
+                                    && plan.heartbeat_missed(src, dst, j)
+                                {
+                                    j += 1;
                                 }
-                                if events > 0 {
-                                    let s = &mut report.stats[rank];
-                                    s.false_positives = events;
-                                    s.wasted_promotion_idle = charge;
-                                    s.recovery_idle += charge;
-                                    s.idle += charge;
-                                    s.clock += charge;
-                                }
+                                let reconcile = ((j + 1) as f64 * period).min(horizon);
+                                events += 1;
+                                charge += transfer + (reconcile - (beat + 1) as f64 * period);
+                                from = j + 1;
+                            }
+                            if events > 0 {
+                                let s = &mut report.stats[rank];
+                                s.false_positives = events;
+                                s.wasted_promotion_idle = charge;
+                                s.advance(s.clock + charge, Bucket::Recovery, charge);
                             }
                         }
-                    }
-                    // Heartbeat traffic, priced post-hoc against each
-                    // rank's final clock: one one-word send per elapsed
-                    // period (the rank's own monitor-link period),
-                    // charged as network occupancy.
-                    let beat_cost = view.cost.sender_occupancy(1);
-                    for (rank, s) in report.stats.iter_mut().enumerate() {
-                        let period = plan
-                            .detection_period_for(physical[rank])
-                            .unwrap_or(det.period);
+                        // Heartbeat traffic, priced post-hoc against the
+                        // rank's final clock: one one-word send per
+                        // elapsed period of its own monitor link, charged
+                        // as network occupancy.
+                        let s = &mut report.stats[rank];
                         let beats = (s.clock / period).floor() as u64;
                         if beats > 0 {
-                            s.comm += beat_cost * beats as f64;
-                            s.clock += beat_cost * beats as f64;
+                            let dt = beat_cost * beats as f64;
+                            s.advance(s.clock + dt, Bucket::Comm, dt);
                             s.heartbeat_words += beats;
                             s.words_sent += beats;
                             s.msgs_sent += beats;
@@ -633,6 +607,9 @@ impl Machine {
                     }
                 }
                 report.t_parallel = report.stats.iter().map(|s| s.clock).fold(0.0, f64::max);
+                if cfg!(debug_assertions) {
+                    report.stats.iter().for_each(ProcStats::check);
+                }
                 return Ok(report);
             };
             // Only pure fail-stop deaths are recoverable, and only while
@@ -648,11 +625,11 @@ impl Machine {
                 if ckpts[dead].is_some() && fail.deaths.iter().any(|&(b, _)| b == buddy) {
                     return Err(RunFailure {
                         error: SimError::RankDied { rank: dead, t },
-                        panic_message: format!(
-                            "fail-stop fault injected: rank {dead} died at virtual time {t} \
-                             (buddy {buddy} died holding its only checkpoint)"
+                        panic: format!(
+                            "virtual processor {dead} panicked: fail-stop fault injected: rank \
+                             {dead} died at virtual time {t} (buddy {buddy} died holding its \
+                             only checkpoint)"
                         ),
-                        panic_rank: dead,
                         deaths: fail.deaths,
                     });
                 }
@@ -663,28 +640,15 @@ impl Machine {
             // own death schedule, so a doomed spare fails over again.
             let mut order = fail.deaths;
             order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            let mut physical = view
-                .part
-                .as_ref()
-                .map_or_else(|| (0..p).collect::<Vec<_>>(), |m| m.as_ref().clone());
+            let mut physical = view.table.physical.clone();
             for (dead, t) in order {
                 let spare = spares_left.pop_front().expect("budget checked above");
-                let (ckpt_t, transfer) = match ckpts[dead] {
-                    Some(ck) => {
-                        let buddy_ph = physical[(dead + 1) % p];
-                        let tw = view
-                            .fault
-                            .as_ref()
-                            .map_or(1.0, |plan| plan.link(buddy_ph, spare).tw_factor);
-                        (
-                            ck.t,
-                            view.cost.sender_occupancy_scaled(ck.words as usize, tw),
-                        )
-                    }
-                    // Never checkpointed: restart from scratch — full
-                    // replay, nothing to transfer.
-                    None => (0.0, 0.0),
-                };
+                // Never checkpointed: restart from scratch — full replay,
+                // nothing to transfer.
+                let buddy = physical[(dead + 1) % p];
+                let (ckpt_t, transfer) = ckpts[dead].map_or((0.0, 0.0), |ck| {
+                    (ck.t, view.transfer_cost(ck, buddy, spare))
+                });
                 // With priced detection, the survivors only *notice* the
                 // death `timeout_multiple` silent heartbeat periods after
                 // it happened; that latency delays the whole recovery.
@@ -719,35 +683,32 @@ impl Machine {
     /// on host thread scheduling.
     ///
     /// # Panics
-    /// Propagates any panic raised by `f` on any rank, annotated with the
-    /// rank.  Fault-plan failures (deaths, corrupted plain receives,
-    /// fault-induced deadlocks) also panic on this entry point; use
-    /// [`Machine::try_run`] to get them as structured [`SimError`]s.
-    /// Both entry points share one diagnosis (and one failover loop), so
-    /// they cannot disagree about what went wrong.
+    /// Panics on exactly the runs [`Machine::try_run`] returns `Err` for,
+    /// naming the rank of that same failure and carrying its message
+    /// (`virtual processor {rank} panicked: {message}`, where a deadlock
+    /// names its lowest-ranked waiter).  Library code reports failures
+    /// through [`Machine::try_run`]; this entry point is for tests and
+    /// examples that treat any failure as a bug.
     pub fn run<T, F>(&self, f: F) -> RunReport<T>
     where
         T: Send,
         F: Fn(&mut Proc) -> T + Sync,
     {
-        self.run_recovering(f).unwrap_or_else(|fail| {
-            panic!(
-                "virtual processor {} panicked: {}",
-                fail.panic_rank, fail.panic_message
-            )
-        })
+        self.run_recovering(f)
+            .unwrap_or_else(|fail| panic!("{}", fail.panic))
     }
 
-    /// Like [`Machine::run`], but returns engine-diagnosed failures as a
-    /// structured [`SimError`] instead of panicking, so fault-injection
-    /// sweeps can classify outcomes without `catch_unwind` plumbing.
+    /// Run `f` on every virtual processor like [`Machine::run`], but
+    /// return a failed run as a structured [`SimError`] instead of
+    /// panicking, so fault-injection sweeps can classify outcomes
+    /// without `catch_unwind` plumbing.
     ///
     /// When several ranks fail, the most causal diagnosis wins: a
     /// fail-stop death outranks the corruption or deadlocks it provoked,
     /// corruption outranks the deadlocks *it* provoked, and a plain
     /// closure panic is reported only when nothing fault-related
-    /// happened.  All deadlocked ranks are collected into
-    /// [`SimError::Deadlock`]'s waiter list.
+    /// happened; rank order breaks ties.  All deadlocked ranks are
+    /// collected into [`SimError::Deadlock`]'s waiter list.
     ///
     /// On a machine with spares ([`Machine::with_spares`]), fail-stop
     /// deaths within the spare budget are masked by failover instead of
@@ -767,15 +728,15 @@ impl Machine {
 
 /// One failed attempt's complete diagnosis (see [`Machine::classify`]).
 struct RunFailure {
-    /// The [`Machine::try_run`] classification.
+    /// What [`Machine::try_run`] returns.
     error: SimError,
     /// Every fail-stop of the attempt, in rank order — what the
     /// failover loop consumes spares against.
     deaths: Vec<(usize, f64)>,
-    /// Rank whose panic [`Machine::run`] re-raises.
-    panic_rank: usize,
-    /// Message [`Machine::run`] re-raises.
-    panic_message: String,
+    /// What [`Machine::run`] panics with: the rank of `error` and its
+    /// payload's message, which keeps detail `error` drops (such as a
+    /// deadlocked receive's `(src, tag)`).
+    panic: String,
 }
 
 /// Shared per-rank epilogue of both engines: publish the termination
@@ -796,20 +757,18 @@ fn outcome_from_panic<T>(
             Ok((out, stats, timeline))
         }
         Err(payload) => {
-            let status = if payload.downcast_ref::<DiedPayload>().is_some() {
+            let status = match payload.downcast_ref::<Failure>().map(|f| &f.error) {
                 // A fail-stop is not an abort: peers keep running on
                 // the messages already sent and diagnose their own
                 // blocked receives deterministically.
-                RankStatus::Died
-            } else if payload.downcast_ref::<DeadlockPayload>().is_some() {
+                Some(SimError::RankDied { .. }) => RankStatus::Died,
                 // A deadlocked rank will never send again — from its
                 // peers' view that is a termination, so other blocked
                 // ranks self-diagnose instead of being racily aborted
                 // (keeps the waiter list deterministic).
-                RankStatus::Done
-            } else {
+                Some(SimError::Deadlock { .. }) => RankStatus::Done,
                 // Abort the rest of the machine.
-                RankStatus::Poisoned
+                _ => RankStatus::Poisoned,
             };
             shared.net.announce(rank, status);
             Err(payload)
@@ -848,19 +807,16 @@ fn collect_outcomes<T>(
     (outcomes, ckpts)
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The human-readable text of a rank's panic payload.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
+        s
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(d) = payload.downcast_ref::<DiedPayload>() {
-        d.message.clone()
-    } else if let Some(d) = payload.downcast_ref::<DeadlockPayload>() {
-        d.message.clone()
-    } else if let Some(c) = payload.downcast_ref::<CorruptionPayload>() {
-        c.message.clone()
+        s
+    } else if let Some(f) = payload.downcast_ref::<Failure>() {
+        &f.message
     } else {
-        "<non-string panic payload>".to_string()
+        "<non-string panic payload>"
     }
 }
 
@@ -1344,10 +1300,51 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             m.run(|proc| proc.compute(10.0));
         }));
-        let msg = panic_message(result.unwrap_err().as_ref());
+        let err = result.unwrap_err();
+        let msg = panic_text(err.as_ref());
         assert!(msg.contains("virtual processor 1"), "{msg}");
         assert!(msg.contains("fail-stop"), "{msg}");
         assert!(msg.contains("virtual time 3"), "{msg}");
+    }
+
+    /// `run` panics with the failure `try_run` reports, not with the
+    /// lowest-ranked one: rank 0's deadlock is a consequence of rank
+    /// 1's death.  A deadlock's panic keeps the receive it waits on.
+    #[test]
+    fn run_panics_with_the_failure_try_run_reports() {
+        let m = unit_machine(2).with_fault_plan(FaultPlan::new(0).with_death(1, 5.0));
+        let work = |proc: &mut Proc| {
+            if proc.rank() == 0 {
+                proc.recv_payload(1, 7);
+            } else {
+                proc.compute(50.0);
+            }
+        };
+        assert_eq!(
+            m.try_run(work).unwrap_err(),
+            SimError::RankDied { rank: 1, t: 5.0 }
+        );
+        let err = std::panic::catch_unwind(|| m.run(work)).unwrap_err();
+        let msg = panic_text(err.as_ref());
+        assert!(
+            msg.starts_with("virtual processor 1 panicked: fail-stop"),
+            "{msg}"
+        );
+
+        let err = std::panic::catch_unwind(|| {
+            unit_machine(3).run(|proc| {
+                if proc.rank() == 1 {
+                    proc.recv(2, 9);
+                }
+            })
+        })
+        .unwrap_err();
+        let msg = panic_text(err.as_ref());
+        assert!(
+            msg.starts_with("virtual processor 1 panicked: rank 1: deadlock"),
+            "{msg}"
+        );
+        assert!(msg.contains("(src 2, tag 0x9)"), "{msg}");
     }
 
     #[test]

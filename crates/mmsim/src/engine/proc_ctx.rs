@@ -4,14 +4,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::cost::{CostModel, Ports};
-use crate::engine::error::{CorruptionPayload, DeadlockPayload, DiedPayload};
+use crate::engine::error::{Failure, SimError};
 use crate::engine::message::{Message, Tag};
 use crate::engine::net::{Net, RankStatus, Wait};
 use crate::engine::payload::Payload;
 use crate::engine::RankTable;
 use crate::fault::{Fate, FaultPlan, TrafficClass};
 use crate::recovery::CkptRecord;
-use crate::stats::ProcStats;
+use crate::stats::{Bucket, ProcStats};
 use crate::topology::Topology;
 use crate::trace::{Timeline, TraceEvent};
 use crate::Word;
@@ -44,7 +44,10 @@ pub(crate) struct RunShared {
 ///
 /// One `Proc` lives on each rank's fiber or thread.  All methods
 /// advance the processor's **virtual clock** according to the machine's
-/// [`CostModel`]; see the crate docs for the accounting rules.
+/// [`CostModel`]; see the crate docs for the accounting rules.  Every
+/// advance goes through one of two private steps — spend a duration on
+/// a bucket, or wait until an instant — so each is charged to exactly
+/// one of [`ProcStats`]' compute, comm and idle.
 ///
 /// Sends are *eager* (buffered, non-blocking), like small-message MPI
 /// sends: a ring of processors may all send before any of them receives
@@ -63,7 +66,7 @@ pub(crate) struct RunShared {
 /// whose retries and backoff are charged in virtual time.
 pub struct Proc {
     rank: usize,
-    clock: f64,
+    /// This rank's accounting; `stats.clock` is its virtual clock.
     stats: ProcStats,
     /// Copy of the run's cost model (hot path; `CostModel` is `Copy`).
     cost: CostModel,
@@ -102,6 +105,11 @@ fn frame_checksum(words: &[Word]) -> Word {
     f64::from_bits(acc)
 }
 
+/// Unwind the rank with an engine-diagnosed failure (see [`Failure`]).
+fn fail(error: SimError, message: String) -> ! {
+    std::panic::panic_any(Failure { error, message })
+}
+
 /// Take-and-increment of a sparse per-peer sequence counter.
 fn next_seq(seqs: &mut HashMap<usize, u64>, peer: usize) -> u64 {
     let slot = seqs.entry(peer).or_insert(0);
@@ -114,7 +122,6 @@ impl Proc {
     pub(crate) fn new(rank: usize, shared: Arc<RunShared>) -> Self {
         Self {
             rank,
-            clock: 0.0,
             stats: ProcStats::default(),
             cost: shared.cost,
             timeline: shared.trace.then(Vec::new),
@@ -163,7 +170,7 @@ impl Proc {
     /// Current virtual time on this processor.
     #[must_use]
     pub fn now(&self) -> f64 {
-        self.clock
+        self.stats.clock
     }
 
     /// Fail-stop if advancing the clock to `new_clock` crosses this
@@ -173,25 +180,65 @@ impl Proc {
     fn check_death(&mut self, new_clock: f64) {
         if let Some(t) = self.death_at {
             if new_clock >= t {
-                self.clock = self.clock.max(t.min(new_clock));
-                let message = format!(
-                    "fail-stop fault injected: rank {} died at virtual time {t}",
-                    self.rank
-                );
-                std::panic::panic_any(DiedPayload {
-                    rank: self.rank,
-                    t,
-                    message,
-                });
+                self.stats.clock = self.stats.clock.max(t.min(new_clock));
+                let rank = self.rank;
+                let message =
+                    format!("fail-stop fault injected: rank {rank} died at virtual time {t}");
+                fail(SimError::RankDied { rank, t }, message);
             }
         }
     }
 
-    /// `t_w` degradation factor of the directed link `self.rank → dst`
-    /// (physical ranks on partition runs).
-    fn link_tw(&self, dst: usize) -> f64 {
+    /// Spend `dt` on `bucket`: the one clock advance of every compute
+    /// and send step.  Fail-stops if the step would cross the death
+    /// instant, lets `trace` record the step's events from its start,
+    /// then moves the clock by `dt` and credits the bucket.
+    #[inline]
+    fn spend(&mut self, dt: f64, bucket: Bucket, trace: impl FnOnce(&mut Timeline, f64)) {
+        self.check_death(self.stats.clock + dt);
+        if let Some(tl) = &mut self.timeline {
+            trace(tl, self.stats.clock);
+        }
+        self.stats.advance(self.stats.clock + dt, bucket, dt);
+    }
+
+    /// Wait until virtual time `t`, as `bucket` (an idle kind): the one
+    /// clock advance of every receive and backoff.  A `t` no later than
+    /// now costs nothing; a later one fail-stops the rank if the wait
+    /// crosses its death instant, else credits the gap and sets the
+    /// clock to `t`.  `trace` then records the step from its start with
+    /// the time waited.
+    #[inline]
+    fn wait_until(&mut self, t: f64, bucket: Bucket, trace: impl FnOnce(&mut Timeline, f64, f64)) {
+        let start = self.stats.clock;
+        if t > start {
+            self.check_death(t);
+            self.stats.advance(t, bucket, t - start);
+        }
+        if let Some(tl) = &mut self.timeline {
+            trace(tl, start, self.stats.clock - start);
+        }
+    }
+
+    /// Spend `occupancy` on the network interface injecting one message
+    /// of `words` words to `dst`.
+    fn spend_send(&mut self, occupancy: f64, dst: usize, words: usize, tag: Tag) {
+        self.spend(occupancy, Bucket::Comm, |tl, start| {
+            tl.push(TraceEvent::Send {
+                start,
+                duration: occupancy,
+                dst,
+                words,
+                tag,
+            });
+        });
+    }
+
+    /// `t_w` degradation factor of the directed link `from → to` between
+    /// local ranks (physical ranks on partition runs).
+    fn link_tw(&self, from: usize, to: usize) -> f64 {
         self.shared.fault.as_ref().map_or(1.0, |plan| {
-            plan.link(self.physical_rank(self.rank), self.physical_rank(dst))
+            plan.link(self.physical_rank(from), self.physical_rank(to))
                 .tw_factor
         })
     }
@@ -213,30 +260,18 @@ impl Proc {
             units >= 0.0 && units.is_finite(),
             "compute units must be finite and non-negative, got {units}"
         );
-        self.check_death(self.clock + units);
-        if let Some(tl) = &mut self.timeline {
+        self.spend(units, Bucket::Compute, |tl, start| {
             tl.push(TraceEvent::Compute {
-                start: self.clock,
+                start,
                 duration: units,
             });
-        }
-        self.clock += units;
-        self.stats.compute += units;
+        });
     }
 
     /// Charge `count` standalone floating-point additions (reduction
     /// work) at the model's `t_add` each.
     pub fn compute_adds(&mut self, count: usize) {
-        let t = self.cost.t_add * count as f64;
-        self.check_death(self.clock + t);
-        if let Some(tl) = &mut self.timeline {
-            tl.push(TraceEvent::Compute {
-                start: self.clock,
-                duration: t,
-            });
-        }
-        self.clock += t;
-        self.stats.compute += t;
+        self.compute(self.cost.t_add * count as f64);
     }
 
     /// Send `payload` to `dst` with the given `tag`.
@@ -262,22 +297,11 @@ impl Proc {
     pub fn send(&mut self, dst: usize, tag: Tag, payload: impl Into<Payload>) {
         let payload = payload.into();
         self.validate_dst(dst);
-        let start = self.clock;
+        let start = self.now();
         let occupancy = self
             .cost
-            .sender_occupancy_scaled(payload.len(), self.link_tw(dst));
-        self.check_death(start + occupancy);
-        if let Some(tl) = &mut self.timeline {
-            tl.push(TraceEvent::Send {
-                start,
-                duration: occupancy,
-                dst,
-                words: payload.len(),
-                tag,
-            });
-        }
-        self.clock += occupancy;
-        self.stats.comm += occupancy;
+            .sender_occupancy_scaled(payload.len(), self.link_tw(self.rank, dst));
+        self.spend_send(occupancy, dst, payload.len(), tag);
         self.dispatch(dst, tag, payload, start);
     }
 
@@ -291,49 +315,44 @@ impl Proc {
     /// Panics if two messages in the batch share a destination (they
     /// would need the same port), or on invalid destinations.
     pub fn send_multi<P: Into<Payload>>(&mut self, msgs: Vec<(usize, Tag, P)>) {
-        let msgs: Vec<(usize, Tag, Payload)> =
-            msgs.into_iter().map(|(d, t, p)| (d, t, p.into())).collect();
-        match self.cost.ports {
-            Ports::Single => {
-                for (dst, tag, payload) in msgs {
-                    self.send(dst, tag, payload);
-                }
+        if self.cost.ports == Ports::Single {
+            for (dst, tag, payload) in msgs {
+                self.send(dst, tag, payload);
             }
-            Ports::All => {
-                for (i, (d, _, _)) in msgs.iter().enumerate() {
-                    for (d2, _, _) in msgs.iter().skip(i + 1) {
-                        assert_ne!(d, d2, "all-port batch reuses destination {d}");
-                    }
-                }
-                let start = self.clock;
-                let mut max_occ = 0.0f64;
-                for (dst, _, payload) in &msgs {
-                    max_occ = max_occ.max(
-                        self.cost
-                            .sender_occupancy_scaled(payload.len(), self.link_tw(*dst)),
-                    );
-                }
-                // A death during the batch loses the whole batch: check
-                // before any message is handed to the network.
-                self.check_death(start + max_occ);
-                for (dst, tag, payload) in msgs {
-                    let occ = self
-                        .cost
-                        .sender_occupancy_scaled(payload.len(), self.link_tw(dst));
-                    if let Some(tl) = &mut self.timeline {
-                        tl.push(TraceEvent::Send {
-                            start,
-                            duration: occ,
-                            dst,
-                            words: payload.len(),
-                            tag,
-                        });
-                    }
-                    self.dispatch(dst, tag, payload, start);
-                }
-                self.clock += max_occ;
-                self.stats.comm += max_occ;
+            return;
+        }
+        let msgs: Vec<(usize, Tag, Payload, f64)> = msgs
+            .into_iter()
+            .map(|(dst, tag, payload)| {
+                let payload = payload.into();
+                let occ = self
+                    .cost
+                    .sender_occupancy_scaled(payload.len(), self.link_tw(self.rank, dst));
+                (dst, tag, payload, occ)
+            })
+            .collect();
+        for (i, (d, ..)) in msgs.iter().enumerate() {
+            for (d2, ..) in msgs.iter().skip(i + 1) {
+                assert_ne!(d, d2, "all-port batch reuses destination {d}");
             }
+        }
+        let start = self.now();
+        let max_occ = msgs.iter().fold(0.0f64, |m, &(.., occ)| m.max(occ));
+        // A death during the batch loses the whole batch: the clock
+        // advance comes before any message is handed to the network.
+        self.spend(max_occ, Bucket::Comm, |tl, start| {
+            for (dst, tag, payload, occ) in &msgs {
+                tl.push(TraceEvent::Send {
+                    start,
+                    duration: *occ,
+                    dst: *dst,
+                    words: payload.len(),
+                    tag: *tag,
+                });
+            }
+        });
+        for (dst, tag, payload, _) in msgs {
+            self.dispatch(dst, tag, payload, start);
         }
     }
 
@@ -403,7 +422,7 @@ impl Proc {
         let arrival = start
             + self
                 .cost
-                .message_latency_scaled(payload.len(), hops, self.link_tw(dst));
+                .message_latency_scaled(payload.len(), hops, self.link_tw(self.rank, dst));
         self.count_sent(dst, payload.len());
         let msg = Message {
             src: self.rank,
@@ -436,17 +455,12 @@ impl Proc {
     pub fn recv(&mut self, src: usize, tag: Tag) -> Message {
         let msg = self.recv_frame(src, tag);
         if msg.corrupted {
+            let rank = self.rank;
             let message = format!(
-                "rank {}: received corrupted message from rank {src} (tag {tag:#x}) — \
-                 payload integrity check failed",
-                self.rank
+                "rank {rank}: received corrupted message from rank {src} (tag {tag:#x}) — \
+                 payload integrity check failed"
             );
-            std::panic::panic_any(CorruptionPayload {
-                rank: self.rank,
-                src,
-                tag,
-                message,
-            });
+            fail(SimError::DataCorruption { rank, src, tag }, message);
         }
         msg
     }
@@ -461,21 +475,15 @@ impl Proc {
         );
         assert_ne!(src, self.rank, "rank {}: cannot recv from self", self.rank);
         let msg = self.take_matching(src, tag);
-        let start = self.clock;
-        if msg.arrival > self.clock {
-            self.check_death(msg.arrival);
-            self.stats.idle += msg.arrival - self.clock;
-            self.clock = msg.arrival;
-        }
-        if let Some(tl) = &mut self.timeline {
+        self.wait_until(msg.arrival, Bucket::Idle, |tl, start, waited| {
             tl.push(TraceEvent::Recv {
                 start,
-                waited: self.clock - start,
+                waited,
                 src,
                 words: msg.words(),
                 tag,
             });
-        }
+        });
         self.stats.msgs_received += 1;
         msg
     }
@@ -490,77 +498,53 @@ impl Proc {
     /// Blocking receive from the run's network; a receive that can
     /// never match becomes its diagnosis panic.
     fn take_matching(&mut self, src: usize, tag: Tag) -> Message {
-        match self.shared.net.recv(self.rank, src, tag, self.clock) {
+        match self.shared.net.recv(self.rank, src, tag, self.now()) {
             Ok(msg) => msg,
-            Err(Wait::SrcDied) => self.panic_waiting_on_dead(src, tag),
-            Err(Wait::SrcPoisoned) => panic!("{ABORT_MSG} (rank {src})"),
-            Err(Wait::SrcDone) => self.panic_waiting_on_done(src, tag),
-            Err(Wait::AllTerminated) => self.panic_all_terminated(src, tag),
-            Err(Wait::Deadlock) => {
-                let message = format!(
-                    "rank {}: deadlock — every unfinished rank is blocked in a receive while \
-                     this one waits for (src {src}, tag {tag:#x}): a live cyclic wait in the \
-                     simulated algorithm",
-                    self.rank
-                );
-                std::panic::panic_any(DeadlockPayload {
-                    rank: self.rank,
-                    message,
-                });
+            Err(wait) => self.unmatchable(wait, src, tag),
+        }
+    }
+
+    /// The diagnosis of a receive that can never match: an abort when
+    /// the awaited peer — or, once every peer has terminated, any peer
+    /// (the lowest-ranked, a status fact rather than an arrival order) —
+    /// panicked; otherwise a deadlock naming why the message cannot
+    /// come.  A peer that terminated cleanly delivered all its sends
+    /// before publishing `Done`, so its missing message provably does
+    /// not exist.
+    fn unmatchable(&self, wait: Wait, src: usize, tag: Tag) -> ! {
+        let awaited = format!("(src {src}, tag {tag:#x})");
+        let why = match wait {
+            Wait::SrcPoisoned => panic!("{ABORT_MSG} (rank {src})"),
+            Wait::SrcDied => {
+                format!("peer {src} fail-stopped before sending the awaited message {awaited}")
             }
-        }
-    }
-
-    fn panic_waiting_on_dead(&self, src: usize, tag: Tag) -> ! {
-        let message = format!(
-            "rank {}: deadlock — peer {src} fail-stopped before sending the awaited \
-             message (src {src}, tag {tag:#x})",
-            self.rank
-        );
-        std::panic::panic_any(DeadlockPayload {
-            rank: self.rank,
-            message,
-        });
-    }
-
-    /// The awaited peer terminated cleanly and its mailbox holds no
-    /// match.  Its sends were all delivered before its `Done` status was
-    /// published, so the message provably does not exist.
-    fn panic_waiting_on_done(&self, src: usize, tag: Tag) -> ! {
-        let message = format!(
-            "rank {}: deadlock — peer {src} terminated without sending the awaited \
-             message (src {src}, tag {tag:#x})",
-            self.rank
-        );
-        std::panic::panic_any(DeadlockPayload {
-            rank: self.rank,
-            message,
-        });
-    }
-
-    /// Every peer has terminated and the mailbox holds no match: nothing
-    /// can unblock this receive.  Abort if any peer panicked (attributed
-    /// to the lowest-ranked poisoner — a status fact, not an arrival
-    /// order), else diagnose the deadlock.
-    fn panic_all_terminated(&self, src: usize, tag: Tag) -> ! {
-        let poisoners = self.shared.net.ranks_with(RankStatus::Poisoned);
-        if let Some(&poisoner) = poisoners.first() {
-            panic!("{ABORT_MSG} (rank {poisoner})");
-        }
-        let mut message = format!(
-            "rank {}: deadlock — waiting for a message (src {src}, tag {tag:#x}) \
-             but every peer has terminated without sending it",
-            self.rank
-        );
-        let dead = self.shared.net.ranks_with(RankStatus::Died);
-        if !dead.is_empty() {
-            let dead: std::collections::BTreeSet<usize> = dead.into_iter().collect();
-            message.push_str(&format!(" (fail-stopped peers: {dead:?})"));
-        }
-        std::panic::panic_any(DeadlockPayload {
-            rank: self.rank,
-            message,
-        });
+            Wait::SrcDone => {
+                format!("peer {src} terminated without sending the awaited message {awaited}")
+            }
+            Wait::AllTerminated => {
+                let net = &self.shared.net;
+                if let Some(&poisoner) = net.ranks_with(RankStatus::Poisoned).first() {
+                    panic!("{ABORT_MSG} (rank {poisoner})");
+                }
+                let mut why = format!(
+                    "waiting for a message {awaited} but every peer has terminated without \
+                     sending it"
+                );
+                let dead = net.ranks_with(RankStatus::Died);
+                if !dead.is_empty() {
+                    let dead: std::collections::BTreeSet<usize> = dead.into_iter().collect();
+                    why.push_str(&format!(" (fail-stopped peers: {dead:?})"));
+                }
+                why
+            }
+            Wait::Deadlock => format!(
+                "every unfinished rank is blocked in a receive while this one waits for \
+                 {awaited}: a live cyclic wait in the simulated algorithm"
+            ),
+        };
+        let waiters = vec![self.rank];
+        let message = format!("rank {}: deadlock — {why}", self.rank);
+        fail(SimError::Deadlock { waiters }, message);
     }
 
     /// Exchange with a partner: send ours, receive theirs, same tag.
@@ -614,10 +598,7 @@ impl Proc {
         let seq = next_seq(&mut self.rel_seq_out, dst);
         let (src_ph, dst_ph) = (self.physical_rank(self.rank), self.physical_rank(dst));
         let hops = self.hops_to(dst);
-        let tw_fwd = self.link_tw(dst);
-        let tw_rev = plan
-            .as_ref()
-            .map_or(1.0, |p| p.link(dst_ph, src_ph).tw_factor);
+        let (tw_fwd, tw_rev) = (self.link_tw(self.rank, dst), self.link_tw(dst, self.rank));
         let frame_words = payload.len() + RELIABLE_FRAME_OVERHEAD;
         let max_attempts = plan.as_ref().map_or(1, |p| p.max_attempts());
         // Retained retry frame: body = payload + attempt word, then the
@@ -634,20 +615,9 @@ impl Proc {
             let fate = plan.as_ref().map_or(Fate::Delivered, |p| {
                 p.fate(TrafficClass::Reliable, src_ph, dst_ph, seq, attempt)
             });
-            let start = self.clock;
+            let start = self.now();
             let occupancy = self.cost.sender_occupancy_scaled(frame_words, tw_fwd);
-            self.check_death(start + occupancy);
-            if let Some(tl) = &mut self.timeline {
-                tl.push(TraceEvent::Send {
-                    start,
-                    duration: occupancy,
-                    dst,
-                    words: frame_words,
-                    tag,
-                });
-            }
-            self.clock += occupancy;
-            self.stats.comm += occupancy;
+            self.spend_send(occupancy, dst, frame_words, tag);
 
             let frame_latency = self.cost.message_latency_scaled(frame_words, hops, tw_fwd);
             let control_latency = self.cost.message_latency_scaled(1, hops, tw_rev);
@@ -689,7 +659,7 @@ impl Proc {
                     // Nothing arrives; wait out the retransmission
                     // timeout with exponential backoff.
                     let rto = frame_latency + control_latency;
-                    let deadline = self.clock + rto * f64::from(1u32 << attempt.min(30));
+                    let deadline = self.now() + rto * f64::from(1u32 << attempt.min(30));
                     self.backoff_until(deadline, dst, attempt);
                 }
             }
@@ -704,23 +674,19 @@ impl Proc {
         }
     }
 
-    /// Idle (as protocol backoff) until virtual time `t`.
+    /// Idle (as protocol backoff) until virtual time `t`; a backoff that
+    /// waits for nothing leaves no trace event.
     fn backoff_until(&mut self, t: f64, dst: usize, attempt: u32) {
-        if t > self.clock {
-            self.check_death(t);
-            let gap = t - self.clock;
-            if let Some(tl) = &mut self.timeline {
+        self.wait_until(t, Bucket::Backoff, |tl, start, duration| {
+            if duration > 0.0 {
                 tl.push(TraceEvent::Backoff {
-                    start: self.clock,
-                    duration: gap,
+                    start,
+                    duration,
                     dst,
                     attempt,
                 });
             }
-            self.stats.idle += gap;
-            self.stats.backoff_idle += gap;
-            self.clock = t;
-        }
+        });
     }
 
     /// Receive the payload of a matching [`Proc::send_reliable`],
@@ -736,87 +702,49 @@ impl Proc {
         let plan = self.shared.fault.clone();
         let seq = next_seq(&mut self.rel_seq_in, src);
         let (me_ph, src_ph) = (self.physical_rank(self.rank), self.physical_rank(src));
-        let tw_rev = plan
-            .as_ref()
-            .map_or(1.0, |p| p.link(me_ph, src_ph).tw_factor);
+        let tw_rev = self.link_tw(self.rank, src);
         let max_attempts = plan.as_ref().map_or(1, |p| p.max_attempts());
         let mut attempt: u32 = 0;
         loop {
             let fate = plan.as_ref().map_or(Fate::Delivered, |p| {
                 p.fate(TrafficClass::Reliable, src_ph, me_ph, seq, attempt)
             });
-            if fate == Fate::Dropped {
-                // The sender never handed this attempt to the network;
-                // there is nothing to consume.
-                attempt += 1;
-                assert!(
-                    attempt < max_attempts,
-                    "rank {}: reliable recv from {src} (tag {tag:#x}, seq {seq}) exhausted \
-                     {max_attempts} attempts",
-                    self.rank
-                );
-                continue;
-            }
-            let mut frame = self.recv_frame(src, tag).payload;
-            let duplicated = plan
-                .as_ref()
-                .is_some_and(|p| p.duplicated(TrafficClass::Reliable, src_ph, me_ph, seq, attempt));
-            if duplicated {
-                // Same attempt, sent twice: consume and discard the copy.
-                let _ = self.recv_frame(src, tag);
-            }
-            assert!(
-                frame.len() >= RELIABLE_FRAME_OVERHEAD,
-                "rank {}: reliable frame from {src} too short ({} words)",
-                self.rank,
-                frame.len()
-            );
-            let (body, check) = frame.split_at(frame.len() - 1);
-            let intact = frame_checksum(body).to_bits() == check[0].to_bits();
-            // Modelled 1-word ACK/NACK injection back to the sender.
-            let verdict_occ = self.cost.sender_occupancy_scaled(1, tw_rev);
-            let start = self.clock;
-            self.check_death(start + verdict_occ);
-            if let Some(tl) = &mut self.timeline {
-                tl.push(TraceEvent::Send {
-                    start,
-                    duration: verdict_occ,
-                    dst: src,
-                    words: 1,
-                    tag,
+            // A dropped attempt never reached the network: there is
+            // nothing to consume and no verdict to send.
+            if fate != Fate::Dropped {
+                let mut frame = self.recv_frame(src, tag).payload;
+                let duplicated = plan.as_ref().is_some_and(|p| {
+                    p.duplicated(TrafficClass::Reliable, src_ph, me_ph, seq, attempt)
                 });
-            }
-            self.clock += verdict_occ;
-            self.stats.comm += verdict_occ;
-
-            match fate {
-                Fate::Corrupted => {
+                if duplicated {
+                    // Same attempt, sent twice: consume and discard the copy.
+                    let _ = self.recv_frame(src, tag);
+                }
+                assert!(
+                    frame.len() >= RELIABLE_FRAME_OVERHEAD,
+                    "rank {}: reliable frame from {src} too short ({} words)",
+                    self.rank,
+                    frame.len()
+                );
+                let (body, check) = frame.split_at(frame.len() - 1);
+                let intact = frame_checksum(body).to_bits() == check[0].to_bits();
+                // Modelled 1-word ACK/NACK injection back to the sender.
+                let verdict_occ = self.cost.sender_occupancy_scaled(1, tw_rev);
+                self.spend_send(verdict_occ, src, 1, tag);
+                if fate == Fate::Corrupted {
                     assert!(
                         !intact,
                         "rank {}: a one-bit flip must always break the XOR checksum",
                         self.rank
                     );
-                    attempt += 1;
-                    assert!(
-                        attempt < max_attempts,
-                        "rank {}: reliable recv from {src} (tag {tag:#x}, seq {seq}) exhausted \
-                         {max_attempts} attempts",
-                        self.rank
-                    );
-                }
-                Fate::Delivered => {
+                } else {
                     if !intact {
+                        let rank = self.rank;
                         let message = format!(
-                            "rank {}: reliable frame from rank {src} (tag {tag:#x}) failed its \
-                             integrity check despite an intact transmission fate",
-                            self.rank
+                            "rank {rank}: reliable frame from rank {src} (tag {tag:#x}) failed \
+                             its integrity check despite an intact transmission fate"
                         );
-                        std::panic::panic_any(CorruptionPayload {
-                            rank: self.rank,
-                            src,
-                            tag,
-                            message,
-                        });
+                        fail(SimError::DataCorruption { rank, src, tag }, message);
                     }
                     let attempt_word = frame[frame.len() - 2];
                     assert!(
@@ -833,8 +761,14 @@ impl Proc {
                     frame.to_mut().truncate(len - RELIABLE_FRAME_OVERHEAD);
                     return frame;
                 }
-                Fate::Dropped => unreachable!("dropped attempts are skipped above"),
             }
+            attempt += 1;
+            assert!(
+                attempt < max_attempts,
+                "rank {}: reliable recv from {src} (tag {tag:#x}, seq {seq}) exhausted \
+                 {max_attempts} attempts",
+                self.rank
+            );
         }
     }
 
@@ -855,7 +789,7 @@ impl Proc {
         *self.shared.ckpt_log[self.rank]
             .lock()
             .expect("checkpoint log slot poisoned") = Some(CkptRecord {
-            t: self.clock,
+            t: self.now(),
             words: words as u64,
         });
     }
@@ -869,8 +803,7 @@ impl Proc {
     /// Final accounting of a rank that returned normally.  `unreceived`
     /// is added once every rank has returned ([`Net::drain_unreceived`]),
     /// so the mailbox stays open for late senders.
-    pub(crate) fn into_final_parts(mut self) -> (ProcStats, Timeline) {
-        self.stats.clock = self.clock;
+    pub(crate) fn into_final_parts(self) -> (ProcStats, Timeline) {
         (self.stats, self.timeline.unwrap_or_default())
     }
 }

@@ -76,6 +76,18 @@ pub struct ProcStats {
     pub wasted_promotion_idle: f64,
 }
 
+/// Where a span of virtual time is credited: exactly one of `compute`,
+/// `comm` and `idle`; `Backoff` and `Recovery` are idle that is also
+/// counted in `backoff_idle` or `recovery_idle`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Bucket {
+    Compute,
+    Comm,
+    Idle,
+    Backoff,
+    Recovery,
+}
+
 impl ProcStats {
     /// Communication + idle time: everything that is not useful work.
     /// This is this processor's contribution to the paper's total
@@ -89,6 +101,59 @@ impl ProcStats {
     #[must_use]
     pub fn is_consistent(&self, tol: f64) -> bool {
         (self.clock - (self.compute + self.comm + self.idle)).abs() <= tol
+    }
+
+    /// Assert the accounting invariants, as debug builds do on every rank
+    /// of every successful run: every time is finite and non-negative,
+    /// `clock = compute + comm + idle` to a relative `1e-12` (the
+    /// rounding of the separate sums; the test suite's largest is about
+    /// `3e-16`), and the idle subsets nest exactly, `backoff_idle ≤ idle` and
+    /// `detection_latency + wasted_promotion_idle ≤ recovery_idle ≤ idle`
+    /// (each subset's terms also go to its superset, and rounding is
+    /// monotone).
+    ///
+    /// # Panics
+    /// Panics with the whole record if an invariant fails.
+    pub fn check(&self) {
+        let times = [
+            self.clock,
+            self.compute,
+            self.comm,
+            self.idle,
+            self.backoff_idle,
+            self.recovery_idle,
+            self.detection_latency,
+            self.wasted_promotion_idle,
+        ];
+        let sum = self.compute + self.comm + self.idle;
+        assert!(
+            times.iter().all(|t| t.is_finite() && *t >= 0.0)
+                && (self.clock - sum).abs() <= 1e-12 * self.clock.max(sum)
+                && self.backoff_idle <= self.idle
+                && self.detection_latency + self.wasted_promotion_idle <= self.recovery_idle
+                && self.recovery_idle <= self.idle,
+            "accounting invariant broken: {self:?}"
+        );
+    }
+
+    /// Move the clock to `to`, crediting the `dt` it took to `bucket`
+    /// (and to its idle subset): the one way virtual time is charged.
+    #[inline]
+    pub(crate) fn advance(&mut self, to: f64, bucket: Bucket, dt: f64) {
+        self.clock = to;
+        match bucket {
+            Bucket::Compute => self.compute += dt,
+            Bucket::Comm => self.comm += dt,
+            Bucket::Idle => self.idle += dt,
+            Bucket::Backoff => {
+                self.idle += dt;
+                self.backoff_idle += dt;
+            }
+            Bucket::Recovery => {
+                self.idle += dt;
+                self.recovery_idle += dt;
+            }
+        }
     }
 }
 
@@ -160,6 +225,54 @@ mod tests {
         // The two detector charges are disjoint slices of recovery_idle.
         assert!(s.detection_latency + s.wasted_promotion_idle <= s.recovery_idle);
         assert!(s.recovery_idle <= s.idle);
+    }
+
+    #[test]
+    fn check_accepts_consistent_stats_and_rejects_each_broken_invariant() {
+        let ok = ProcStats {
+            clock: 20.0,
+            compute: 8.0,
+            comm: 5.0,
+            idle: 7.0,
+            backoff_idle: 1.0,
+            recovery_idle: 6.0,
+            detection_latency: 2.0,
+            wasted_promotion_idle: 3.0,
+            ..Default::default()
+        };
+        ok.check();
+        let broken = [
+            // Off by a relative 5e-11.
+            ProcStats {
+                clock: 20.0 + 1e-9,
+                ..ok.clone()
+            },
+            ProcStats {
+                backoff_idle: 7.5,
+                ..ok.clone()
+            },
+            ProcStats {
+                recovery_idle: 7.5,
+                ..ok.clone()
+            },
+            ProcStats {
+                detection_latency: 3.5,
+                ..ok.clone()
+            },
+            // Sums to the clock, but with a negative bucket.
+            ProcStats {
+                comm: -1.0,
+                idle: 13.0,
+                ..ok.clone()
+            },
+            ProcStats {
+                wasted_promotion_idle: f64::NAN,
+                ..ok
+            },
+        ];
+        for s in broken {
+            assert!(std::panic::catch_unwind(|| s.check()).is_err(), "{s:?}");
+        }
     }
 
     #[test]

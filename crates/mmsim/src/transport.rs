@@ -7,13 +7,16 @@
 //!
 //! * [`Plain`] — the unprotected channels ([`Proc::send`] /
 //!   [`Proc::recv`]): the paper's `t_s + t_w·m` model and nothing else.
-//!   Faults are not survivable, so a run over it fails the way
-//!   [`Machine::run`] fails (a panic naming the rank), and it registers
-//!   no checkpoints — not even on a machine with spares.
+//!   Drops and corruption are not survivable, and it registers no
+//!   checkpoints — not even on a machine with spares.
 //! * [`Reliable`] — the checksummed retransmitting transport
 //!   ([`Proc::send_reliable`] / [`Proc::recv_reliable`]) with
-//!   step-granular [`Checkpoint`]s; a run over it reports failures as
-//!   structured [`SimError`]s ([`Machine::try_run`]).
+//!   step-granular [`Checkpoint`]s.
+//!
+//! A transport is only how messages move, not how a run fails: a
+//! schedule over either one runs under [`crate::Machine::try_run`], so a run
+//! that does not complete comes back as the same structured
+//! [`crate::SimError`] whichever transport it used.
 //!
 //! The choice is a type parameter, not a value: no caller picks a
 //! transport at run time, and monomorphisation compiles the [`Plain`]
@@ -23,9 +26,7 @@
 use crate::engine::message::Tag;
 use crate::engine::payload::Payload;
 use crate::engine::proc_ctx::Proc;
-use crate::engine::{Machine, RunReport};
 use crate::recovery::Checkpoint;
-use crate::SimError;
 
 /// How a schedule's messages move; see the [module docs](self).
 ///
@@ -33,17 +34,6 @@ use crate::SimError;
 /// the same `(src, tag)` **over the same transport**, in the same
 /// per-link order.
 pub trait Transport {
-    /// Run the rank closure `f` on `machine` with the failure surface
-    /// that goes with this transport.
-    ///
-    /// # Errors
-    /// [`Reliable`] returns the classified [`SimError`] of a failed run;
-    /// [`Plain`] never returns `Err` — it panics like [`Machine::run`].
-    fn run<T, F>(machine: &Machine, f: F) -> Result<RunReport<T>, SimError>
-    where
-        T: Send,
-        F: Fn(&mut Proc) -> T + Sync;
-
     /// Send `payload` to `dst`.
     fn send(proc: &mut Proc, dst: usize, tag: Tag, payload: impl Into<Payload>);
 
@@ -73,14 +63,6 @@ pub struct Plain;
 pub struct Reliable;
 
 impl Transport for Plain {
-    fn run<T, F>(machine: &Machine, f: F) -> Result<RunReport<T>, SimError>
-    where
-        T: Send,
-        F: Fn(&mut Proc) -> T + Sync,
-    {
-        Ok(machine.run(f))
-    }
-
     #[inline]
     fn send(proc: &mut Proc, dst: usize, tag: Tag, payload: impl Into<Payload>) {
         proc.send(dst, tag, payload);
@@ -101,14 +83,6 @@ impl Transport for Plain {
 }
 
 impl Transport for Reliable {
-    fn run<T, F>(machine: &Machine, f: F) -> Result<RunReport<T>, SimError>
-    where
-        T: Send,
-        F: Fn(&mut Proc) -> T + Sync,
-    {
-        machine.try_run(f)
-    }
-
     fn send(proc: &mut Proc, dst: usize, tag: Tag, payload: impl Into<Payload>) {
         proc.send_reliable(dst, tag, payload);
     }
@@ -141,19 +115,21 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::topology::Topology;
+    use crate::Machine;
 
     #[test]
     fn plain_checkpoint_never_builds_the_state_even_with_spares() {
         let m = Machine::new(Topology::fully_connected(5), CostModel::unit()).with_spares(1);
-        let r = Plain::run(&m, |proc| {
-            let mut ckpt = Checkpoint::new(0x77);
-            proc.compute(10.0);
-            Plain::checkpoint(&mut ckpt, proc, || -> Vec<f64> {
-                panic!("Plain must not evaluate the state closure")
-            });
-            assert_eq!(ckpt.steps(), 0);
-        })
-        .expect("Plain::run never returns Err");
+        let r = m
+            .try_run(|proc| {
+                let mut ckpt = Checkpoint::new(0x77);
+                proc.compute(10.0);
+                Plain::checkpoint(&mut ckpt, proc, || -> Vec<f64> {
+                    panic!("Plain must not evaluate the state closure")
+                });
+                assert_eq!(ckpt.steps(), 0);
+            })
+            .expect("a healthy run");
         assert_eq!(r.t_parallel, 10.0);
         assert!(r.stats.iter().all(|s| s.checkpoint_words == 0));
     }

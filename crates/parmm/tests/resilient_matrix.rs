@@ -19,11 +19,12 @@
 //!
 //! Unrecoverable points (deaths beyond the spare budget) are legal
 //! sweep outcomes: they must surface as the structured error — on both
-//! replays — never as a hang.
+//! replays — never as a hang.  The plain forms fail the same way: a
+//! death on a spare-less machine is a structured error, never a panic.
 
 use algos::{AlgoError, SimOutcome};
 use dense::{gen, Matrix};
-use mmsim::{CostModel, FaultPlan, Machine, Plain, Reliable, Topology};
+use mmsim::{CostModel, FaultPlan, Machine, Plain, Reliable, SimError, Topology};
 use model::Algorithm;
 use parmm::{executable_applicability, run_on};
 use proptest::prelude::*;
@@ -155,6 +156,30 @@ resilient_matrix!(berntsen_matrix, Algorithm::Berntsen);
 resilient_matrix!(gk_matrix, Algorithm::Gk);
 resilient_matrix!(gk_improved_matrix, Algorithm::GkImproved);
 resilient_matrix!(dns_matrix, Algorithm::Dns);
+
+/// The plain row: every formulation's plain form, on a spare-less
+/// machine whose only fault is one death, reports that death as the
+/// structured error naming the planned rank — the failure surface is
+/// the run's, not the transport's.
+#[test]
+fn plain_forms_report_a_death_as_a_structured_error() {
+    for alg in Algorithm::ALL {
+        let (p, n) = geometry(alg);
+        let (a, b) = gen::random_pair(n, 0xD1FF);
+        for victim in [0, p - 1] {
+            let machine = sweep_machine(p, 0, FaultPlan::new(3).with_death(victim, 30.0));
+            match run_on::<Plain>(alg, &machine, &a, &b) {
+                Err(AlgoError::Sim(SimError::RankDied { rank, .. })) => {
+                    assert_eq!(rank, victim, "{alg}: the planned rank must be named");
+                }
+                other => panic!(
+                    "{alg}: expected RankDied {{ rank: {victim} }}, got {:?}",
+                    other.map(|o| o.t_parallel)
+                ),
+            }
+        }
+    }
+}
 
 /// The lossy-detection grid: heartbeats ride the same faulted links as
 /// data, so sweeping heartbeat-drop rate × detection period × timeout
