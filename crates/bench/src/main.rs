@@ -112,7 +112,7 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "preemption",
-        about: "gemmd: preemptive gang rescheduling vs edf+batch",
+        about: "gemmd: preemptive gang rescheduling vs edf+batch, and elastic/shed overload rows",
         syntax: Syntax::options(&[Opt::with_smoke("jobs", "150", "60"), Opt::new("seed", "11")]),
         pinned: true,
         run: service::preemption,

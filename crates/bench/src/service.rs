@@ -25,14 +25,23 @@
 //! deadlines, actually preempt, and replay byte-identically.  Every run
 //! verifies its products against the serial kernel, so a resumed gang
 //! whose result drifted by one bit is a hard failure.
+//!
+//! **Overload.** The same traffic at gap 240 with the queue capped at 4
+//! jobs, where arrivals find the queue full: `edf+batch` alone, then
+//! with elastic repartitioning (a full queue shrinks a job onto the
+//! largest free block instead of bouncing the arrival) and with
+//! policy-aware shedding.  These are the only goldens that turn either
+//! axis on; `--enforce` requires elastic to shrink and complete more
+//! jobs than `edf+batch` alone, and shedding to shed.
 
 use std::fmt::Write as _;
 
 use bench::service_common::{
-    check_service_rows, run_point, run_service_sweep, tabulate, ServiceRow, ServiceSweep,
+    check_service_rows, run_config, run_point, run_service_sweep, tabulate, ServiceRow,
+    ServiceSweep,
 };
 use bench::{bits, parallel_sweep, Args, Fail, Report, ResultTable};
-use gemmd::{analyze, JobClasses, Slo};
+use gemmd::{analyze, Config, JobClasses, Slo};
 
 /// The golden rows: exact bits of every latency headline per point.
 fn service_golden(rows: &[ServiceRow]) -> String {
@@ -338,18 +347,118 @@ fn preempt_table(sweep: &ServiceSweep, rows: &[ServiceRow]) -> ResultTable {
     table
 }
 
-/// The preemption sweep: `--jobs` per run, `--seed` the traffic.
+/// Mean interarrival gap of the overload rows.
+const OVERLOAD_GAP: f64 = 240.0;
+
+/// Queue cap of the overload rows: low enough that arrivals find the
+/// queue full at [`OVERLOAD_GAP`].
+const OVERLOAD_QUEUE_CAP: usize = 4;
+
+/// The overload rows' policy column: `edf+batch` alone, with elastic
+/// repartitioning, and with policy-aware shedding — `(label, elastic,
+/// shed)`.
+const OVERLOAD_VARIANTS: &[(&str, bool, bool)] = &[
+    ("edf+batch", false, false),
+    ("edf+batch+elastic", true, false),
+    ("edf+batch+shed", false, true),
+];
+
+fn run_overload(sweep: &ServiceSweep) -> Vec<ServiceRow> {
+    let (mix, alpha) = sweep.mixes[0];
+    parallel_sweep(OVERLOAD_VARIANTS.to_vec(), |&(label, elastic, shed)| {
+        let config = Config {
+            queue_cap: OVERLOAD_QUEUE_CAP,
+            elastic,
+            shed,
+            ..sweep.config(true)
+        };
+        run_config(sweep, (OVERLOAD_GAP, mix, alpha), label, "edf", config)
+    })
+}
+
+/// The overload golden rows: admission outcomes, resize counts and the
+/// exact bits of the latency headlines per variant.
+fn overload_golden(rows: &[ServiceRow]) -> String {
+    let mut out = String::from(
+        "gap,mix,policy,queue_cap,jobs,rejected,shed,grows,shrinks,deadlines_met,\
+         makespan_bits,utilization_bits,p50_bits,p99_bits\n",
+    );
+    for row in rows {
+        let s = row.sojourns();
+        let (met, _) = row.report.deadlines();
+        let _ = writeln!(
+            out,
+            "{:.0},{},{},{OVERLOAD_QUEUE_CAP},{},{},{},{},{},{},{},{},{},{}",
+            row.gap,
+            row.mix,
+            row.policy,
+            row.report.records.len(),
+            row.report.rejected.len(),
+            row.report.shed.len(),
+            row.report.grows,
+            row.report.shrinks,
+            met,
+            bits(row.report.makespan),
+            bits(row.report.utilization()),
+            bits(s.p50()),
+            bits(s.p99()),
+        );
+    }
+    out
+}
+
+/// The enforce gates on the overload rows: each axis must fire and
+/// elastic shrinking must complete more jobs than bouncing arrivals.
+fn check_overload_rows(rows: &[ServiceRow]) -> Result<String, String> {
+    let find = |policy: &str| -> Result<&ServiceRow, String> {
+        rows.iter()
+            .find(|r| r.policy == policy)
+            .ok_or_else(|| format!("no overload row for {policy}"))
+    };
+    let (base, elastic, shed) = (
+        find("edf+batch")?,
+        find("edf+batch+elastic")?,
+        find("edf+batch+shed")?,
+    );
+    let (done, done_elastic) = (base.report.records.len(), elastic.report.records.len());
+    if elastic.report.shrinks == 0 || done_elastic <= done {
+        return Err(format!(
+            "elastic at queue cap {OVERLOAD_QUEUE_CAP} shrinks {} and completes {done_elastic} \
+             jobs vs {done} without it — the overload point does not exercise it",
+            elastic.report.shrinks
+        ));
+    }
+    if shed.report.shed.is_empty() {
+        return Err(format!(
+            "shedding at queue cap {OVERLOAD_QUEUE_CAP} shed nothing — the overload point does \
+             not exercise it"
+        ));
+    }
+    Ok(format!(
+        "overload at queue cap {OVERLOAD_QUEUE_CAP}: elastic shrinks {} ({done} -> \
+         {done_elastic} jobs completed), shedding sheds {}",
+        elastic.report.shrinks,
+        shed.report.shed.len()
+    ))
+}
+
+/// The preemption sweep and the overload rows: `--jobs` per run,
+/// `--seed` the traffic.
 pub fn preemption(args: &Args) -> Result<Report, Fail> {
     let mode = if args.smoke { "smoke" } else { "full" };
     let sweep = sweep_for(args.smoke, args.value("jobs")?, args.value("seed")?);
     let rows = run_preempt_sweep(&sweep);
+    let overload = run_overload(&sweep);
     let mut r = Report::default();
     let table = preempt_table(&sweep, &rows);
     r.print(table.render());
     r.file(format!("{mode}_preemption_sweep.csv"), table.to_csv());
     r.golden(format!("{mode}_preemption.csv"), preempt_golden(&rows));
+    r.golden(format!("{mode}_overload.csv"), overload_golden(&overload));
     if args.enforce {
-        r.gate = check_preempt_rows(&sweep, &rows);
+        r.gate = check_preempt_rows(&sweep, &rows).and_then(|preempt| {
+            check_overload_rows(&overload).map(|over| format!("{preempt}; {over}"))
+        });
     }
     Ok(r)
 }

@@ -201,22 +201,39 @@ pub fn run_point(
         "edf+preempt" => ("edf", true, true),
         other => (other, false, false),
     };
-    let policy =
-        policy_by_name(policy_name).unwrap_or_else(|| panic!("unknown policy {policy_name}"));
-    let machine = sweep.machine();
-    let trace = sweep.trace(gap, alpha);
     let config = Config {
         preemption: preempt,
         ..sweep.config(batched)
     };
+    run_config(sweep, (gap, mix, alpha), variant, policy_name, config)
+}
+
+/// Run one `(gap, mix, alpha)` sweep point under the named queue policy
+/// and an explicit scheduler config; `label` names the row.
+///
+/// # Panics
+/// Panics on an unknown policy name, a failed service run or a report
+/// that fails [`gemmd::ServiceReport::check`].
+#[must_use]
+pub fn run_config(
+    sweep: &ServiceSweep,
+    (gap, mix, alpha): (f64, &'static str, f64),
+    label: &'static str,
+    policy_name: &str,
+    config: Config,
+) -> ServiceRow {
+    let policy =
+        policy_by_name(policy_name).unwrap_or_else(|| panic!("unknown policy {policy_name}"));
+    let machine = sweep.machine();
+    let trace = sweep.trace(gap, alpha);
     let report = Scheduler::new(&machine, config)
         .run(&trace, policy.as_ref())
-        .unwrap_or_else(|e| panic!("{variant} on {mix}@{gap}: {e}"));
+        .unwrap_or_else(|e| panic!("{label} on {mix}@{gap}: {e}"));
     report.check(trace.len());
     ServiceRow {
         gap,
         mix,
-        policy: variant,
+        policy: label,
         report,
     }
 }

@@ -66,7 +66,7 @@ pub use policy::{
     ShortestPredictedTime,
 };
 pub use report::{ServiceReport, TimePoint};
-pub use scheduler::{Config, Scheduler};
+pub use scheduler::{Config, Scheduler, RETRY_BUDGET};
 pub use sizing::{right_size, Sizing, SizingMode};
 pub use slo::{analyze, JobClasses, Percentiles, Slo, SloOutcome, SloReport};
 pub use traffic::{heavy_tailed_mix, Traffic, TrafficError};

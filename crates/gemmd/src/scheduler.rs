@@ -18,10 +18,8 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use algos::{AlgoError, SimOutcome};
-use mmsim::{Machine, StateTransfer, TopologyKind};
-use model::time::NetworkModel;
-use model::MachineParams;
-use parmm::{detection_of, fault_rates_of, run_recommendation, Advisor, Recommendation};
+use mmsim::{Machine, StateTransfer};
+use parmm::{run_recommendation, Advisor, Recommendation};
 
 use crate::job::{JobRecord, JobSpec};
 use crate::partition::{Partition, PartitionManager};
@@ -29,6 +27,14 @@ use crate::policy::{key, total_order_key, Key, Policy, Queue, QueuedJob};
 use crate::report::{ServiceReport, ShedRecord};
 use crate::sizing::{right_size, Sizing, SizingMode};
 use crate::GemmdError;
+
+/// How many times a job may be re-placed after a setback before the
+/// service gives up on it: a job lost to a fail-stop death beyond its
+/// spare budget is re-submitted onto a fresh partition at most this
+/// many times before the run fails with [`GemmdError::Execution`], and
+/// the same cap bounds each job's proactive migrations, preemptions and
+/// elastic resizes.
+pub const RETRY_BUDGET: usize = 2;
 
 /// Service configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,10 +54,6 @@ pub struct Config {
     /// placement.  0 (the default) provisions none; a job whose
     /// rounded-up block would not fit the machine runs without spares.
     pub spares: usize,
-    /// How many times a job lost to a fail-stop death beyond its spare
-    /// budget may be re-submitted onto a fresh partition before the
-    /// run fails with [`GemmdError::Execution`].
-    pub retry_budget: usize,
     /// Proactive live migration: when a partition's own heartbeat
     /// stream shows this many *consecutive* lost beats — a sustained
     /// degradation alarm — the scheduler evacuates the job onto a
@@ -60,7 +62,7 @@ pub struct Config {
     /// disables migration; the threshold should sit *below* the fault
     /// plan's `timeout_multiple`, or the detector declares the rank
     /// dead before the mover acts.  Migrations per job are capped by
-    /// [`Config::retry_budget`], so a machine that is degraded
+    /// [`RETRY_BUDGET`], so a machine that is degraded
     /// everywhere cannot bounce a job forever.
     pub migration_streak: u32,
     /// Fixed dispatch cost charged at every placement (partition
@@ -83,7 +85,7 @@ pub struct Config {
     /// outranks every victim under the same policy — pay each victim's
     /// pause surcharge (`t_s + t_w·3n²/p`), free the block, and resume
     /// the victims later with elapsed-time credit.  Preemptions per
-    /// job are capped by [`Config::retry_budget`].  Off by default; a
+    /// job are capped by [`RETRY_BUDGET`].  Off by default; a
     /// FIFO service never preempts even when this is on (nothing
     /// outranks the queue head).
     pub preemption: bool,
@@ -93,7 +95,7 @@ pub struct Config {
     /// the sizing target; conversely a queued job may be shrunk onto
     /// the largest free block at admission time instead of shedding
     /// the arrival.  Resizes per job are capped by
-    /// [`Config::retry_budget`].  Off by default.
+    /// [`RETRY_BUDGET`].  Off by default.
     pub elastic: bool,
     /// Policy-aware load shedding: an arrival that finds the queue at
     /// [`Config::queue_cap`] sheds the lowest-value candidate — lowest
@@ -112,7 +114,6 @@ impl Default for Config {
             queue_cap: 64,
             verify: false,
             spares: 0,
-            retry_budget: 2,
             migration_streak: 0,
             placement_overhead: 0.0,
             batching: None,
@@ -205,32 +206,13 @@ impl Outcome {
 
 impl<'m> Scheduler<'m> {
     /// A service over `machine`, with the advisor derived from the
-    /// machine's own cost model, network kind and fault plan (exactly
-    /// like [`parmm::multiply`]).
+    /// machine's own cost model, network kind and fault plan
+    /// ([`Advisor::for_machine`], the one [`parmm::multiply`] uses).
     #[must_use]
     pub fn new(machine: &'m Machine, config: Config) -> Self {
-        let cm = machine.cost_model();
-        let network = match machine.topology().kind() {
-            TopologyKind::FullyConnected | TopologyKind::FatTree => NetworkModel::FullyConnected,
-            _ => NetworkModel::Hypercube,
-        };
-        let mut params = MachineParams::new(cm.t_s, cm.t_w).with_faults(fault_rates_of(machine));
-        // A detection config on the machine's fault plan prices its
-        // heartbeat duty cycle into every prediction (and forces the
-        // advisor onto the resilient candidates), mirroring what the
-        // simulator charges.  Per-link period overrides reach the
-        // analytic machine as its tightest period — the busiest
-        // detector link bounds the duty cycle.
-        if let Some(det) = detection_of(machine) {
-            params = params.with_detection(det.period, det.timeout_multiple);
-            if let Some(lp) = det.link_period {
-                params = params.with_link_detection_period(lp);
-            }
-        }
-        let advisor = Advisor::new(params).with_network(network);
         Self {
             machine,
-            advisor,
+            advisor: Advisor::for_machine(machine),
             config,
         }
     }
@@ -416,13 +398,13 @@ impl<'m> Scheduler<'m> {
                             report.wasted_rank_time += done.partition.size() as f64 * t;
                             pm.quarantine(done.partition);
                             job.attempts += 1;
-                            if job.attempts > self.config.retry_budget {
+                            if job.attempts > RETRY_BUDGET {
                                 return Err(GemmdError::Execution {
                                     id: job.id,
                                     detail: format!(
                                         "rank {rank} fail-stopped at t = {t:.3}; retry budget \
                                          ({}) exhausted",
-                                        self.config.retry_budget
+                                        RETRY_BUDGET
                                     ),
                                 });
                             }
@@ -808,7 +790,7 @@ impl<'m> Scheduler<'m> {
         horizon: f64,
     ) -> Option<f64> {
         let streak = self.config.migration_streak;
-        if streak == 0 || compute.len() < 2 || migrations >= self.config.retry_budget {
+        if streak == 0 || compute.len() < 2 || migrations >= RETRY_BUDGET {
             return None;
         }
         let plan = plan?;
@@ -896,7 +878,7 @@ impl<'m> Scheduler<'m> {
                         let Some(ps) = &r.pause else {
                             continue 'blocks; // batches and doomed runs don't pause
                         };
-                        if ps.job.preemptions >= self.config.retry_budget {
+                        if ps.job.preemptions >= RETRY_BUDGET {
                             continue 'blocks;
                         }
                         let pause = self.pause_cost(ps.job.spec.n, ps.job.sizing.p);
@@ -952,7 +934,7 @@ impl<'m> Scheduler<'m> {
             let Some(ps) = &running[i].pause else {
                 continue;
             };
-            if ps.job.resizes >= self.config.retry_budget {
+            if ps.job.resizes >= RETRY_BUDGET {
                 continue;
             }
             // Spare-padded blocks keep their provisioning; only exact
@@ -1007,7 +989,7 @@ impl<'m> Scheduler<'m> {
         pm: &PartitionManager,
         job: &QueuedJob,
     ) -> Option<(usize, Recommendation)> {
-        if job.resizes >= self.config.retry_budget || job.credit > 0.0 || job.done > 0.0 {
+        if job.resizes >= RETRY_BUDGET || job.credit > 0.0 || job.done > 0.0 {
             return None;
         }
         let mut p = pm.largest_free();
@@ -1412,12 +1394,10 @@ mod tests {
             .with_death(0, 400.0)
             .with_death(1, 400.0);
         let m = Machine::new(Topology::hypercube(1), CostModel::ncube2()).with_fault_plan(plan);
-        let cfg = Config {
-            retry_budget: 5,
-            ..tight_config()
-        };
         let jobs = vec![JobSpec::new(16, 0.0)];
-        let err = Scheduler::new(&m, cfg).run(&jobs, &Fifo).unwrap_err();
+        let err = Scheduler::new(&m, tight_config())
+            .run(&jobs, &Fifo)
+            .unwrap_err();
         match err {
             GemmdError::Execution { id: 0, detail } => {
                 assert!(
@@ -1518,7 +1498,7 @@ mod tests {
         // block has no pending death schedule, so release_quarantined
         // must hand it straight back — and the buddy allocator
         // (lowest base first) places the job right back on it.  The
-        // migration budget (retry_budget = 2) caps the resulting
+        // migration budget (`RETRY_BUDGET` = 2) caps the resulting
         // ping-pong, after which the job runs the degraded block to
         // completion on the reliable transport.
         let m = degrading_machine(None);

@@ -95,12 +95,14 @@ fn retain_freed_heap() {
     }
 }
 
-/// Per-run rank translation and fail-stop schedule, computed once when a
-/// [`Machine`] is built or partitioned instead of per rank per run.
+/// A machine view's ranks: the one list of the physical ranks taking
+/// part in a run, in local-rank order, with their fail-stop schedule —
+/// computed once when a [`Machine`] is built, partitioned or re-bound
+/// instead of per rank per run.
 ///
 /// `physical[local]` is the physical (global) rank behind local rank
-/// `local` (the identity on a whole-machine view); `death_at[local]` is
-/// that rank's fail-stop instant under the machine's fault plan, if any.
+/// `local` (the identity on a whole machine); `death_at[local]` is that
+/// rank's fail-stop instant under the machine's fault plan, if any.
 #[derive(Debug)]
 pub(crate) struct RankTable {
     pub(crate) physical: Vec<usize>,
@@ -108,11 +110,7 @@ pub(crate) struct RankTable {
 }
 
 impl RankTable {
-    fn build(p: usize, part: Option<&[usize]>, fault: Option<&FaultPlan>) -> Self {
-        let physical: Vec<usize> = match part {
-            Some(ranks) => ranks.to_vec(),
-            None => (0..p).collect(),
-        };
+    fn new(physical: Vec<usize>, fault: Option<&FaultPlan>) -> Self {
         let death_at = physical
             .iter()
             .map(|&ph| fault.and_then(|plan| plan.death_time(ph)))
@@ -122,23 +120,22 @@ impl RankTable {
 }
 
 /// A simulated multicomputer: a topology plus a cost model, and
-/// optionally a [`FaultPlan`] to run under.
+/// optionally a [`FaultPlan`] to run under.  A machine is a *view*: its
+/// rank table names the physical ranks that take part in a run (all of
+/// them on a whole machine, a subset on a [`Machine::partition`]), and
+/// closures see local ranks `0..p`.
 #[derive(Debug, Clone)]
 pub struct Machine {
     topology: Topology,
     cost: CostModel,
     trace: bool,
     fault: Option<Arc<FaultPlan>>,
-    /// When set, the machine is a *partition view*: only these physical
-    /// ranks take part in a run, and closures see local ranks
-    /// `0..part.len()`.  `part[local]` is the physical (global) rank.
-    part: Option<Arc<Vec<usize>>>,
-    /// Rank translation + death schedule derived from `part` and
-    /// `fault`, hoisted here so runs and ranks don't recompute it.
+    /// The view's physical ranks in local-rank order, with their
+    /// fail-stop instants under `fault`.
     table: Arc<RankTable>,
     /// Physical ranks reserved as failover spares by
     /// [`Machine::with_spares`], in promotion order.  They are outside
-    /// the logical topology (`part` excludes them) and idle until a
+    /// the logical topology (`table` excludes them) and idle until a
     /// fail-stop death promotes one; empty = recovery disabled.
     spares: Arc<Vec<usize>>,
     /// Execution engine (see [`EngineKind`] and [`Machine::with_engine`]).
@@ -149,13 +146,12 @@ impl Machine {
     /// Assemble a machine from a topology and a cost model.
     #[must_use]
     pub fn new(topology: Topology, cost: CostModel) -> Self {
-        let table = Arc::new(RankTable::build(topology.p(), None, None));
+        let table = Arc::new(RankTable::new((0..topology.p()).collect(), None));
         Self {
             topology,
             cost,
             trace: false,
             fault: None,
-            part: None,
             table,
             spares: Arc::new(Vec::new()),
             engine: EngineKind::default(),
@@ -199,21 +195,15 @@ impl Machine {
                 assert!(r < outer, "partition rank {r} out of range (p = {outer})");
                 assert!(!seen[r], "partition lists rank {r} twice");
                 seen[r] = true;
-                self.part.as_ref().map_or(r, |m| m[r])
+                self.table.physical[r]
             })
             .collect();
-        let table = Arc::new(RankTable::build(
-            self.topology.p(),
-            Some(&global),
-            self.fault.as_deref(),
-        ));
         Machine {
             topology: self.topology.clone(),
             cost: self.cost,
             trace: self.trace,
             fault: self.fault.clone(),
-            part: Some(Arc::new(global)),
-            table,
+            table: Arc::new(RankTable::new(global, self.fault.as_deref())),
             // A spare reservation does not survive partitioning: the new
             // view names its own ranks; reserve spares on it afterwards.
             spares: Arc::new(Vec::new()),
@@ -221,11 +211,12 @@ impl Machine {
         }
     }
 
-    /// The physical ranks backing this view, in local-rank order;
-    /// `None` when the machine is not a partition view.
+    /// The physical ranks backing this view, in local-rank order: the
+    /// identity `0..p` on a whole machine, the partition's members on a
+    /// [`Machine::partition`], and never the reserved spares.
     #[must_use]
-    pub fn partition_ranks(&self) -> Option<&[usize]> {
-        self.part.as_deref().map(Vec::as_slice)
+    pub fn partition_ranks(&self) -> &[usize] {
+        &self.table.physical
     }
 
     /// Builder-style: record per-processor event timelines during runs
@@ -272,12 +263,8 @@ impl Machine {
         if let Err(e) = plan.validate_for(self.topology.p()) {
             panic!("{e}");
         }
+        self.table = Arc::new(RankTable::new(self.table.physical.clone(), Some(&plan)));
         self.fault = Some(Arc::new(plan));
-        self.table = Arc::new(RankTable::build(
-            self.topology.p(),
-            self.part.as_deref().map(Vec::as_slice),
-            self.fault.as_deref(),
-        ));
         self
     }
 
@@ -317,18 +304,9 @@ impl Machine {
             self.spares = Arc::new(Vec::new());
             return self;
         }
-        let view: Vec<usize> = match &self.part {
-            Some(m) => m.as_ref().clone(),
-            None => (0..self.topology.p()).collect(),
-        };
-        let (logical, spare) = view.split_at(view.len() - k);
+        let (logical, spare) = self.table.physical.split_at(self.p() - k);
         self.spares = Arc::new(spare.to_vec());
-        self.table = Arc::new(RankTable::build(
-            self.topology.p(),
-            Some(logical),
-            self.fault.as_deref(),
-        ));
-        self.part = Some(Arc::new(logical.to_vec()));
+        self.table = Arc::new(RankTable::new(logical.to_vec(), self.fault.as_deref()));
         self
     }
 
@@ -339,11 +317,12 @@ impl Machine {
         &self.spares
     }
 
-    /// Number of processors taking part in a run: the partition size
-    /// for a partition view, the full topology size otherwise.
+    /// Number of processors taking part in a run: the length of the
+    /// view's rank table (the full topology size on a whole machine,
+    /// the partition size on a partition, less any reserved spares).
     #[must_use]
     pub fn p(&self) -> usize {
-        self.part.as_ref().map_or(self.topology.p(), |m| m.len())
+        self.table.physical.len()
     }
 
     /// The machine's topology.
@@ -377,15 +356,10 @@ impl Machine {
         crate::engine::error::install_quiet_control_panic_hook();
         let p = self.p();
         // Everything run-wide lives behind one Arc built once, instead
-        // of per-rank clones of the topology and friends.
+        // of per-rank clones of the machine.
         let shared = Arc::new(RunShared {
-            topology: self.topology.clone(),
-            cost: self.cost,
+            machine: self.clone(),
             net: Net::new(p, self.engine),
-            fault: self.fault.clone(),
-            table: Arc::clone(&self.table),
-            trace: self.trace,
-            spares: self.spares.len(),
             ckpt_log: (0..p).map(|_| Mutex::new(None)).collect(),
         });
         let outcomes: Vec<Mutex<Option<ThreadOutcome<T>>>> =
@@ -492,14 +466,19 @@ impl Machine {
         })
     }
 
+    /// `t_w` degradation factor of the directed physical link
+    /// `from → to` under the fault plan (1 without one).
+    fn link_tw(&self, from: usize, to: usize) -> f64 {
+        self.fault
+            .as_ref()
+            .map_or(1.0, |plan| plan.link(from, to).tw_factor)
+    }
+
     /// The buddy→spare state transfer of checkpoint `ck`: one
     /// `t_s + t_w·m` send on the physical link `buddy → spare`.
     fn transfer_cost(&self, ck: CkptRecord, buddy: usize, spare: usize) -> f64 {
-        let tw = self
-            .fault
-            .as_ref()
-            .map_or(1.0, |plan| plan.link(buddy, spare).tw_factor);
-        self.cost.sender_occupancy_scaled(ck.words as usize, tw)
+        self.cost
+            .sender_occupancy_scaled(ck.words as usize, self.link_tw(buddy, spare))
     }
 
     /// The engine core behind [`Machine::run`] and [`Machine::try_run`]:
@@ -664,12 +643,7 @@ impl Machine {
                 recoveries[dead] += 1;
                 physical[dead] = spare;
             }
-            view.table = Arc::new(RankTable::build(
-                view.topology.p(),
-                Some(&physical),
-                view.fault.as_deref(),
-            ));
-            view.part = Some(Arc::new(physical));
+            view.table = Arc::new(RankTable::new(physical, view.fault.as_deref()));
         }
     }
 
@@ -1520,7 +1494,7 @@ mod tests {
         // the partition's size exactly, including per-rank accounting.
         let whole = Machine::new(Topology::fully_connected(8), CostModel::new(5.0, 2.0));
         let part = whole.partition(&[2, 3, 4, 5]);
-        assert_eq!(part.partition_ranks(), Some(&[2usize, 3, 4, 5][..]));
+        assert_eq!(part.partition_ranks(), &[2usize, 3, 4, 5]);
         let solo = Machine::new(Topology::fully_connected(4), CostModel::new(5.0, 2.0));
         let rp = part.run(ring_workload);
         let rs = solo.run(ring_workload);

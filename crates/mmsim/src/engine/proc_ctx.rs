@@ -8,32 +8,24 @@ use crate::engine::error::{Failure, SimError};
 use crate::engine::message::{Message, Tag};
 use crate::engine::net::{Net, RankStatus, Wait};
 use crate::engine::payload::Payload;
-use crate::engine::RankTable;
-use crate::fault::{Fate, FaultPlan, TrafficClass};
+use crate::engine::Machine;
+use crate::fault::{Fate, TrafficClass};
 use crate::recovery::CkptRecord;
 use crate::stats::{Bucket, ProcStats};
 use crate::topology::Topology;
 use crate::trace::{Timeline, TraceEvent};
 use crate::Word;
 
-/// Run-wide immutable state shared by every virtual processor of one
-/// `Machine::run`: built once per run instead of cloned per rank, so a
-/// 512-rank run performs one topology clone, not 512, and no O(p)
-/// per-rank setup.
+/// Run-wide state shared by every virtual processor of one attempt:
+/// built once per attempt instead of cloned per rank, so a 512-rank run
+/// performs one machine clone, not 512, and no O(p) per-rank setup.
 pub(crate) struct RunShared {
-    pub(crate) topology: Topology,
-    pub(crate) cost: CostModel,
+    /// The attempt's machine view: topology, cost model, fault plan,
+    /// rank table (local → physical rank, fail-stop instants), trace
+    /// flag and spare reservation.
+    pub(crate) machine: Machine,
     /// Mailboxes, terminal statuses and parked receives (both engines).
     pub(crate) net: Net,
-    pub(crate) fault: Option<Arc<FaultPlan>>,
-    /// Local-rank → physical-rank translation and fail-stop schedule,
-    /// hoisted into the [`crate::Machine`] at construction/partition
-    /// time.
-    pub(crate) table: Arc<RankTable>,
-    pub(crate) trace: bool,
-    /// Spare ranks provisioned for this run (see [`crate::recovery`]);
-    /// zero disables checkpoint replication entirely.
-    pub(crate) spares: usize,
     /// Host-side log of each rank's last completed checkpoint, read by
     /// the engine's failover loop to price recoveries.  Never touched
     /// on spare-less runs.
@@ -59,7 +51,7 @@ pub(crate) struct RunShared {
 /// reference-counted handles and every mutation is copy-on-write, so
 /// forwarding a block is O(1) in its size.
 ///
-/// When the machine carries a [`FaultPlan`], every clock advance first
+/// When the machine carries a [`crate::FaultPlan`], every clock advance first
 /// checks the rank's fail-stop deadline, plain sends are subject to the
 /// plan's drop/corruption fates, and [`Proc::send_reliable`] /
 /// [`Proc::recv_reliable`] run a checksummed retransmission protocol
@@ -110,6 +102,17 @@ fn fail(error: SimError, message: String) -> ! {
     std::panic::panic_any(Failure { error, message })
 }
 
+/// One outgoing message's link, resolved once per send: the local
+/// destination, both physical endpoints (the fault plan's keys), the
+/// topology hop count and the link's `t_w` degradation factor.
+struct Route {
+    dst: usize,
+    src_ph: usize,
+    dst_ph: usize,
+    hops: usize,
+    tw: f64,
+}
+
 /// Take-and-increment of a sparse per-peer sequence counter.
 fn next_seq(seqs: &mut HashMap<usize, u64>, peer: usize) -> u64 {
     let slot = seqs.entry(peer).or_insert(0);
@@ -123,9 +126,9 @@ impl Proc {
         Self {
             rank,
             stats: ProcStats::default(),
-            cost: shared.cost,
-            timeline: shared.trace.then(Vec::new),
-            death_at: shared.table.death_at[rank],
+            cost: shared.machine.cost,
+            timeline: shared.machine.trace.then(Vec::new),
+            death_at: shared.machine.table.death_at[rank],
             plain_seq: HashMap::new(),
             rel_seq_out: HashMap::new(),
             rel_seq_in: HashMap::new(),
@@ -144,7 +147,7 @@ impl Proc {
     /// on a partition run).
     #[must_use]
     pub fn p(&self) -> usize {
-        self.shared.table.physical.len()
+        self.shared.machine.p()
     }
 
     /// The physical rank of a participant (identity on whole-machine
@@ -152,13 +155,13 @@ impl Proc {
     /// ranks, so partition timing reflects the physical links used.
     #[must_use]
     pub fn physical_rank(&self, local: usize) -> usize {
-        self.shared.table.physical[local]
+        self.shared.machine.table.physical[local]
     }
 
     /// The machine's topology.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.shared.topology
+        &self.shared.machine.topology
     }
 
     /// The machine's cost model.
@@ -180,7 +183,6 @@ impl Proc {
     fn check_death(&mut self, new_clock: f64) {
         if let Some(t) = self.death_at {
             if new_clock >= t {
-                self.stats.clock = self.stats.clock.max(t.min(new_clock));
                 let rank = self.rank;
                 let message =
                     format!("fail-stop fault injected: rank {rank} died at virtual time {t}");
@@ -234,20 +236,27 @@ impl Proc {
         });
     }
 
-    /// `t_w` degradation factor of the directed link `from → to` between
-    /// local ranks (physical ranks on partition runs).
-    fn link_tw(&self, from: usize, to: usize) -> f64 {
-        self.shared.fault.as_ref().map_or(1.0, |plan| {
-            plan.link(self.physical_rank(from), self.physical_rank(to))
-                .tw_factor
-        })
-    }
-
-    /// Topology hop count of the physical link behind local `dst`.
-    fn hops_to(&self, dst: usize) -> usize {
-        self.shared
-            .topology
-            .distance(self.physical_rank(self.rank), self.physical_rank(dst))
+    /// Resolve the link of one message to local rank `dst`.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range `dst` or on sending to oneself.
+    fn route(&self, dst: usize) -> Route {
+        assert!(
+            dst < self.p(),
+            "rank {}: send destination {dst} out of range (p = {})",
+            self.rank,
+            self.p()
+        );
+        assert_ne!(dst, self.rank, "rank {}: cannot send to self", self.rank);
+        let (src_ph, dst_ph) = (self.physical_rank(self.rank), self.physical_rank(dst));
+        let machine = &self.shared.machine;
+        Route {
+            dst,
+            src_ph,
+            dst_ph,
+            hops: machine.topology.distance(src_ph, dst_ph),
+            tw: machine.link_tw(src_ph, dst_ph),
+        }
     }
 
     /// Advance the clock by `units` of useful work
@@ -296,13 +305,11 @@ impl Proc {
     /// Panics on out-of-range `dst` or on sending to oneself.
     pub fn send(&mut self, dst: usize, tag: Tag, payload: impl Into<Payload>) {
         let payload = payload.into();
-        self.validate_dst(dst);
+        let route = self.route(dst);
         let start = self.now();
-        let occupancy = self
-            .cost
-            .sender_occupancy_scaled(payload.len(), self.link_tw(self.rank, dst));
+        let occupancy = self.cost.sender_occupancy_scaled(payload.len(), route.tw);
         self.spend_send(occupancy, dst, payload.len(), tag);
-        self.dispatch(dst, tag, payload, start);
+        self.dispatch(&route, tag, payload, start);
     }
 
     /// Issue a batch of simultaneous sends on distinct ports (paper §7).
@@ -321,19 +328,18 @@ impl Proc {
             }
             return;
         }
-        let msgs: Vec<(usize, Tag, Payload, f64)> = msgs
+        let msgs: Vec<(Route, Tag, Payload, f64)> = msgs
             .into_iter()
             .map(|(dst, tag, payload)| {
                 let payload = payload.into();
-                let occ = self
-                    .cost
-                    .sender_occupancy_scaled(payload.len(), self.link_tw(self.rank, dst));
-                (dst, tag, payload, occ)
+                let route = self.route(dst);
+                let occ = self.cost.sender_occupancy_scaled(payload.len(), route.tw);
+                (route, tag, payload, occ)
             })
             .collect();
-        for (i, (d, ..)) in msgs.iter().enumerate() {
-            for (d2, ..) in msgs.iter().skip(i + 1) {
-                assert_ne!(d, d2, "all-port batch reuses destination {d}");
+        for (i, (r, ..)) in msgs.iter().enumerate() {
+            for (r2, ..) in msgs.iter().skip(i + 1) {
+                assert_ne!(r.dst, r2.dst, "all-port batch reuses destination {}", r.dst);
             }
         }
         let start = self.now();
@@ -341,42 +347,32 @@ impl Proc {
         // A death during the batch loses the whole batch: the clock
         // advance comes before any message is handed to the network.
         self.spend(max_occ, Bucket::Comm, |tl, start| {
-            for (dst, tag, payload, occ) in &msgs {
+            for (route, tag, payload, occ) in &msgs {
                 tl.push(TraceEvent::Send {
                     start,
                     duration: *occ,
-                    dst: *dst,
+                    dst: route.dst,
                     words: payload.len(),
                     tag: *tag,
                 });
             }
         });
-        for (dst, tag, payload, _) in msgs {
-            self.dispatch(dst, tag, payload, start);
+        for (route, tag, payload, _) in msgs {
+            self.dispatch(&route, tag, payload, start);
         }
-    }
-
-    fn validate_dst(&self, dst: usize) {
-        assert!(
-            dst < self.p(),
-            "rank {}: send destination {dst} out of range (p = {})",
-            self.rank,
-            self.p()
-        );
-        assert_ne!(dst, self.rank, "rank {}: cannot send to self", self.rank);
     }
 
     /// Hand a plain (unprotected) message to the network, applying the
     /// fault plan's drop/corruption fate for this link.
-    fn dispatch(&mut self, dst: usize, tag: Tag, payload: Payload, start: f64) {
-        let (src_ph, dst_ph) = (self.physical_rank(self.rank), self.physical_rank(dst));
-        let (payload, corrupted) = if let Some(plan) = self.shared.fault.clone() {
-            let seq = next_seq(&mut self.plain_seq, dst);
+    fn dispatch(&mut self, route: &Route, tag: Tag, payload: Payload, start: f64) {
+        let (src_ph, dst_ph) = (route.src_ph, route.dst_ph);
+        let (payload, corrupted) = if let Some(plan) = self.shared.machine.fault.clone() {
+            let seq = next_seq(&mut self.plain_seq, route.dst);
             match plan.fate(TrafficClass::Plain, src_ph, dst_ph, seq, 0) {
                 Fate::Dropped => {
                     // The sender paid the injection cost and the traffic
                     // counters see the message leave; the network loses it.
-                    self.count_sent(dst, payload.len());
+                    self.count_sent(route, payload.len());
                     return;
                 }
                 Fate::Corrupted => {
@@ -397,41 +393,39 @@ impl Proc {
         } else {
             (payload, false)
         };
-        self.dispatch_raw(dst, tag, payload, start, corrupted);
+        self.dispatch_raw(route, tag, payload, start, corrupted);
     }
 
     /// Traffic accounting for one outgoing message.
-    fn count_sent(&mut self, dst: usize, words: usize) {
+    fn count_sent(&mut self, route: &Route, words: usize) {
         self.stats.msgs_sent += 1;
         self.stats.words_sent += words as u64;
-        self.stats.hops_traversed += self.hops_to(dst) as u64;
+        self.stats.hops_traversed += route.hops as u64;
     }
 
     /// Hand a message to the network verbatim (no fate applied — the
     /// reliable protocol decides fates itself).
     fn dispatch_raw(
         &mut self,
-        dst: usize,
+        route: &Route,
         tag: Tag,
         payload: Payload,
         start: f64,
         corrupted: bool,
     ) {
-        self.validate_dst(dst);
-        let hops = self.hops_to(dst);
         let arrival = start
             + self
                 .cost
-                .message_latency_scaled(payload.len(), hops, self.link_tw(self.rank, dst));
-        self.count_sent(dst, payload.len());
+                .message_latency_scaled(payload.len(), route.hops, route.tw);
+        self.count_sent(route, payload.len());
         let msg = Message {
             src: self.rank,
-            dst,
+            dst: route.dst,
             tag,
             payload,
             sent_at: start,
             arrival,
-            hops,
+            hops: route.hops,
             corrupted,
         };
         // A dead or poisoned destination swallows the message inside
@@ -593,12 +587,11 @@ impl Proc {
     /// on the usual invalid-destination conditions.
     pub fn send_reliable(&mut self, dst: usize, tag: Tag, payload: impl Into<Payload>) {
         let payload = payload.into();
-        self.validate_dst(dst);
-        let plan = self.shared.fault.clone();
+        let route = self.route(dst);
+        let plan = self.shared.machine.fault.clone();
         let seq = next_seq(&mut self.rel_seq_out, dst);
-        let (src_ph, dst_ph) = (self.physical_rank(self.rank), self.physical_rank(dst));
-        let hops = self.hops_to(dst);
-        let (tw_fwd, tw_rev) = (self.link_tw(self.rank, dst), self.link_tw(dst, self.rank));
+        let (src_ph, dst_ph, hops, tw_fwd) = (route.src_ph, route.dst_ph, route.hops, route.tw);
+        let tw_rev = self.shared.machine.link_tw(dst_ph, src_ph);
         let frame_words = payload.len() + RELIABLE_FRAME_OVERHEAD;
         let max_attempts = plan.as_ref().map_or(1, |p| p.max_attempts());
         // Retained retry frame: body = payload + attempt word, then the
@@ -644,9 +637,9 @@ impl Proc {
                         p.duplicated(TrafficClass::Reliable, src_ph, dst_ph, seq, attempt)
                     });
                     if duplicated {
-                        self.dispatch_raw(dst, tag, wire.clone(), start, corrupted);
+                        self.dispatch_raw(&route, tag, wire.clone(), start, corrupted);
                     }
-                    self.dispatch_raw(dst, tag, wire, start, corrupted);
+                    self.dispatch_raw(&route, tag, wire, start, corrupted);
                     if !corrupted {
                         // Windowed-ACK assumption: the sender does not
                         // stall for the positive acknowledgement.
@@ -699,10 +692,10 @@ impl Proc {
     /// a frame the fault oracle calls intact fails its checksum (an
     /// engine bug).
     pub fn recv_reliable(&mut self, src: usize, tag: Tag) -> Payload {
-        let plan = self.shared.fault.clone();
+        let plan = self.shared.machine.fault.clone();
         let seq = next_seq(&mut self.rel_seq_in, src);
         let (me_ph, src_ph) = (self.physical_rank(self.rank), self.physical_rank(src));
-        let tw_rev = self.link_tw(self.rank, src);
+        let tw_rev = self.shared.machine.link_tw(me_ph, src_ph);
         let max_attempts = plan.as_ref().map_or(1, |p| p.max_attempts());
         let mut attempt: u32 = 0;
         loop {
@@ -778,7 +771,7 @@ impl Proc {
     /// [`crate::Checkpoint::save`] skips replication entirely.
     #[must_use]
     pub fn spare_count(&self) -> usize {
-        self.shared.spares
+        self.shared.machine.spares.len()
     }
 
     /// Record a *completed* checkpoint exchange: `words` of phase state

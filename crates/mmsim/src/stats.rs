@@ -137,9 +137,16 @@ impl ProcStats {
     }
 
     /// Move the clock to `to`, crediting the `dt` it took to `bucket`
-    /// (and to its idle subset): the one way virtual time is charged.
+    /// (and to its idle subset): the one way virtual time is charged,
+    /// and the one place a clock moves.  Debug builds check every step
+    /// for a finite, non-negative `dt` and a clock that never runs back.
     #[inline]
     pub(crate) fn advance(&mut self, to: f64, bucket: Bucket, dt: f64) {
+        debug_assert!(
+            dt.is_finite() && dt >= 0.0 && to >= self.clock,
+            "clock step {} -> {to} (dt {dt}) is not monotone",
+            self.clock
+        );
         self.clock = to;
         match bucket {
             Bucket::Compute => self.compute += dt,

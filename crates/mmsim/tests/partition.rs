@@ -36,7 +36,7 @@ fn partition_presents_local_ranks_and_size() {
     let m = Machine::new(Topology::fully_connected(8), CostModel::unit());
     let part = m.partition(&[2, 5, 7]);
     assert_eq!(part.p(), 3);
-    assert_eq!(part.partition_ranks(), Some(&[2usize, 5, 7][..]));
+    assert_eq!(part.partition_ranks(), &[2usize, 5, 7]);
     let r = part.run(|proc| {
         assert_eq!(proc.p(), 3);
         (proc.rank(), proc.physical_rank(proc.rank()))
@@ -106,7 +106,7 @@ fn nested_partitions_compose() {
     let m = Machine::new(Topology::fully_connected(8), CostModel::unit());
     let outer = m.partition(&[1, 3, 5, 7]);
     let inner = outer.partition(&[1, 3]); // physical ranks 3 and 7
-    assert_eq!(inner.partition_ranks(), Some(&[3usize, 7][..]));
+    assert_eq!(inner.partition_ranks(), &[3usize, 7]);
     let r = inner.run(|proc| proc.physical_rank(proc.rank()));
     assert_eq!(r.results, vec![3, 7]);
 }

@@ -445,6 +445,55 @@ fn run_and_try_run_share_the_failover_path() {
     assert!(msg.contains("virtual time 35"), "{msg}");
 }
 
+#[test]
+fn builder_order_does_not_matter() {
+    // A partition of a 16-rank hypercube with two spares, built with the
+    // fault plan attached before and after partitioning: both views must
+    // name the same ranks and run one closure to the same bits, or to the
+    // same diagnosis.  The plans cover a masked death on a lossy link, a
+    // doomed spare, a buddy dying with the only checkpoint, and lossy
+    // heartbeats under priced detection.
+    let ranks: Vec<usize> = (8..16).collect();
+    let plans = [
+        FaultPlan::new(5).with_drop_rate(0.1).with_death(9, 35.0),
+        FaultPlan::new(6).with_death(9, 35.0).with_death(14, 80.0),
+        FaultPlan::new(7).with_death(9, 200.0).with_death(10, 200.0),
+        FaultPlan::new(8)
+            .with_drop_rate(0.3)
+            .with_detection(40.0, 2)
+            .with_death(12, 60.0),
+    ];
+    let base = Machine::new(Topology::hypercube(4), CostModel::new(10.0, 2.0));
+    for plan in plans {
+        let late = base
+            .partition(&ranks)
+            .with_fault_plan(plan.clone())
+            .with_spares(2);
+        let early = base
+            .clone()
+            .with_fault_plan(plan.clone())
+            .partition(&ranks)
+            .with_spares(2);
+        assert_eq!(late.partition_ranks(), early.partition_ranks());
+        assert_eq!(late.partition_ranks(), &ranks[..6]);
+        assert_eq!(late.spares(), early.spares());
+        assert_eq!(late.spares(), &[14, 15]);
+        match (run_ring(&late, 6), run_ring(&early, 6)) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.t_parallel.to_bits(), b.t_parallel.to_bits(), "{plan:?}");
+                assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
+                assert_eq!(format!("{:?}", a.results), format!("{:?}", b.results));
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{plan:?}"),
+            (a, b) => panic!(
+                "{plan:?}: builder order changed the outcome ({:?} vs {:?})",
+                a.map(|r| r.t_parallel),
+                b.map(|r| r.t_parallel)
+            ),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

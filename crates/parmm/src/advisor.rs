@@ -9,7 +9,7 @@
 
 use algos::{AlgoError, SimOutcome};
 use dense::Matrix;
-use mmsim::{Machine, Plain, Reliable, Transport};
+use mmsim::{Machine, Plain, Reliable, TopologyKind, Transport};
 use model::time::{parallel_time_on, NetworkModel};
 use model::{Algorithm, DetectionParams, FaultRates, MachineParams};
 
@@ -62,6 +62,35 @@ impl Advisor {
             candidates: Algorithm::COMPARED.to_vec(),
             network: NetworkModel::Hypercube,
         }
+    }
+
+    /// The advisor for a simulated machine: the paper's four
+    /// head-to-head candidates, priced with the machine's own cost
+    /// model, its network kind (fully connected networks, and the fat
+    /// tree the paper models as one, follow the Eq. (18) GK time;
+    /// everything else the hypercube equations) and its fault plan —
+    /// the default-link loss rates ([`fault_rates_of`]), so a lossy
+    /// machine gets the resilient variants, and the detection config
+    /// ([`detection_of`]), whose heartbeat duty cycle enters every
+    /// prediction and which forces the resilient candidates, as the
+    /// simulator charges it.  Per-link period overrides reach the
+    /// analytic machine as its tightest period: the busiest detector
+    /// link bounds the duty cycle.
+    #[must_use]
+    pub fn for_machine(machine: &Machine) -> Self {
+        let cm = machine.cost_model();
+        let network = match machine.topology().kind() {
+            TopologyKind::FullyConnected | TopologyKind::FatTree => NetworkModel::FullyConnected,
+            _ => NetworkModel::Hypercube,
+        };
+        let mut params = MachineParams::new(cm.t_s, cm.t_w).with_faults(fault_rates_of(machine));
+        if let Some(det) = detection_of(machine) {
+            params = params.with_detection(det.period, det.timeout_multiple);
+            if let Some(lp) = det.link_period {
+                params = params.with_link_detection_period(lp);
+            }
+        }
+        Self::new(params).with_network(network)
     }
 
     /// An advisor for the paper's §9 CM-5 setting: fully connected
@@ -542,6 +571,23 @@ mod tests {
         let rates = fault_rates_of(&lossy);
         assert_eq!(rates.drop, 0.25);
         assert!(rates.is_lossy());
+    }
+
+    #[test]
+    fn multiply_prices_the_machine_detection_config() {
+        // A monitored machine pays its heartbeat duty cycle, so the
+        // one-call entry point must pick (and run) the resilient form,
+        // exactly as the gemmd scheduler's advisor does on it.
+        use mmsim::FaultPlan;
+        let machine = Machine::new(Topology::hypercube(4), CostModel::ncube2())
+            .with_fault_plan(FaultPlan::new(3).with_detection(5000.0, 2));
+        let (a, b) = dense::gen::random_pair(32, 9);
+        let (rec, out) = crate::multiply(&machine, &a, &b).unwrap();
+        assert!(
+            rec.resilient,
+            "detection must force the resilient candidates"
+        );
+        assert!(out.c.approx_eq(&(&a * &b), 1e-10));
     }
 
     #[test]

@@ -47,15 +47,15 @@ pub use advisor::{
 use algos::{AlgoError, SimOutcome};
 use dense::Matrix;
 use mmsim::Machine;
-use model::MachineParams;
 
 /// One-call multiplication: let the §10 advisor pick the best
 /// executable algorithm for this machine and run it.
 ///
-/// The analytic machine parameters are taken from the simulated
-/// machine's own cost model — including any fault plan's default-link
-/// loss rates, so a lossy machine automatically gets the resilient
-/// variants — and the advisor reasons about exactly the hardware the
+/// The advisor is [`Advisor::for_machine`]: its analytic machine
+/// parameters are taken from the simulated machine's own cost model —
+/// including any fault plan's default-link loss rates and detection
+/// config, so a lossy or monitored machine automatically gets the
+/// resilient variants — and it reasons about exactly the hardware the
 /// run will use.
 ///
 /// ```
@@ -76,19 +76,7 @@ pub fn multiply(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<(Recommendation, SimOutcome), AlgoError> {
-    use mmsim::TopologyKind;
-    use model::time::NetworkModel;
-    let cm = machine.cost_model();
-    // Fully connected networks (and the fat tree the paper models as
-    // one) follow the Eq. (18) GK time; everything else the hypercube
-    // equations.
-    let network = match machine.topology().kind() {
-        TopologyKind::FullyConnected | TopologyKind::FatTree => NetworkModel::FullyConnected,
-        _ => NetworkModel::Hypercube,
-    };
-    let params = MachineParams::new(cm.t_s, cm.t_w).with_faults(fault_rates_of(machine));
-    let advisor = Advisor::new(params).with_network(network);
-    advisor.execute(machine, a, b)
+    Advisor::for_machine(machine).execute(machine, a, b)
 }
 
 /// One-stop imports for examples and downstream users.
