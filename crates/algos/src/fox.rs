@@ -148,10 +148,10 @@ pub fn default_packets(n: usize, p: usize) -> usize {
 /// | `tag(u32::MAX, t)` | northward roll of the B block |
 /// | phase `u32::MAX − 2` | checkpoint: the rolled B block plus the accumulator |
 ///
-/// Over [`mmsim::Reliable`] drops, corruption and duplication are
-/// re-driven per packet without restarting the pipeline.  Under either
-/// transport the relay forwards a received packet east as a
-/// reference-counted [`mmsim::Payload`] clone, never a byte copy.
+/// Over [`mmsim::Reliable`] drops and corruption are re-driven per
+/// packet without restarting the pipeline.  Under either transport the
+/// relay forwards a received packet east as a reference-counted
+/// [`mmsim::Payload`] clone, never a byte copy.
 pub fn fox_pipelined_on<X: Transport>(
     machine: &Machine,
     a: &Matrix,

@@ -423,8 +423,6 @@ fn machine(seed: u64) -> Machine {
     let degraded = LinkFaults {
         drop: 0.5,
         corrupt: 0.0,
-        duplicate: 0.0,
-        tw_factor: 1.0,
     };
     let plan = FaultPlan::new(seed)
         .with_drop_rate(0.02)

@@ -57,7 +57,6 @@ mod tests {
         FaultPlan::new(seed)
             .with_drop_rate(0.3)
             .with_corrupt_rate(0.15)
-            .with_duplicate_rate(0.1)
     }
 
     #[test]

@@ -1424,8 +1424,6 @@ mod tests {
                 LinkFaults {
                     drop: 0.5,
                     corrupt: 0.0,
-                    duplicate: 0.0,
-                    tw_factor: 1.0,
                 },
             )
             .with_detection(500.0, 4);

@@ -172,19 +172,10 @@ impl CostModel {
     /// `t_h = 0` it is irrelevant, matching the paper's model.
     #[must_use]
     pub fn message_latency(&self, words: usize, hops: usize) -> f64 {
-        self.message_latency_scaled(words, hops, 1.0)
-    }
-
-    /// [`Self::message_latency`] on a degraded link paying
-    /// `tw_scale × t_w` per word (fault injection; healthy links pass
-    /// `1.0`, which reproduces the unscaled cost bit-for-bit).
-    #[must_use]
-    pub fn message_latency_scaled(&self, words: usize, hops: usize, tw_scale: f64) -> f64 {
-        let per_word = self.t_w * tw_scale;
         let m = words as f64;
         match self.routing {
-            Routing::CutThrough => self.t_s + per_word * m + self.t_h * hops as f64,
-            Routing::StoreAndForward => (self.t_s + per_word * m) * (hops.max(1)) as f64,
+            Routing::CutThrough => self.t_s + self.t_w * m + self.t_h * hops as f64,
+            Routing::StoreAndForward => (self.t_s + self.t_w * m) * (hops.max(1)) as f64,
         }
     }
 
@@ -196,14 +187,7 @@ impl CostModel {
     /// not the sender).
     #[must_use]
     pub fn sender_occupancy(&self, words: usize) -> f64 {
-        self.sender_occupancy_scaled(words, 1.0)
-    }
-
-    /// [`Self::sender_occupancy`] on a degraded link paying
-    /// `tw_scale × t_w` per word.
-    #[must_use]
-    pub fn sender_occupancy_scaled(&self, words: usize, tw_scale: f64) -> f64 {
-        self.t_s + self.t_w * tw_scale * words as f64
+        self.t_s + self.t_w * words as f64
     }
 }
 
@@ -277,16 +261,6 @@ mod tests {
     #[should_panic(expected = "t_add must lie in [0, 1]")]
     fn t_add_out_of_range_rejected() {
         let _ = CostModel::unit().with_add_cost(1.5);
-    }
-
-    #[test]
-    fn scaled_costs_degrade_only_the_bandwidth_term() {
-        let m = CostModel::new(10.0, 2.0);
-        assert_eq!(m.sender_occupancy_scaled(5, 3.0), 10.0 + 30.0);
-        assert_eq!(m.message_latency_scaled(5, 4, 3.0), 10.0 + 30.0);
-        // Unit scale is bit-identical to the unscaled methods.
-        assert_eq!(m.sender_occupancy_scaled(5, 1.0), m.sender_occupancy(5));
-        assert_eq!(m.message_latency_scaled(5, 4, 1.0), m.message_latency(5, 4));
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl Machine {
     /// partition as if it were a whole machine of that size).
     ///
     /// Message *timing* still follows the physical machine: hop counts,
-    /// per-link degradation factors and fail-stop schedules are looked
+    /// per-link fault rates and fail-stop schedules are looked
     /// up under the member's physical rank.  On distance-regular
     /// embeddings — an aligned power-of-two block `[b·2^k, (b+1)·2^k)`
     /// of a hypercube (a `k`-subcube), or any subset of a fully
@@ -466,19 +466,10 @@ impl Machine {
         })
     }
 
-    /// `t_w` degradation factor of the directed physical link
-    /// `from → to` under the fault plan (1 without one).
-    fn link_tw(&self, from: usize, to: usize) -> f64 {
-        self.fault
-            .as_ref()
-            .map_or(1.0, |plan| plan.link(from, to).tw_factor)
-    }
-
     /// The buddy→spare state transfer of checkpoint `ck`: one
-    /// `t_s + t_w·m` send on the physical link `buddy → spare`.
-    fn transfer_cost(&self, ck: CkptRecord, buddy: usize, spare: usize) -> f64 {
-        self.cost
-            .sender_occupancy_scaled(ck.words as usize, self.link_tw(buddy, spare))
+    /// `t_s + t_w·m` send.
+    fn transfer_cost(&self, ck: CkptRecord) -> f64 {
+        self.cost.sender_occupancy(ck.words as usize)
     }
 
     /// The engine core behind [`Machine::run`] and [`Machine::try_run`]:
@@ -519,7 +510,7 @@ impl Machine {
                 if let Some(det) = detection {
                     let plan = view.fault.as_deref().expect("detection implies a plan");
                     let physical = &view.table.physical;
-                    let spare = spares_left.front().filter(|_| p > 1);
+                    let has_spare = p > 1 && !spares_left.is_empty();
                     let beat_cost = view.cost.sender_occupancy(1);
                     for rank in 0..p {
                         let (src, dst) = (physical[rank], physical[(rank + 1) % p]);
@@ -536,9 +527,8 @@ impl Machine {
                         // the final attempt's clocks, so replays stay
                         // byte-identical; with healthy heartbeat links (or
                         // no spare left to waste) nothing here fires.
-                        if let Some(&spare) = spare {
-                            let transfer =
-                                ckpts[rank].map_or(0.0, |ck| view.transfer_cost(ck, dst, spare));
+                        if has_spare {
+                            let transfer = ckpts[rank].map_or(0.0, |ck| view.transfer_cost(ck));
                             let horizon = report.stats[rank].clock;
                             let (mut from, mut events, mut charge) = (0u64, 0u64, 0.0f64);
                             while let Some(beat) = plan.first_streak(
@@ -624,10 +614,8 @@ impl Machine {
                 let spare = spares_left.pop_front().expect("budget checked above");
                 // Never checkpointed: restart from scratch — full replay,
                 // nothing to transfer.
-                let buddy = physical[(dead + 1) % p];
-                let (ckpt_t, transfer) = ckpts[dead].map_or((0.0, 0.0), |ck| {
-                    (ck.t, view.transfer_cost(ck, buddy, spare))
-                });
+                let (ckpt_t, transfer) =
+                    ckpts[dead].map_or((0.0, 0.0), |ck| (ck.t, view.transfer_cost(ck)));
                 // With priced detection, the survivors only *notice* the
                 // death `timeout_multiple` silent heartbeat periods after
                 // it happened; that latency delays the whole recovery.
@@ -1394,8 +1382,7 @@ mod tests {
         let m = unit_machine(2).with_fault_plan(
             FaultPlan::new(77)
                 .with_drop_rate(0.4)
-                .with_corrupt_rate(0.2)
-                .with_duplicate_rate(0.2),
+                .with_corrupt_rate(0.2),
         );
         let r = m
             .try_run(|proc| {
@@ -1446,26 +1433,6 @@ mod tests {
         assert_eq!(r.t_parallel, 8.0);
         assert_eq!(r.total_retransmissions(), 0);
         assert_eq!(r.total_backoff_idle(), 0.0);
-    }
-
-    #[test]
-    fn link_degradation_slows_only_that_link() {
-        let plan = FaultPlan::new(0).with_link_slowdown(0, 1, 10.0);
-        let m = unit_machine(3).with_fault_plan(plan);
-        let r = m.run(|proc| {
-            if proc.rank() == 0 {
-                proc.send(1, 0, vec![0.0; 4]);
-                proc.send(2, 0, vec![0.0; 4]);
-            } else {
-                proc.recv(0, 0);
-            }
-        });
-        // Degraded link: t_s + 10·t_w·4 = 41 occupancy; healthy link
-        // costs 5 on top.
-        assert_eq!(r.stats[0].comm, 41.0 + 5.0);
-        // Receiver 1 idles until arrival at 41; receiver 2 until 41 + 5.
-        assert_eq!(r.stats[1].idle, 41.0);
-        assert_eq!(r.stats[2].idle, 46.0);
     }
 
     #[test]

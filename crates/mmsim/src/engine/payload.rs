@@ -2,7 +2,7 @@
 //!
 //! A [`Payload`] is an `Arc`-shared word buffer with copy-on-write
 //! mutation.  Cloning one — which the engine does for every hop of a
-//! broadcast carry, every reliable-transport duplicate, and every
+//! broadcast carry, every reliable-transport retry frame, and every
 //! relay of a pipelined block — bumps a reference count instead of
 //! copying O(message-size) words.  The invariants that make this safe:
 //!

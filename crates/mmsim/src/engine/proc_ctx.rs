@@ -103,14 +103,13 @@ fn fail(error: SimError, message: String) -> ! {
 }
 
 /// One outgoing message's link, resolved once per send: the local
-/// destination, both physical endpoints (the fault plan's keys), the
-/// topology hop count and the link's `t_w` degradation factor.
+/// destination, both physical endpoints (the fault plan's keys) and
+/// the topology hop count.
 struct Route {
     dst: usize,
     src_ph: usize,
     dst_ph: usize,
     hops: usize,
-    tw: f64,
 }
 
 /// Take-and-increment of a sparse per-peer sequence counter.
@@ -249,13 +248,11 @@ impl Proc {
         );
         assert_ne!(dst, self.rank, "rank {}: cannot send to self", self.rank);
         let (src_ph, dst_ph) = (self.physical_rank(self.rank), self.physical_rank(dst));
-        let machine = &self.shared.machine;
         Route {
             dst,
             src_ph,
             dst_ph,
-            hops: machine.topology.distance(src_ph, dst_ph),
-            tw: machine.link_tw(src_ph, dst_ph),
+            hops: self.shared.machine.topology.distance(src_ph, dst_ph),
         }
     }
 
@@ -307,7 +304,7 @@ impl Proc {
         let payload = payload.into();
         let route = self.route(dst);
         let start = self.now();
-        let occupancy = self.cost.sender_occupancy_scaled(payload.len(), route.tw);
+        let occupancy = self.cost.sender_occupancy(payload.len());
         self.spend_send(occupancy, dst, payload.len(), tag);
         self.dispatch(&route, tag, payload, start);
     }
@@ -333,7 +330,7 @@ impl Proc {
             .map(|(dst, tag, payload)| {
                 let payload = payload.into();
                 let route = self.route(dst);
-                let occ = self.cost.sender_occupancy_scaled(payload.len(), route.tw);
+                let occ = self.cost.sender_occupancy(payload.len());
                 (route, tag, payload, occ)
             })
             .collect();
@@ -413,10 +410,7 @@ impl Proc {
         start: f64,
         corrupted: bool,
     ) {
-        let arrival = start
-            + self
-                .cost
-                .message_latency_scaled(payload.len(), route.hops, route.tw);
+        let arrival = start + self.cost.message_latency(payload.len(), route.hops);
         self.count_sent(route, payload.len());
         let msg = Message {
             src: self.rank,
@@ -575,8 +569,7 @@ impl Proc {
     ///
     /// The frame is assembled once and retained as a shared [`Payload`]
     /// across retries: a retransmission patches the attempt counter and
-    /// checksum copy-on-write instead of rebuilding the buffer, and a
-    /// network duplicate is a reference-count bump.
+    /// checksum copy-on-write instead of rebuilding the buffer.
     ///
     /// With no fault plan (or a zero plan) the first attempt always
     /// succeeds: the only cost over [`Proc::send`] is the two framing
@@ -590,8 +583,7 @@ impl Proc {
         let route = self.route(dst);
         let plan = self.shared.machine.fault.clone();
         let seq = next_seq(&mut self.rel_seq_out, dst);
-        let (src_ph, dst_ph, hops, tw_fwd) = (route.src_ph, route.dst_ph, route.hops, route.tw);
-        let tw_rev = self.shared.machine.link_tw(dst_ph, src_ph);
+        let (src_ph, dst_ph, hops) = (route.src_ph, route.dst_ph, route.hops);
         let frame_words = payload.len() + RELIABLE_FRAME_OVERHEAD;
         let max_attempts = plan.as_ref().map_or(1, |p| p.max_attempts());
         // Retained retry frame: body = payload + attempt word, then the
@@ -609,11 +601,11 @@ impl Proc {
                 p.fate(TrafficClass::Reliable, src_ph, dst_ph, seq, attempt)
             });
             let start = self.now();
-            let occupancy = self.cost.sender_occupancy_scaled(frame_words, tw_fwd);
+            let occupancy = self.cost.sender_occupancy(frame_words);
             self.spend_send(occupancy, dst, frame_words, tag);
 
-            let frame_latency = self.cost.message_latency_scaled(frame_words, hops, tw_fwd);
-            let control_latency = self.cost.message_latency_scaled(1, hops, tw_rev);
+            let frame_latency = self.cost.message_latency(frame_words, hops);
+            let control_latency = self.cost.message_latency(1, hops);
             match fate {
                 Fate::Delivered | Fate::Corrupted => {
                     {
@@ -632,12 +624,6 @@ impl Proc {
                             plan.corrupt_position(src_ph, dst_ph, seq, attempt, frame_words);
                         let words = wire.to_mut();
                         words[w] = f64::from_bits(words[w].to_bits() ^ (1u64 << b));
-                    }
-                    let duplicated = plan.as_ref().is_some_and(|p| {
-                        p.duplicated(TrafficClass::Reliable, src_ph, dst_ph, seq, attempt)
-                    });
-                    if duplicated {
-                        self.dispatch_raw(&route, tag, wire.clone(), start, corrupted);
                     }
                     self.dispatch_raw(&route, tag, wire, start, corrupted);
                     if !corrupted {
@@ -683,9 +669,9 @@ impl Proc {
     }
 
     /// Receive the payload of a matching [`Proc::send_reliable`],
-    /// verifying the checksum of every frame, discarding duplicates,
-    /// and charging the modelled ACK/NACK control traffic (1 word per
-    /// verdict) to this processor's communication time.
+    /// verifying the checksum of every frame and charging the modelled
+    /// ACK/NACK control traffic (1 word per verdict) to this processor's
+    /// communication time.
     ///
     /// # Panics
     /// Panics on exhausted attempts, or with a corruption diagnosis if
@@ -695,7 +681,6 @@ impl Proc {
         let plan = self.shared.machine.fault.clone();
         let seq = next_seq(&mut self.rel_seq_in, src);
         let (me_ph, src_ph) = (self.physical_rank(self.rank), self.physical_rank(src));
-        let tw_rev = self.shared.machine.link_tw(me_ph, src_ph);
         let max_attempts = plan.as_ref().map_or(1, |p| p.max_attempts());
         let mut attempt: u32 = 0;
         loop {
@@ -706,13 +691,6 @@ impl Proc {
             // nothing to consume and no verdict to send.
             if fate != Fate::Dropped {
                 let mut frame = self.recv_frame(src, tag).payload;
-                let duplicated = plan.as_ref().is_some_and(|p| {
-                    p.duplicated(TrafficClass::Reliable, src_ph, me_ph, seq, attempt)
-                });
-                if duplicated {
-                    // Same attempt, sent twice: consume and discard the copy.
-                    let _ = self.recv_frame(src, tag);
-                }
                 assert!(
                     frame.len() >= RELIABLE_FRAME_OVERHEAD,
                     "rank {}: reliable frame from {src} too short ({} words)",
@@ -722,7 +700,7 @@ impl Proc {
                 let (body, check) = frame.split_at(frame.len() - 1);
                 let intact = frame_checksum(body).to_bits() == check[0].to_bits();
                 // Modelled 1-word ACK/NACK injection back to the sender.
-                let verdict_occ = self.cost.sender_occupancy_scaled(1, tw_rev);
+                let verdict_occ = self.cost.sender_occupancy(1);
                 self.spend_send(verdict_occ, src, 1, tag);
                 if fate == Fate::Corrupted {
                     assert!(

@@ -4,10 +4,8 @@
 //!
 //! * **fail-stop processor death** — a rank halts forever once its
 //!   virtual clock crosses a configured instant;
-//! * **per-link message faults** — drop, corruption (bit flip) and
-//!   duplication, each an independent probability per link;
-//! * **link degradation** — a per-link multiplier on the `t_w`
-//!   bandwidth term of the cost model.
+//! * **per-link message faults** — drop and corruption (bit flip),
+//!   each a probability per link.
 //!
 //! Every per-message decision is a *pure function* of the plan seed and
 //! the message coordinates `(src, dst, seq, attempt)` via
@@ -117,7 +115,7 @@ pub enum Fate {
 pub enum FaultPlanError {
     /// A fault probability lies outside `[0, 1]`.
     RateOutOfRange {
-        /// Which rate (`"drop"`, `"corrupt"`, `"duplicate"`).
+        /// Which rate (`"drop"` or `"corrupt"`).
         name: &'static str,
         /// The offending value.
         value: f64,
@@ -129,12 +127,6 @@ pub enum FaultPlanError {
         drop: f64,
         /// The corrupt probability.
         corrupt: f64,
-    },
-    /// `tw_factor` is below 1 or non-finite (a link can degrade, never
-    /// accelerate).
-    InvalidSlowdown {
-        /// The offending factor.
-        tw_factor: f64,
     },
     /// A fail-stop instant is negative or non-finite.
     InvalidDeathTime {
@@ -189,10 +181,6 @@ impl std::fmt::Display for FaultPlanError {
                 "drop + corrupt must not exceed 1 (they are disjoint outcomes), \
                  got {drop} + {corrupt}"
             ),
-            Self::InvalidSlowdown { tw_factor } => write!(
-                f,
-                "tw_factor must be a finite degradation factor >= 1, got {tw_factor}"
-            ),
             Self::InvalidDeathTime { rank, t } => write!(
                 f,
                 "death time for rank {rank} must be finite and non-negative, got {t}"
@@ -228,28 +216,12 @@ impl std::fmt::Display for FaultPlanError {
 impl std::error::Error for FaultPlanError {}
 
 /// Fault behaviour of one directed link.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFaults {
     /// Probability a transmission attempt is dropped.
     pub drop: f64,
     /// Probability a transmission attempt arrives corrupted.
     pub corrupt: f64,
-    /// Probability a (non-dropped) attempt is duplicated in flight.
-    pub duplicate: f64,
-    /// Multiplier on the cost model's `t_w` for this link (degradation;
-    /// `1.0` = healthy).
-    pub tw_factor: f64,
-}
-
-impl Default for LinkFaults {
-    fn default() -> Self {
-        Self {
-            drop: 0.0,
-            corrupt: 0.0,
-            duplicate: 0.0,
-            tw_factor: 1.0,
-        }
-    }
 }
 
 impl LinkFaults {
@@ -258,14 +230,9 @@ impl LinkFaults {
     /// untrusted rates to the panicking builders.
     ///
     /// # Errors
-    /// Any rate outside `[0, 1]`, `drop + corrupt > 1`, or a
-    /// `tw_factor` below 1 / non-finite.
+    /// Any rate outside `[0, 1]`, or `drop + corrupt > 1`.
     pub fn check(&self) -> Result<(), FaultPlanError> {
-        for (name, v) in [
-            ("drop", self.drop),
-            ("corrupt", self.corrupt),
-            ("duplicate", self.duplicate),
-        ] {
+        for (name, v) in [("drop", self.drop), ("corrupt", self.corrupt)] {
             if !(0.0..=1.0).contains(&v) {
                 return Err(FaultPlanError::RateOutOfRange { name, value: v });
             }
@@ -274,11 +241,6 @@ impl LinkFaults {
             return Err(FaultPlanError::OverlappingRates {
                 drop: self.drop,
                 corrupt: self.corrupt,
-            });
-        }
-        if !(self.tw_factor >= 1.0 && self.tw_factor.is_finite()) {
-            return Err(FaultPlanError::InvalidSlowdown {
-                tw_factor: self.tw_factor,
             });
         }
         Ok(())
@@ -290,17 +252,16 @@ impl LinkFaults {
         }
     }
 
-    /// Whether this link is fault-free and at full bandwidth.
+    /// Whether this link is fault-free.
     #[must_use]
     pub fn is_healthy(&self) -> bool {
-        self.drop == 0.0 && self.corrupt == 0.0 && self.duplicate == 0.0 && self.tw_factor == 1.0
+        self.drop == 0.0 && self.corrupt == 0.0
     }
 }
 
-// Salt constants keep the fate / duplication / bit-position draws
-// statistically independent of each other under the same seed.
+// Salt constants keep the fate and bit-position draws statistically
+// independent of each other under the same seed.
 const SALT_FATE: u64 = 0xFA7E;
-const SALT_DUP: u64 = 0xD0B1;
 const SALT_BIT: u64 = 0xB17F;
 
 /// A complete, seeded description of the faults injected into one run.
@@ -314,10 +275,9 @@ const SALT_BIT: u64 = 0xB17F;
 /// let plan = FaultPlan::new(42)
 ///     .with_drop_rate(0.05)
 ///     .with_corrupt_rate(0.01)
-///     .with_link_slowdown(0, 1, 4.0)
 ///     .with_death(3, 1_000.0);
 /// assert_eq!(plan.death_time(3), Some(1_000.0));
-/// assert!(plan.link(0, 1).tw_factor == 4.0);
+/// assert_eq!(plan.link(0, 1).drop, 0.05);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -380,29 +340,10 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: set the duplication probability on **every** link.
-    #[must_use]
-    pub fn with_duplicate_rate(mut self, p: f64) -> Self {
-        self.default_link.duplicate = p;
-        self.default_link.validate();
-        self
-    }
-
     /// Builder: override the fault behaviour of the directed link
     /// `src → dst`.
     #[must_use]
     pub fn with_link(mut self, src: usize, dst: usize, faults: LinkFaults) -> Self {
-        faults.validate();
-        self.links.insert((src, dst), faults);
-        self
-    }
-
-    /// Builder: degrade the directed link `src → dst` to pay
-    /// `factor × t_w` per word (keeping the link's other fault rates).
-    #[must_use]
-    pub fn with_link_slowdown(mut self, src: usize, dst: usize, factor: f64) -> Self {
-        let mut faults = self.link(src, dst);
-        faults.tw_factor = factor;
         faults.validate();
         self.links.insert((src, dst), faults);
         self
@@ -717,33 +658,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether transmission `attempt` of message `seq` is duplicated in
-    /// flight (independent of its [`Self::fate`]; dropped attempts are
-    /// never duplicated).
-    #[must_use]
-    pub fn duplicated(
-        &self,
-        class: TrafficClass,
-        src: usize,
-        dst: usize,
-        seq: u64,
-        attempt: u32,
-    ) -> bool {
-        let link = self.link(src, dst);
-        if link.duplicate == 0.0 {
-            return false;
-        }
-        mix_unit_f64(&[
-            self.seed,
-            SALT_DUP,
-            class.key(),
-            src as u64,
-            dst as u64,
-            seq,
-            u64::from(attempt),
-        ]) < link.duplicate
-    }
-
     /// Which `(word index, bit index)` of a `words`-long payload a
     /// corrupted attempt flips.  Deterministic per message coordinates.
     ///
@@ -780,7 +694,11 @@ mod tests {
         assert!(FaultPlan::new(1).is_zero());
         assert!(!FaultPlan::new(1).with_drop_rate(0.1).is_zero());
         assert!(!FaultPlan::new(1).with_death(0, 5.0).is_zero());
-        assert!(!FaultPlan::new(1).with_link_slowdown(0, 1, 2.0).is_zero());
+        let lossy = LinkFaults {
+            drop: 0.5,
+            corrupt: 0.0,
+        };
+        assert!(!FaultPlan::new(1).with_link(0, 1, lossy).is_zero());
         // Heartbeats cost bandwidth, so a detection config is not zero.
         assert!(!FaultPlan::new(1).with_detection(100.0, 3).is_zero());
     }
@@ -946,7 +864,6 @@ mod tests {
                 plan.fate(TrafficClass::Plain, 0, 1, seq, 0),
                 Fate::Delivered
             );
-            assert!(!plan.duplicated(TrafficClass::Plain, 0, 1, seq, 0));
         }
     }
 
@@ -1034,16 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_preserves_other_rates() {
-        let plan = FaultPlan::new(1)
-            .with_corrupt_rate(0.25)
-            .with_link_slowdown(2, 3, 8.0);
-        let l = plan.link(2, 3);
-        assert_eq!(l.tw_factor, 8.0);
-        assert_eq!(l.corrupt, 0.25);
-    }
-
-    #[test]
     #[should_panic(expected = "must lie in [0, 1]")]
     fn out_of_range_rate_rejected() {
         let _ = FaultPlan::new(0).with_drop_rate(1.5);
@@ -1053,12 +960,6 @@ mod tests {
     #[should_panic(expected = "drop + corrupt")]
     fn overlapping_rates_rejected() {
         let _ = FaultPlan::new(0).with_drop_rate(0.7).with_corrupt_rate(0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "tw_factor")]
-    fn speedup_factor_rejected() {
-        let _ = FaultPlan::new(0).with_link_slowdown(0, 1, 0.5);
     }
 
     #[test]
@@ -1089,7 +990,6 @@ mod tests {
         let faults = LinkFaults {
             drop: 0.7,
             corrupt: 0.5,
-            ..LinkFaults::default()
         };
         assert_eq!(
             faults.check(),
@@ -1101,25 +1001,10 @@ mod tests {
     }
 
     #[test]
-    fn check_reports_invalid_slowdown() {
-        for bad in [0.5, f64::NAN, f64::INFINITY] {
-            let faults = LinkFaults {
-                tw_factor: bad,
-                ..LinkFaults::default()
-            };
-            assert!(matches!(
-                faults.check(),
-                Err(FaultPlanError::InvalidSlowdown { .. })
-            ));
-        }
-    }
-
-    #[test]
     fn validate_accepts_well_formed_plans() {
         let plan = FaultPlan::new(9)
             .with_drop_rate(0.4)
             .with_corrupt_rate(0.3)
-            .with_link_slowdown(0, 1, 2.0)
             .with_death(3, 10.0)
             .with_max_attempts(4);
         assert_eq!(plan.validate(), Ok(()));
@@ -1140,13 +1025,13 @@ mod tests {
         plan.links.insert(
             (1, 2),
             LinkFaults {
-                tw_factor: 0.0,
-                ..LinkFaults::default()
+                drop: 0.0,
+                corrupt: 1.5,
             },
         );
         assert!(matches!(
             plan.validate(),
-            Err(FaultPlanError::InvalidSlowdown { tw_factor }) if tw_factor == 0.0
+            Err(FaultPlanError::RateOutOfRange { name: "corrupt", value }) if value == 1.5
         ));
 
         let mut plan = FaultPlan::new(0);

@@ -10,7 +10,7 @@
 //! [`crate::FaultPlan::with_death`] schedule, the engine promotes a
 //! spare into the dead rank's logical slot, re-binds the rank table so
 //! the slot is backed by the spare's *physical* rank (physical hop
-//! counts, link degradations and the spare's own death schedule all
+//! counts, per-link fault rates and the spare's own death schedule all
 //! follow), and replays the run.
 //!
 //! ## Checkpoints

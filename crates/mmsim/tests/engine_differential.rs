@@ -14,8 +14,8 @@
 //!   `parmm::run_on`, for every `Algorithm::ALL` id at its native
 //!   geometry: the plain form on a healthy machine, then the reliable
 //!   form under message drops with retransmission, payload corruption,
-//!   duplication, fail-stop deaths with spare failover, and lossy
-//!   heartbeat detection.
+//!   fail-stop deaths with spare failover, and lossy heartbeat
+//!   detection.
 //! * **Diagnosis parity** on raw machines: cyclic deadlocks,
 //!   starvation deadlocks, deaths without spares, unreceived-message
 //!   accounting and a host-stalled rank must classify to equal
@@ -205,9 +205,8 @@ fn sweep_machine(p: usize, spares: usize, plan: FaultPlan) -> Machine {
 
 /// Fault-plan differential across every formulation at its native
 /// geometry (and Simple and Fox at `p = 4`): the plain form on a healthy machine, then the reliable
-/// form under drops (retransmission), corruption (checksums),
-/// duplication (dedup), and a mid-run death absorbed by a spare under
-/// lossy heartbeat detection.
+/// form under drops (retransmission), corruption (checksums) and a
+/// mid-run death absorbed by a spare under lossy heartbeat detection.
 #[test]
 fn faults_spares_and_detection() {
     // The resilience matrix's points: each formulation at the first
@@ -230,11 +229,10 @@ fn faults_spares_and_detection() {
             run_on::<Plain>(alg, m, &a, &b)
         });
         // Lossy links: drops force retransmission, corruption forces
-        // checksum rejection, duplicates force dedup.
+        // checksum rejection.
         let lossy = FaultPlan::new(0x5EED ^ p as u64)
             .with_drop_rate(0.1)
-            .with_corrupt_rate(0.05)
-            .with_duplicate_rate(0.1);
+            .with_corrupt_rate(0.05);
         check_algo(&format!("{name} lossy"), &sweep_machine(p, 0, lossy), entry);
         // Fail-stop death absorbed by one spare, detected through
         // heartbeats that ride the same lossy links.

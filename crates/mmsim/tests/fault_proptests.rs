@@ -36,8 +36,7 @@ proptest! {
     ) {
         let plan = FaultPlan::new(seed)
             .with_drop_rate(drop)
-            .with_corrupt_rate(corrupt)
-            .with_duplicate_rate(0.1);
+            .with_corrupt_rate(corrupt);
         let machine = || {
             Machine::new(Topology::fully_connected(p), CostModel::new(20.0, 2.0))
                 .with_fault_plan(plan.clone())

@@ -3,7 +3,7 @@
 //! interaction.
 
 use mmsim::engine::message::tag;
-use mmsim::{CostModel, FaultPlan, Machine, Proc, SimError, Topology};
+use mmsim::{CostModel, FaultPlan, LinkFaults, Machine, Proc, SimError, Topology};
 
 /// A workload exercising sends, receives, compute and idle accounting.
 fn ring_workload(proc: &mut Proc) -> f64 {
@@ -128,27 +128,26 @@ fn fault_plan_death_is_keyed_by_physical_rank() {
 
 #[test]
 fn per_link_fault_overrides_follow_physical_links() {
-    // Degrade only the physical 2→3 link; in the partition [2, 3] that
-    // is the local 0→1 link.
-    let plan = FaultPlan::new(0).with_link_slowdown(2, 3, 10.0);
+    // Cut only the physical 2→3 link; in the partition [2, 3] that is
+    // the local 0→1 link.
+    let cut = LinkFaults {
+        drop: 1.0,
+        corrupt: 0.0,
+    };
+    let plan = FaultPlan::new(0).with_link(2, 3, cut);
     let m = Machine::new(Topology::fully_connected(4), CostModel::unit()).with_fault_plan(plan);
-    let r = m.partition(&[2, 3]).run(|proc| {
+    let send_one = |proc: &mut Proc| {
         if proc.rank() == 0 {
             proc.send(1, 0, vec![0.0; 4]);
         } else {
             proc.recv(0, 0);
         }
-    });
-    // Degraded: t_s + 10·t_w·4 = 41 occupancy on the sender.
-    assert_eq!(r.stats[0].comm, 41.0);
+    };
+    // The plain message is lost, so the receiver waits forever.
+    let err = m.partition(&[2, 3]).try_run(send_one).unwrap_err();
+    assert!(matches!(err, SimError::Deadlock { .. }), "{err:?}");
     // The same partition over healthy ranks costs the plain 5.
-    let healthy = m.partition(&[0, 1]).run(|proc| {
-        if proc.rank() == 0 {
-            proc.send(1, 0, vec![0.0; 4]);
-        } else {
-            proc.recv(0, 0);
-        }
-    });
+    let healthy = m.partition(&[0, 1]).run(send_one);
     assert_eq!(healthy.stats[0].comm, 5.0);
 }
 

@@ -106,8 +106,7 @@ proptest! {
     ) {
         let plan = FaultPlan::new(seed)
             .with_drop_rate(drop)
-            .with_corrupt_rate(corrupt)
-            .with_duplicate_rate(0.15);
+            .with_corrupt_rate(corrupt);
         let run = |m: &Machine| {
             let sent = words.clone();
             m.try_run(move |proc| {

@@ -1,7 +1,7 @@
 //! Machine parameters of the analytic models.
 
 /// Per-message fault rates of a lossy interconnect, as probabilities in
-/// `[0, 1)` per transmission attempt.  These mirror the default-link
+/// `[0, 1]` per transmission attempt.  These mirror the default-link
 /// rates of an `mmsim` fault plan; the analytic layer uses them to
 /// price the reliable-transport protocol into predicted times (see
 /// [`MachineParams::reliable_effective`]).
@@ -12,9 +12,6 @@ pub struct FaultRates {
     /// Probability a transmission attempt arrives corrupted (detected by
     /// the reliable protocol's checksum and retransmitted).
     pub corrupt: f64,
-    /// Probability a delivered attempt is duplicated (the receiver
-    /// consumes and discards the copy; no sender-side cost).
-    pub duplicate: f64,
 }
 
 impl FaultRates {
@@ -22,36 +19,28 @@ impl FaultRates {
     pub const ZERO: Self = Self {
         drop: 0.0,
         corrupt: 0.0,
-        duplicate: 0.0,
     };
 
-    /// Fault rates with the given drop/corrupt/duplicate probabilities.
+    /// Fault rates with the given drop/corrupt probabilities.
     ///
     /// # Panics
-    /// Panics unless every rate lies in `[0, 1)` and `drop + corrupt < 1`
-    /// (otherwise no attempt can ever succeed).
+    /// Panics unless both rates lie in `[0, 1]` and `drop + corrupt ≤ 1`
+    /// (the same domain the simulator's fault plan enforces).  A total
+    /// loss, `drop + corrupt = 1`, is valid: no attempt ever succeeds.
     #[must_use]
-    pub fn new(drop: f64, corrupt: f64, duplicate: f64) -> Self {
-        for (name, r) in [
-            ("drop", drop),
-            ("corrupt", corrupt),
-            ("duplicate", duplicate),
-        ] {
+    pub fn new(drop: f64, corrupt: f64) -> Self {
+        for (name, r) in [("drop", drop), ("corrupt", corrupt)] {
             assert!(
-                (0.0..1.0).contains(&r) && r.is_finite(),
-                "{name} rate must lie in [0, 1), got {r}"
+                (0.0..=1.0).contains(&r),
+                "{name} rate must lie in [0, 1], got {r}"
             );
         }
         assert!(
-            drop + corrupt < 1.0,
-            "drop + corrupt must stay below 1 (got {})",
+            drop + corrupt <= 1.0,
+            "drop + corrupt must not exceed 1 (got {})",
             drop + corrupt
         );
-        Self {
-            drop,
-            corrupt,
-            duplicate,
-        }
+        Self { drop, corrupt }
     }
 
     /// Whether any transmission can fail — i.e. whether the reliable
@@ -63,10 +52,12 @@ impl FaultRates {
 
     /// Expected transmissions per delivered message: attempts fail
     /// independently with probability `drop + corrupt`, so the count is
-    /// geometric with mean `1 / (1 − drop − corrupt)`.
+    /// geometric with mean `1 / (1 − drop − corrupt)`.  A total loss
+    /// gives +∞ (the clamp keeps a rounding below zero from turning it
+    /// negative).
     #[must_use]
     pub fn expected_attempts(self) -> f64 {
-        1.0 / (1.0 - self.drop - self.corrupt)
+        1.0 / (1.0 - self.drop - self.corrupt).max(0.0)
     }
 }
 
@@ -270,8 +261,7 @@ impl MachineParams {
     /// scales as `t_w' = A·t_w`.  Backoff idle between attempts is
     /// deliberately *not* priced: it overlaps other ranks' progress in
     /// the simulator, and the geometric mean already captures the
-    /// first-order cost.  Duplicates cost the sender nothing.  On a
-    /// fault-free machine this still charges the framing and
+    /// first-order cost.  On a fault-free machine this still charges the framing and
     /// acknowledgement overhead — exactly what the engine does.
     ///
     /// Under a [`DetectionParams`] config every rank additionally spends
@@ -343,17 +333,20 @@ mod tests {
 
     #[test]
     fn fault_rates_validate() {
-        let r = FaultRates::new(0.2, 0.1, 0.05);
+        let r = FaultRates::new(0.2, 0.1);
         assert!(r.is_lossy());
         assert!((r.expected_attempts() - 1.0 / 0.7).abs() < 1e-12);
         assert!(!FaultRates::ZERO.is_lossy());
         assert_eq!(FaultRates::ZERO.expected_attempts(), 1.0);
+        // A total loss is a valid plan whose messages never arrive.
+        assert_eq!(FaultRates::new(1.0, 0.0).expected_attempts(), f64::INFINITY);
+        assert_eq!(FaultRates::new(0.6, 0.4).expected_attempts(), f64::INFINITY);
     }
 
     #[test]
-    #[should_panic(expected = "below 1")]
+    #[should_panic(expected = "must not exceed 1")]
     fn saturated_loss_rejected() {
-        let _ = FaultRates::new(0.6, 0.5, 0.0);
+        let _ = FaultRates::new(0.6, 0.5);
     }
 
     #[test]
@@ -457,7 +450,7 @@ mod tests {
     fn reliable_effective_inflates_with_loss() {
         let healthy = MachineParams::cm5().reliable_effective();
         let lossy = MachineParams::cm5()
-            .with_faults(FaultRates::new(0.3, 0.1, 0.0))
+            .with_faults(FaultRates::new(0.3, 0.1))
             .reliable_effective();
         assert!(lossy.t_s > healthy.t_s);
         assert!(lossy.t_w > healthy.t_w);

@@ -232,7 +232,7 @@ impl Advisor {
 }
 
 /// The analytic fault rates implied by a simulated machine's fault
-/// plan: the default-link drop/corrupt/duplicate probabilities, or
+/// plan: the default-link drop/corrupt probabilities, or
 /// [`FaultRates::ZERO`] when the machine carries no plan.  Per-link
 /// overrides are deliberately ignored — the analytic layer models one
 /// homogeneous interconnect.
@@ -240,7 +240,7 @@ impl Advisor {
 pub fn fault_rates_of(machine: &Machine) -> FaultRates {
     machine.fault_plan().map_or(FaultRates::ZERO, |plan| {
         let link = plan.default_link();
-        FaultRates::new(link.drop, link.corrupt, link.duplicate)
+        FaultRates::new(link.drop, link.corrupt)
     })
 }
 
@@ -506,7 +506,7 @@ mod tests {
         // bandwidth (acks and framing are per message), the crossover
         // moves up past 96, and GK takes over.
         let lossy = Advisor::for_cm5()
-            .with_machine(MachineParams::cm5().with_faults(FaultRates::new(0.3, 0.1, 0.0)));
+            .with_machine(MachineParams::cm5().with_faults(FaultRates::new(0.3, 0.1)));
         let rec = lossy.recommend(96, 64).unwrap();
         assert_eq!(rec.algorithm, Algorithm::Gk, "loss flips Cannon → GK");
         assert!(rec.resilient);
@@ -523,7 +523,7 @@ mod tests {
         use mmsim::FaultPlan;
         // Figure 1's b region stays Berntsen's under loss: every
         // candidate has a reliable form, so none is filtered out.
-        let rates = FaultRates::new(0.1, 0.0, 0.0);
+        let rates = FaultRates::new(0.1, 0.0);
         let advisor = Advisor::new(MachineParams::ncube2().with_faults(rates));
         let rec = advisor.recommend(4096, 512).unwrap();
         assert_eq!(rec.algorithm, Algorithm::Berntsen);
@@ -588,6 +588,24 @@ mod tests {
             "detection must force the resilient candidates"
         );
         assert!(out.c.approx_eq(&(&a * &b), 1e-10));
+    }
+
+    #[test]
+    fn total_loss_plan_is_a_structured_error() {
+        // `mmsim` accepts `drop + corrupt = 1`; the advisor must price
+        // it (infinite expected attempts) and let the run report its
+        // exhausted retries, not panic on the rates.
+        use mmsim::FaultPlan;
+        let machine = Machine::new(Topology::hypercube(2), CostModel::ncube2());
+        let (a, b) = dense::gen::random_pair(8, 5);
+        for plan in [
+            FaultPlan::new(1).with_drop_rate(1.0),
+            FaultPlan::new(1).with_drop_rate(0.6).with_corrupt_rate(0.4),
+        ] {
+            let lossy = machine.clone().with_fault_plan(plan);
+            let err = crate::multiply(&lossy, &a, &b).unwrap_err();
+            assert!(matches!(err, AlgoError::Sim(_)), "{err:?}");
+        }
     }
 
     #[test]

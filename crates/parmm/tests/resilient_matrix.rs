@@ -4,7 +4,7 @@
 //! reference) and `parmm::run_on::<Reliable>` (under test).
 //!
 //! For every formulation the same seeded grid of
-//! `drop × corrupt × duplicate × death × spares` plans is swept, and
+//! `drop × corrupt × death × spares` plans is swept, and
 //! two properties are asserted differentially against the *plain* form
 //! on a healthy machine:
 //!
@@ -31,7 +31,6 @@ use proptest::prelude::*;
 
 const DROPS: [f64; 3] = [0.0, 0.1, 0.25];
 const CORRUPTS: [f64; 3] = [0.0, 0.05, 0.1];
-const DUPS: [f64; 3] = [0.0, 0.1, 0.2];
 
 /// Each formulation's sweep geometry — logical ranks and operand size —
 /// is the first of these its executable form accepts.
@@ -117,24 +116,22 @@ macro_rules! resilient_matrix {
             #[test]
             fn $name(
                 seed in 0u64..1_000_000,
-                grid in 0usize..(DROPS.len() * CORRUPTS.len() * DUPS.len()),
+                grid in 0usize..(DROPS.len() * CORRUPTS.len()),
                 victim in 0usize..=$geometry.0,
                 t_death in 30.0f64..250.0,
                 spares in 0usize..3,
             ) {
                 let (p, n) = $geometry;
-                // One flat index over the drop × corrupt × duplicate grid.
+                // One flat index over the drop × corrupt grid.
                 let drop_i = grid % DROPS.len();
-                let corrupt_i = (grid / DROPS.len()) % CORRUPTS.len();
-                let dup_i = grid / (DROPS.len() * CORRUPTS.len());
+                let corrupt_i = grid / DROPS.len();
                 let (a, b) = gen::random_pair(n, 0xD1FF);
                 let healthy = Machine::new(Topology::fully_connected(p), CostModel::new(5.0, 0.5));
                 let plain = run_on::<Plain>($alg, &healthy, &a, &b).expect("plain form applicable");
 
                 let mut plan = FaultPlan::new(seed)
                     .with_drop_rate(DROPS[drop_i])
-                    .with_corrupt_rate(CORRUPTS[corrupt_i])
-                    .with_duplicate_rate(DUPS[dup_i]);
+                    .with_corrupt_rate(CORRUPTS[corrupt_i]);
                 if victim < p {
                     plan = plan.with_death(victim, t_death);
                 }

@@ -91,7 +91,7 @@ fn faulted_fox_rows_track_reliable_effective() {
     let (drop, corrupt) = (0.1, 0.05);
     let cost = CostModel::new(23.0, 2.0);
     let eff = MachineParams::new(23.0, 2.0)
-        .with_faults(model::FaultRates::new(drop, corrupt, 0.0))
+        .with_faults(model::FaultRates::new(drop, corrupt))
         .reliable_effective();
     let (n, p) = (24usize, 16usize);
     let (a, b) = gen::random_pair(n, 17);
